@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from dataclasses import dataclass
@@ -38,15 +39,12 @@ from .metrics import (
     ScoredLabels,
     aupr,
     auroc,
-    bootstrap_ci,
-    bootstrap_roc_band,
+    bootstrap,
     threshold_report,
     unique_thresholds,
 )
 from .plots import render_beeswarm_svg, render_curve_svg
-from .shap import explain_dataset
-
-_COMMANDS = ("synth", "train", "predict", "explain", "evaluate", "simulate-bias", "plot")
+from .shap import explain_dataset, rank_features
 
 # flags that must be resolved (CLI or config) before a command can run
 _REQUIRED = {
@@ -99,6 +97,8 @@ def _fractions_arg(raw: str):
             raise argparse.ArgumentTypeError(f"bad fraction {token!r}") from None
         if not 0.0 <= value <= 1.0:
             raise argparse.ArgumentTypeError(f"fraction {token!r} outside [0,1]")
+        if any(value == seen for _, seen in out):
+            raise argparse.ArgumentTypeError(f"fraction {token!r} repeated")
         out.append((token, value))
     return out
 
@@ -110,7 +110,7 @@ def build_parser():
         "from binary symptom reports.",
     )
     parser.add_argument("--version", action="version", version=f"pcrboost {__version__}")
-    sub = parser.add_subparsers(dest="command", metavar="|".join(_COMMANDS))
+    sub = parser.add_subparsers(dest="command", metavar="|".join(_HANDLERS))
     subparsers = {}
 
     p = subparsers["synth"] = sub.add_parser(
@@ -264,7 +264,7 @@ def _scored(model, ds) -> ScoredLabels:
     return ScoredLabels(model.predict_proba(ds.X), ds.y)
 
 
-def cmd_synth(args):
+def cmd_synth(args, parser):
     if args.marginals:
         marginals = marginals_from(_load_dataset(args.marginals))
         inputs = [args.marginals]
@@ -277,7 +277,7 @@ def cmd_synth(args):
     return inputs, [args.out], args.out + ".manifest.json"
 
 
-def cmd_train(args):
+def cmd_train(args, parser):
     ds = _load_dataset(args.data)
     cfg = TrainConfig(
         num_rounds=args.num_rounds,
@@ -294,7 +294,7 @@ def cmd_train(args):
     return [args.data], [args.out_model], args.out_model + ".manifest.json"
 
 
-def cmd_predict(args):
+def cmd_predict(args, parser):
     model = _load_model(args.model)
     ds = _load_dataset(args.data)
     _check_schema(model, ds)
@@ -304,7 +304,7 @@ def cmd_predict(args):
     return [args.model, args.data], [args.out], args.out + ".manifest.json"
 
 
-def cmd_explain(args):
+def cmd_explain(args, parser):
     model = _load_model(args.model)
     ds = _load_dataset(args.data)
     _check_schema(model, ds)
@@ -334,11 +334,10 @@ def cmd_evaluate(args, parser):
     outputs = [thresholds_path]
 
     if args.bootstrap:
-        ci_roc = bootstrap_ci(auroc, sl, args.bootstrap, args.alpha, seed=args.seed)
-        ci_pr = bootstrap_ci(aupr, sl, args.bootstrap, args.alpha, seed=args.seed)
+        result = bootstrap(sl, args.bootstrap, args.alpha, seed=args.seed)
         summary = [
-            ("auroc", ci_roc.point, ci_roc.lo, ci_roc.hi),
-            ("auprc", ci_pr.point, ci_pr.lo, ci_pr.hi),
+            ("auroc", result.auroc.point, result.auroc.lo, result.auroc.hi),
+            ("auprc", result.aupr.point, result.aupr.lo, result.aupr.hi),
         ]
     else:
         summary = [
@@ -352,9 +351,7 @@ def cmd_evaluate(args, parser):
     if args.roc_band:
         if not args.bootstrap:
             raise ContractError("--roc-band requires --bootstrap > 0")
-        grid, lo, hi = bootstrap_roc_band(
-            sl, args.bootstrap, args.alpha, seed=args.seed
-        )
+        grid, lo, hi = result.roc_band
         band_path = args.out_prefix + "roc_band.csv"
         write_csv(
             band_path,
@@ -366,7 +363,7 @@ def cmd_evaluate(args, parser):
     return [args.model, args.data], outputs, args.out_prefix + "manifest.json"
 
 
-def cmd_simulate_bias(args):
+def cmd_simulate_bias(args, parser):
     import os
 
     ds = _load_dataset(args.data)
@@ -415,9 +412,12 @@ def _read_table(path: str, required: set[str]) -> list[dict]:
 
 def _float_cell(row: dict, key: str) -> float:
     try:
-        return float(row[key])
+        value = float(row[key])
     except (TypeError, ValueError):
-        raise DataFormatError(f"malformed input CSV: bad {key} value {row[key]!r}") from None
+        value = math.nan
+    if not math.isfinite(value):
+        raise DataFormatError(f"malformed input CSV: bad {key} value {row[key]!r}")
+    return value
 
 
 def cmd_plot(args, parser):
@@ -436,10 +436,9 @@ def cmd_plot(args, parser):
         means = {
             name: sum(abs(v) for v, _ in pts) / len(pts) for name, pts in by_feature.items()
         }
-        order = sorted(by_feature, key=lambda f: (-means[f], FEATURE_NAMES.index(f)))
         points = [
             (name, value, feature_value)
-            for name in order
+            for name in rank_features(means)
             for value, feature_value in by_feature[name]
         ]
         svg = render_beeswarm_svg(points, seed=args.seed, title="SHAP beeswarm")
@@ -472,12 +471,23 @@ def cmd_plot(args, parser):
     return inputs, [args.out], args.out + ".manifest.json"
 
 
+_HANDLERS = {
+    "synth": cmd_synth,
+    "train": cmd_train,
+    "predict": cmd_predict,
+    "explain": cmd_explain,
+    "evaluate": cmd_evaluate,
+    "simulate-bias": cmd_simulate_bias,
+    "plot": cmd_plot,
+}
+
+
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser, subparsers = build_parser()
     started = time.perf_counter()
     try:
-        command = next((t for t in argv if t in _COMMANDS), None)
+        command = next((t for t in argv if t in _HANDLERS), None)
         config_path = _scan_config_path(argv)
         if command is not None and config_path is not None:
             _apply_config(subparsers[command], _read_config(config_path))
@@ -490,20 +500,7 @@ def main(argv=None) -> int:
             return 2
         try:
             _require(parser, args, _REQUIRED[args.command])
-            if args.command == "synth":
-                result = cmd_synth(args)
-            elif args.command == "train":
-                result = cmd_train(args)
-            elif args.command == "predict":
-                result = cmd_predict(args)
-            elif args.command == "explain":
-                result = cmd_explain(args)
-            elif args.command == "evaluate":
-                result = cmd_evaluate(args, parser)
-            elif args.command == "simulate-bias":
-                result = cmd_simulate_bias(args)
-            else:
-                result = cmd_plot(args, parser)
+            result = _HANDLERS[args.command](args, parser)
         except SystemExit as exc:  # parser.error from conditional requirements
             return int(exc.code or 0)
         inputs, outputs, manifest_path = result

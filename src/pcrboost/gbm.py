@@ -332,21 +332,33 @@ def save_model(model: Model) -> str:
     return _emit_json(doc) + "\n"
 
 
+def _finite_real(value, what: str) -> float:
+    if not isinstance(value, (int, float)):
+        raise DataFormatError(f"malformed model document: non-numeric {what}")
+    try:
+        real = float(value)
+    except OverflowError:  # an integer literal beyond the float range
+        real = math.inf
+    if not math.isfinite(real):
+        raise DataFormatError(f"malformed model document: non-finite {what}")
+    return real
+
+
 def _parse_node(doc) -> TreeNode:
     if not isinstance(doc, dict):
         raise DataFormatError("malformed model document: node is not an object")
     keys = set(doc)
     if keys == {"value", "cover"}:
-        value, cover = doc["value"], doc["cover"]
-        if not isinstance(value, (int, float)) or not isinstance(cover, (int, float)):
-            raise DataFormatError("malformed model document: non-numeric leaf")
-        return TreeNode(cover=float(cover), value=float(value))
+        return TreeNode(
+            cover=_finite_real(doc["cover"], "cover"),
+            value=_finite_real(doc["value"], "leaf value"),
+        )
     if keys == {"feature", "cover", "left", "right"}:
         feature = doc["feature"]
         if not isinstance(feature, int) or not 0 <= feature < N_FEATURES:
             raise DataFormatError("malformed model document: bad feature index")
         return TreeNode(
-            cover=float(doc["cover"]),
+            cover=_finite_real(doc["cover"], "cover"),
             feature=feature,
             left=_parse_node(doc["left"]),
             right=_parse_node(doc["right"]),
@@ -380,12 +392,9 @@ def load_model(blob) -> Model:
     trees = doc.get("trees")
     if not isinstance(trees, list):
         raise DataFormatError("malformed model document: trees must be an array")
-    base = doc.get("base_score")
-    if not isinstance(base, (int, float)):
-        raise DataFormatError("malformed model document: bad base_score")
     return Model(
         schema=FEATURE_NAMES,
-        base_score=float(base),
+        base_score=_finite_real(doc.get("base_score"), "base_score"),
         trees=tuple(_parse_node(t) for t in trees),
         config=cfg,
     )

@@ -5,9 +5,8 @@ coalition follows the record's branch; a feature outside it descends both
 children weighted by their cover proportions. With the schema fixed at 8
 features the Shapley sum is computed exactly over all 2^8 coalitions.
 
-Contributions are in raw log-odds space. The production path accumulates
-per-leaf path products over the full coalition grid; `shapley_brute_force`
-is an independent recursive traversal kept for the test suite.
+Contributions are in raw log-odds space. Attributions accumulate per-leaf
+path products over the full coalition grid.
 """
 
 from __future__ import annotations
@@ -126,12 +125,21 @@ def explain_dataset(model: Model, ds: Dataset):
     return base, phis[inverse.reshape(-1)]
 
 
+def rank_features(means: dict[str, float]) -> list[str]:
+    """Feature names by descending mean |SHAP|, schema order breaking ties."""
+    return sorted(means, key=lambda name: (-means[name], FEATURE_NAMES.index(name)))
+
+
+def _mean_abs(phis: np.ndarray) -> dict[str, float]:
+    means = np.abs(phis).mean(axis=0)
+    return {name: float(means[i]) for i, name in enumerate(FEATURE_NAMES)}
+
+
 def mean_abs_shap(model: Model, ds: Dataset) -> list[RankedFeature]:
     """Per-feature mean |phi| over the dataset, descending; schema-index ties."""
     _, phis = explain_dataset(model, ds)
-    means = np.abs(phis).mean(axis=0)
-    order = sorted(range(N_FEATURES), key=lambda i: (-means[i], i))
-    return [RankedFeature(FEATURE_NAMES[i], float(means[i])) for i in order]
+    means = _mean_abs(phis)
+    return [RankedFeature(name, means[name]) for name in rank_features(means)]
 
 
 def beeswarm_points(model: Model, ds: Dataset) -> list[BeeswarmPoint]:
@@ -141,49 +149,11 @@ def beeswarm_points(model: Model, ds: Dataset) -> list[BeeswarmPoint]:
     in dataset order within each group; consumed by the beeswarm plot.
     """
     _, phis = explain_dataset(model, ds)
-    means = np.abs(phis).mean(axis=0)
-    order = sorted(range(N_FEATURES), key=lambda i: (-means[i], i))
     points = []
-    for i in order:
-        name = FEATURE_NAMES[i]
+    for name in rank_features(_mean_abs(phis)):
+        i = FEATURE_NAMES.index(name)
         for r in range(len(ds)):
             points.append(
                 BeeswarmPoint(name, float(phis[r, i]), int(ds.X[r, i]))
             )
     return points
-
-
-def _tree_subset_values(node: TreeNode, x: np.ndarray) -> np.ndarray:
-    """v(S) of one tree for every coalition mask S, by recursive descent."""
-    if node.is_leaf:
-        return np.full(_N_SUBSETS, float(node.value))
-    if not node.cover > 0.0:
-        raise ContractError("degenerate tree cover: zero cover at an internal node")
-    vals_left = _tree_subset_values(node.left, x)
-    vals_right = _tree_subset_values(node.right, x)
-    followed = vals_right if x[node.feature] == 1 else vals_left
-    blended = (node.left.cover / node.cover) * vals_left + (
-        node.right.cover / node.cover
-    ) * vals_right
-    return np.where(_BIT[node.feature], followed, blended)
-
-
-def shapley_brute_force(model: Model, record):
-    """Definitional Shapley oracle over all 2^8 coalitions (test reference).
-
-    Returns (base_value, contributions). Independent of the production
-    path: value functions come from recursive cover-weighted traversal and
-    the combination loop applies the factorial weights term by term.
-    """
-    x = np.asarray(record)
-    v = np.full(_N_SUBSETS, float(model.base_score))
-    for tree in model.trees:
-        v += _tree_subset_values(tree, x)
-    phis = np.zeros(N_FEATURES)
-    for mask in range(_N_SUBSETS):
-        size = int(_POP[mask])
-        for f in range(N_FEATURES):
-            if mask & (1 << f):
-                continue
-            phis[f] += _WEIGHT[size] * (v[mask | (1 << f)] - v[mask])
-    return float(v[0]), phis

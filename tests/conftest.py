@@ -4,12 +4,15 @@ from __future__ import annotations
 
 import itertools
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from pcrboost.dataset import FEATURE_NAMES, N_FEATURES, Dataset
+from pcrboost.errors import ContractError
 from pcrboost.gbm import Model, TrainConfig, TreeNode
+from pcrboost.metrics import ScoredLabels, aupr, auroc, roc_curve
 
 
 def make_dataset(rng: np.random.Generator, n: int, p_pos: float = 0.3) -> Dataset:
@@ -94,6 +97,51 @@ def scalar_shapley(model: Model, x):
     return v(frozenset()), phis
 
 
+_N_SUBSETS = 1 << N_FEATURES
+_MASKS = np.arange(_N_SUBSETS)
+# Shapley weight for adding a feature to a coalition of size k
+_WEIGHT = [
+    math.factorial(k) * math.factorial(N_FEATURES - k - 1) / math.factorial(N_FEATURES)
+    for k in range(N_FEATURES)
+]
+
+
+def _tree_subset_values(node: TreeNode, x: np.ndarray) -> np.ndarray:
+    """v(S) of one tree for every coalition mask S, by recursive descent."""
+    if node.is_leaf:
+        return np.full(_N_SUBSETS, float(node.value))
+    if not node.cover > 0.0:
+        raise ContractError("degenerate tree cover: zero cover at an internal node")
+    vals_left = _tree_subset_values(node.left, x)
+    vals_right = _tree_subset_values(node.right, x)
+    followed = vals_right if x[node.feature] == 1 else vals_left
+    blended = (node.left.cover / node.cover) * vals_left + (
+        node.right.cover / node.cover
+    ) * vals_right
+    return np.where((_MASKS >> node.feature) & 1 == 1, followed, blended)
+
+
+def shapley_brute_force(model: Model, record):
+    """Definitional Shapley oracle over all 2^8 coalitions.
+
+    Returns (base_value, contributions). Independent of the production
+    path: value functions come from recursive cover-weighted traversal and
+    the combination loop applies the factorial weights term by term.
+    """
+    x = np.asarray(record)
+    v = np.full(_N_SUBSETS, float(model.base_score))
+    for tree in model.trees:
+        v += _tree_subset_values(tree, x)
+    phis = np.zeros(N_FEATURES)
+    for mask in range(_N_SUBSETS):
+        size = bin(mask).count("1")
+        for f in range(N_FEATURES):
+            if mask & (1 << f):
+                continue
+            phis[f] += _WEIGHT[size] * (v[mask | (1 << f)] - v[mask])
+    return float(v[0]), phis
+
+
 def pair_count_auroc(sl) -> float:
     """O(n^2) oracle: mean positive-over-negative pair credit, ties half-credited."""
     pos = sl.scores[sl.labels == 1]
@@ -106,6 +154,56 @@ def pair_count_auroc(sl) -> float:
             elif sp == sn:
                 credit += 0.5
     return credit / (len(pos) * len(neg))
+
+
+def _per_record_values(statistic, sl, n_resamples: int, seed: int, max_draws: int):
+    """One statistic value per child of SeedSequence(seed).spawn(n_resamples).
+
+    Each child draws up to max_draws index vectors, rebuilds each as a
+    ScoredLabels and keeps the statistic of the first one on which it is
+    defined; a child that finds none is excluded.
+    """
+    n = len(sl)
+    values = []
+    for child in np.random.SeedSequence(seed).spawn(n_resamples):
+        rng = np.random.Generator(np.random.PCG64(child))
+        for _ in range(max_draws):
+            idx = rng.integers(0, n, size=n)
+            try:
+                values.append(statistic(ScoredLabels(sl.scores[idx], sl.labels[idx])))
+                break
+            except ContractError:
+                continue
+    return values
+
+
+def reference_bootstrap(sl, n_resamples: int, alpha: float, seed: int, max_draws: int = 100):
+    """Per-record reference for metrics.bootstrap: one pass per statistic.
+
+    auroc and aupr are (lo, hi) percentile intervals, roc_band is
+    (fpr_grid, tpr_lo, tpr_hi) on 101 points, and used counts the
+    resamples kept per statistic.
+    """
+    grid = np.linspace(0.0, 1.0, 101)
+
+    def roc_on_grid(resample):
+        points = roc_curve(resample).points
+        return np.interp(grid, [p[0] for p in points], [p[1] for p in points])
+
+    quantiles = [alpha / 2.0, 1.0 - alpha / 2.0]
+    out = SimpleNamespace(used={})
+    for name, metric in (("auroc", auroc), ("aupr", aupr)):
+        values = _per_record_values(metric, sl, n_resamples, seed, max_draws)
+        lo, hi = np.quantile(values, quantiles)
+        setattr(out, name, (float(lo), float(hi)))
+        out.used[name] = len(values)
+    curves = np.vstack(_per_record_values(roc_on_grid, sl, n_resamples, seed, max_draws))
+    out.roc_band = (
+        grid,
+        np.quantile(curves, quantiles[0], axis=0),
+        np.quantile(curves, quantiles[1], axis=0),
+    )
+    return out
 
 
 def assert_local_accuracy(model: Model, explanation, record, tol: float = 1e-9) -> None:

@@ -31,13 +31,12 @@ from pcrboost.dataset import (
 from pcrboost.gbm import TrainConfig, fit, load_model, save_model
 from pcrboost.metrics import (
     ScoredLabels,
-    aupr,
     auroc,
-    bootstrap_ci,
+    bootstrap,
     roc_curve,
 )
-from pcrboost.shap import explain, explain_dataset, mean_abs_shap, shapley_brute_force
-from conftest import pair_count_auroc, random_model
+from pcrboost.shap import explain, explain_dataset, mean_abs_shap
+from conftest import pair_count_auroc, random_model, shapley_brute_force
 
 TRAIN_N, TRAIN_POS = 51831, 4769
 TEST_N, TEST_POS = 47401, 3624
@@ -143,12 +142,12 @@ def test_criterion_05_desk_scale_quality_and_runtime(desk_scale):
 
 def test_criterion_06_bootstrap_reproducible_and_tight(desk_scale):
     sl = desk_scale.scored
-    for metric in (auroc, aupr):
-        first = bootstrap_ci(metric, sl, n_resamples=1000, seed=7)
-        second = bootstrap_ci(metric, sl, n_resamples=1000, seed=7)
+    runs = bootstrap(sl, n_resamples=1000, seed=7), bootstrap(sl, n_resamples=1000, seed=7)
+    for metric in ("auroc", "aupr"):
+        first, second = (getattr(run, metric) for run in runs)
         assert first == second
         assert first.lo <= first.point <= first.hi
-    ci = bootstrap_ci(auroc, sl, n_resamples=1000, seed=7)
+    ci = runs[0].auroc
     assert ci.hi - ci.lo < 0.03
 
 

@@ -160,6 +160,17 @@ class TestPlots:
         assert run("plot", "--kind", "roc", "--in", pipeline / "scores.csv",
                    "--out", tmp_path / "x.svg") == 2
 
+    def test_plot_rejects_non_finite_cells(self, pipeline, tmp_path):
+        for kind, table, column, bad in (("roc", "eval_thresholds.csv", "fpr", "inf"),
+                                         ("beeswarm", "shap.csv", "shap_value", "nan")):
+            lines = (pipeline / table).read_text().splitlines()
+            row = lines[1].split(",")
+            row[lines[0].split(",").index(column)] = bad
+            path = tmp_path / table
+            path.write_text("\n".join([lines[0], ",".join(row)] + lines[2:]) + "\n")
+            assert run("plot", "--kind", kind, "--in", path, "--seed", "4",
+                       "--out", tmp_path / "x.svg") == 2, kind
+
 
 class TestEvaluateModes:
     def test_bootstrap_zero_leaves_interval_cells_empty(self, pipeline, tmp_path):
@@ -305,6 +316,13 @@ class TestSimulateBias:
         assert run("simulate-bias", "--data", pipeline / "data.csv",
                    "--out-dir", tmp_path / "b", "--seed", "1",
                    "--fractions", "0.5,1.5") == 2
+
+    def test_repeated_fraction_rejected(self, pipeline, tmp_path):
+        out_dir = tmp_path / "b"
+        assert run("simulate-bias", "--data", pipeline / "data.csv",
+                   "--out-dir", out_dir, "--seed", "1",
+                   "--fractions", "0.5,0.25,.50") == 2
+        assert not out_dir.exists()
 
 
 class TestTopLevel:

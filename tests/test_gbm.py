@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import math
 
 import numpy as np
@@ -311,3 +312,24 @@ class TestPersistence:
         bad = Model(model.schema, model.base_score, (bad_tree,), model.config)
         with pytest.raises(ContractError, match="non-finite"):
             save_model(bad)
+
+    def test_non_finite_reals_rejected_on_load(self, rng):
+        def leftmost_leaf(doc):
+            node = doc["trees"][0]
+            while "value" not in node:
+                node = node["left"]
+            return node
+
+        edits = (
+            lambda doc: leftmost_leaf(doc).update(value=math.nan),
+            lambda doc: leftmost_leaf(doc).update(cover=math.inf),
+            lambda doc: doc["trees"][0].update(cover=math.nan),
+            lambda doc: doc.update(base_score=-math.inf),
+            lambda doc: doc.update(base_score=10**400),
+        )
+        blob = save_model(random_model(rng, n_trees=1))
+        for edit in edits:
+            doc = json.loads(blob)
+            edit(doc)
+            with pytest.raises(DataFormatError, match="non-finite"):
+                load_model(json.dumps(doc))

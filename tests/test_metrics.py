@@ -7,14 +7,14 @@ import math
 import numpy as np
 import pytest
 
+from pcrboost import metrics
 from pcrboost.errors import ContractError
 from pcrboost.metrics import (
     BootstrapCI,
     ScoredLabels,
     aupr,
     auroc,
-    bootstrap_ci,
-    bootstrap_roc_band,
+    bootstrap,
     pr_curve,
     roc_curve,
     threshold_for_sensitivity,
@@ -23,8 +23,7 @@ from pcrboost.metrics import (
     unique_thresholds,
 )
 
-
-from conftest import pair_count_auroc
+from conftest import pair_count_auroc, reference_bootstrap
 
 
 def step_sum_aupr(sl: ScoredLabels) -> float:
@@ -62,6 +61,11 @@ class TestScoredLabels:
     def test_non_binary_label(self):
         with pytest.raises(ContractError):
             ScoredLabels(np.zeros(2), np.array([0, 2], dtype=np.uint8))
+
+    def test_non_finite_score(self):
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ContractError, match="non-finite"):
+                ScoredLabels([0.2, bad], [1, 0])
 
     def test_class_counts(self):
         sl = ScoredLabels([0.1, 0.2, 0.3], [1, 0, 1])
@@ -212,17 +216,12 @@ class TestCurves:
 
 
 class TestBootstrapCI:
-    def test_constant_metric_degenerate_interval(self):
-        sl = ScoredLabels([0.9, 0.1], [1, 0])
-        ci = bootstrap_ci(lambda s: 0.7, sl, n_resamples=100, seed=5)
-        assert (ci.point, ci.lo, ci.hi) == (0.7, 0.7, 0.7)
-
     def test_deterministic_per_seed(self, rng):
         sl = tie_heavy(rng, 120)
-        a = bootstrap_ci(auroc, sl, n_resamples=200, seed=42)
-        b = bootstrap_ci(auroc, sl, n_resamples=200, seed=42)
+        a = bootstrap(sl, n_resamples=200, seed=42).auroc
+        b = bootstrap(sl, n_resamples=200, seed=42).auroc
         assert a == b
-        c = bootstrap_ci(auroc, sl, n_resamples=200, seed=43)
+        c = bootstrap(sl, n_resamples=200, seed=43).auroc
         assert (c.lo, c.hi) != (a.lo, a.hi)
 
     def test_interval_contains_point(self, rng):
@@ -232,7 +231,7 @@ class TestBootstrapCI:
             np.concatenate([pos, neg]),
             np.array([1] * 150 + [0] * 150, dtype=np.uint8),
         )
-        ci = bootstrap_ci(auroc, sl, n_resamples=400, seed=7)
+        ci = bootstrap(sl, n_resamples=400, seed=7).auroc
         assert ci.lo <= ci.point <= ci.hi
         assert 0.0 <= ci.lo and ci.hi <= 1.0
 
@@ -245,8 +244,8 @@ class TestBootstrapCI:
                 np.array([1] * (n // 2) + [0] * (n // 2), dtype=np.uint8),
             )
 
-        small = bootstrap_ci(auroc, make(400), n_resamples=400, seed=11)
-        big = bootstrap_ci(auroc, make(4000), n_resamples=400, seed=11)
+        small = bootstrap(make(400), n_resamples=400, seed=11).auroc
+        big = bootstrap(make(4000), n_resamples=400, seed=11).auroc
         ratio = (small.hi - small.lo) / (big.hi - big.lo)
         expected = math.sqrt(10.0)
         assert expected / 1.5 <= ratio <= expected * 1.5
@@ -254,20 +253,20 @@ class TestBootstrapCI:
     def test_preconditions(self, rng):
         sl = tie_heavy(rng, 40)
         with pytest.raises(ContractError, match="n_resamples"):
-            bootstrap_ci(auroc, sl, n_resamples=99, seed=0)
+            bootstrap(sl, n_resamples=99, seed=0)
         with pytest.raises(ContractError, match="alpha"):
-            bootstrap_ci(auroc, sl, alpha=0.0, seed=0)
+            bootstrap(sl, alpha=0.0, seed=0)
         with pytest.raises(ContractError, match="alpha"):
-            bootstrap_ci(auroc, sl, alpha=1.0, seed=0)
+            bootstrap(sl, alpha=1.0, seed=0)
 
     def test_metric_undefined_on_original(self):
         sl = ScoredLabels([0.3, 0.4], [1, 1])
         with pytest.raises(ContractError, match="undefined on original sample"):
-            bootstrap_ci(auroc, sl, seed=0)
+            bootstrap(sl, seed=0)
 
     def test_seed_echoed(self, rng):
         sl = tie_heavy(rng, 50)
-        ci = bootstrap_ci(auroc, sl, n_resamples=150, alpha=0.1, seed=99)
+        ci = bootstrap(sl, n_resamples=150, alpha=0.1, seed=99).auroc
         assert isinstance(ci, BootstrapCI)
         assert (ci.n_resamples, ci.alpha, ci.seed) == (150, 0.1, 99)
 
@@ -275,7 +274,7 @@ class TestBootstrapCI:
 class TestBootstrapRocBand:
     def test_shapes_and_bounds(self, rng):
         sl = tie_heavy(rng, 150)
-        grid, lo, hi = bootstrap_roc_band(sl, n_resamples=150, seed=3)
+        grid, lo, hi = bootstrap(sl, n_resamples=150, seed=3).roc_band
         assert grid.shape == lo.shape == hi.shape == (101,)
         assert grid[0] == 0.0 and grid[-1] == 1.0
         assert np.all(lo <= hi)
@@ -283,8 +282,8 @@ class TestBootstrapRocBand:
 
     def test_deterministic_per_seed(self, rng):
         sl = tie_heavy(rng, 100)
-        a = bootstrap_roc_band(sl, n_resamples=120, seed=8)
-        b = bootstrap_roc_band(sl, n_resamples=120, seed=8)
+        a = bootstrap(sl, n_resamples=120, seed=8).roc_band
+        b = bootstrap(sl, n_resamples=120, seed=8).roc_band
         for left, right in zip(a, b):
             assert np.array_equal(left, right)
 
@@ -295,7 +294,7 @@ class TestBootstrapRocBand:
             np.concatenate([pos, neg]),
             np.array([1] * 200 + [0] * 200, dtype=np.uint8),
         )
-        grid, lo, hi = bootstrap_roc_band(sl, n_resamples=300, seed=12)
+        grid, lo, hi = bootstrap(sl, n_resamples=300, seed=12).roc_band
         pts = roc_curve(sl).points
         xs = np.array([p[0] for p in pts])
         ys = np.array([p[1] for p in pts])
@@ -304,6 +303,50 @@ class TestBootstrapRocBand:
         # the grid ends where interpolation is coarse
         inside = (observed >= lo - 0.05) & (observed <= hi + 0.05)
         assert np.mean(inside) >= 0.95
+
+
+class TestBootstrapMatchesPerRecordReference:
+    """The count-table bootstrap against the per-record loop, bit for bit."""
+
+    @staticmethod
+    def assert_matches(sl, n_resamples, seed, alpha=0.05, max_draws=100):
+        got = bootstrap(sl, n_resamples=n_resamples, alpha=alpha, seed=seed)
+        want = reference_bootstrap(sl, n_resamples, alpha, seed, max_draws)
+        assert (got.auroc.lo, got.auroc.hi) == want.auroc
+        assert (got.aupr.lo, got.aupr.hi) == want.aupr
+        assert (got.auroc.point, got.aupr.point) == (auroc(sl), aupr(sl))
+        for left, right in zip(got.roc_band, want.roc_band):
+            assert np.array_equal(left, right)
+        return want
+
+    def test_tie_heavy_inputs(self, rng):
+        for seed in range(4):
+            sl = tie_heavy(rng, int(rng.integers(2, 150)))
+            self.assert_matches(sl, n_resamples=150, seed=seed, alpha=0.1)
+
+    def test_tiny_input_redraws_single_class_resamples(self):
+        # an eighth of the draws of four records hold one class only
+        sl = ScoredLabels([0.9, 0.4, 0.4, 0.1], [1, 0, 1, 0])
+        want = self.assert_matches(sl, n_resamples=200, seed=3)
+        assert want.used == {"auroc": 200, "aupr": 200}
+
+    def test_tiny_input_excludes_children_out_of_draws(self, monkeypatch):
+        # with one draw per child, all-negative draws drop out of every
+        # statistic and all-positive ones out of auROC and the band only
+        monkeypatch.setattr(metrics, "_MAX_DRAWS", 1)
+        sl = ScoredLabels([0.9, 0.8, 0.7, 0.6, 0.5], [1, 0, 1, 0, 0])
+        moved = set()
+        for seed in range(4):
+            want = self.assert_matches(sl, n_resamples=200, seed=seed, max_draws=1)
+            assert want.used["auroc"] < want.used["aupr"] < 200
+            full = reference_bootstrap(sl, 200, 0.05, seed)
+            moved.update(
+                name for name in ("auroc", "aupr") if getattr(want, name) != getattr(full, name)
+            )
+            if not all(np.array_equal(a, b) for a, b in zip(want.roc_band, full.roc_band)):
+                moved.add("roc_band")
+        # the exclusions move every statistic on some seed, so matching is not vacuous
+        assert moved == {"auroc", "aupr", "roc_band"}
 
 
 class TestOperatingPoints:

@@ -14,13 +14,13 @@ from pcrboost.shap import (
     explain,
     explain_dataset,
     mean_abs_shap,
-    shapley_brute_force,
 )
 from conftest import (
     assert_local_accuracy,
     make_dataset,
     random_model,
     scalar_shapley,
+    shapley_brute_force,
 )
 
 
