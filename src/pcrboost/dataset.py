@@ -46,6 +46,20 @@ N_FEATURES = len(FEATURE_NAMES)
 
 CSV_HEADER: tuple[str, ...] = FEATURE_NAMES + ("label",)
 
+# Every record is one of 2^8 patterns; bit f of a pattern code is feature f.
+PATTERNS = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1, bitorder="little")
+PATTERNS.flags.writeable = False
+
+
+def pattern_codes(X) -> np.ndarray:
+    """uint8 pattern code of each row of an (n, 8) 0/1 matrix; other values are refused."""
+    X = np.asarray(X)
+    if X.ndim != 2 or X.shape[1] != N_FEATURES:
+        raise ContractError(f"feature vector length must be {N_FEATURES}")
+    if not np.isin(X, (0, 1)).all():
+        raise ContractError("non-binary value in features")
+    return np.packbits(X.astype(np.uint8, copy=False), axis=1, bitorder="little")[:, 0]
+
 
 def _rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(seed))
@@ -162,10 +176,11 @@ def load_csv(source) -> Dataset:
 
     The header must name all 8 schema columns plus `label`, in any order;
     columns are mapped onto schema order. Body cells must be literal 0 or 1.
+    A leading UTF-8 byte-order mark is skipped.
     """
     if isinstance(source, (bytes, bytearray)):
         source = io.BytesIO(source)
-    text = io.TextIOWrapper(source, encoding="utf-8", newline="")
+    text = io.TextIOWrapper(source, encoding="utf-8-sig", newline="")
     try:
         reader = csv.reader(text)
         try:

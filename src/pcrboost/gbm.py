@@ -2,9 +2,11 @@
 
 Second-order (Newton) boosting with leaf-wise tree growth over the 8
 binary features, plus the JSON model document read/write path. Training
-is bitwise deterministic: split sums are plain masked reductions (no
-BLAS), ties break on the lower feature index and the earlier-created
-leaf, and the model document serializes reals at 17 significant digits.
+runs on the (pattern, label) count table and is bitwise deterministic:
+split sums are plain masked reductions over cells (no BLAS), ties break on
+the lower feature index and the earlier-created leaf, and the model
+document serializes reals at 17 significant digits. Prediction is a
+lookup in a 256-entry raw-score table.
 """
 
 from __future__ import annotations
@@ -12,10 +14,11 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .dataset import FEATURE_NAMES, N_FEATURES, Dataset
+from .dataset import FEATURE_NAMES, N_FEATURES, PATTERNS, Dataset, pattern_codes
 from .errors import ContractError, DataFormatError
 from .formatting import fmt_real
 
@@ -122,39 +125,22 @@ class Model:
     trees: tuple[TreeNode, ...]
     config: TrainConfig
 
-    def _route(self, X: np.ndarray) -> np.ndarray:
-        raw = np.full(X.shape[0], self.base_score, dtype=np.float64)
+    @cached_property
+    def _raw_table(self) -> np.ndarray:
+        # the raw score of every pattern, summed in tree order
+        table = np.full(len(PATTERNS), self.base_score, dtype=np.float64)
         for tree in self.trees:
-            raw += tree_values(tree, X)
-        return raw
+            table += tree_values(tree, PATTERNS)
+        return table
 
     def predict_raw(self, features):
         """Base score plus the routed leaf value of every tree (log-odds)."""
-        X = _as_feature_matrix(features)
-        raw = self._route(X)
+        raw = self._raw_table[pattern_codes(np.atleast_2d(features))]
         return raw if np.ndim(features) == 2 else float(raw[0])
 
     def predict_proba(self, features):
         """Sigmoid of predict_raw, in the open interval (0, 1)."""
         return sigmoid(self.predict_raw(features))
-
-    def staged_raw(self, features):
-        """Yield raw scores after 0, 1, ..., len(trees) trees."""
-        X = _as_feature_matrix(features)
-        raw = np.full(X.shape[0], self.base_score, dtype=np.float64)
-        yield raw.copy()
-        for tree in self.trees:
-            raw += tree_values(tree, X)
-            yield raw.copy()
-
-
-def _as_feature_matrix(features) -> np.ndarray:
-    X = np.asarray(features)
-    if X.ndim == 1:
-        X = X[None, :]
-    if X.ndim != 2 or X.shape[1] != N_FEATURES:
-        raise ContractError(f"feature vector length must be {N_FEATURES}")
-    return X
 
 
 def tree_values(root: TreeNode, X: np.ndarray) -> np.ndarray:
@@ -173,32 +159,33 @@ def tree_values(root: TreeNode, X: np.ndarray) -> np.ndarray:
 
 
 class _GrowNode:
-    """Mutable node state during leaf-wise growth."""
+    """Mutable node state during leaf-wise growth over (pattern, label) cells."""
 
-    __slots__ = ("idx", "banned", "seq", "G", "H", "best_gain", "best_feature",
+    __slots__ = ("idx", "banned", "G", "H", "best_gain", "best_feature",
                  "feature", "left", "right")
 
-    def __init__(self, idx, banned, seq, g, h, Xb, cfg):
+    def __init__(self, idx, banned, g, h, count, Xb, cfg):
         self.idx = idx
         self.banned = banned
-        self.seq = seq
         self.feature = None
         self.left = None
         self.right = None
         gi = g[idx]
         hi = h[idx]
+        ci = count[idx]
         self.G = float(np.sum(gi))
         self.H = float(np.sum(hi))
         self.best_gain = None
         self.best_feature = None
         lam = cfg.l2_lambda
         parent_term = self.G * self.G / (self.H + lam)
+        n_records = int(np.sum(ci))
         for f in range(N_FEATURES):
             if f in self.banned:
                 continue
             mask = Xb[idx, f]
-            n_right = int(np.sum(mask))
-            n_left = len(idx) - n_right
+            n_right = int(np.sum(ci[mask]))
+            n_left = n_records - n_right
             if n_right < cfg.min_samples_leaf or n_left < cfg.min_samples_leaf:
                 continue
             G_r = float(np.sum(gi[mask]))
@@ -217,10 +204,9 @@ class _GrowNode:
         return self.best_gain is not None and self.best_gain > 0.0
 
 
-def _grow_tree(Xb, g, h, cfg: TrainConfig):
-    """One leaf-wise tree; returns (root TreeNode, list of (leaf value, idx))."""
-    seq = 0
-    root = _GrowNode(np.arange(Xb.shape[0]), frozenset(), seq, g, h, Xb, cfg)
+def _grow_tree(Xb, g, h, count, cfg: TrainConfig) -> TreeNode:
+    """One leaf-wise tree over the cells; g, h are per-cell sums, count records."""
+    root = _GrowNode(np.arange(Xb.shape[0]), frozenset(), g, h, count, Xb, cfg)
     leaves = [root]
     while len(leaves) < cfg.max_leaves:
         best = None
@@ -232,10 +218,8 @@ def _grow_tree(Xb, g, h, cfg: TrainConfig):
         f = best.best_feature
         mask = Xb[best.idx, f]
         banned = best.banned | {f}
-        seq += 1
-        left = _GrowNode(best.idx[~mask], banned, seq, g, h, Xb, cfg)
-        seq += 1
-        right = _GrowNode(best.idx[mask], banned, seq, g, h, Xb, cfg)
+        left = _GrowNode(best.idx[~mask], banned, g, h, count, Xb, cfg)
+        right = _GrowNode(best.idx[mask], banned, g, h, count, Xb, cfg)
         best.feature = f
         best.left = left
         best.right = right
@@ -244,27 +228,24 @@ def _grow_tree(Xb, g, h, cfg: TrainConfig):
         leaves.append(left)
         leaves.append(right)
 
-    updates = []
-
     def finalize(node: _GrowNode) -> TreeNode:
         if node.feature is None:
             value = -cfg.learning_rate * node.G / (node.H + cfg.l2_lambda)
-            updates.append((value, node.idx))
             return TreeNode(cover=node.H, value=value)
         left = finalize(node.left)
         right = finalize(node.right)
         return TreeNode(cover=left.cover + right.cover, feature=node.feature,
                         left=left, right=right)
 
-    return finalize(root), updates
+    return finalize(root)
 
 
 def fit(ds: Dataset, cfg: TrainConfig) -> Model:
     """Train the boosted ensemble.
 
     base_score is the prevalence log-odds; each round fits one leaf-wise
-    tree to the current gradients/hessians. Deterministic for fixed inputs,
-    independent of thread count.
+    tree to the current gradients/hessians, summed per (pattern, label)
+    cell. Deterministic for fixed inputs, independent of thread count.
     """
     if len(ds) == 0:
         raise ContractError("empty dataset")
@@ -275,15 +256,18 @@ def fit(ds: Dataset, cfg: TrainConfig) -> Model:
         raise ContractError("single-class dataset")
     p_bar = n_pos / len(ds)
     base_score = math.log(p_bar / (1.0 - p_bar))
-    Xb = ds.X != 0
-    yf = ds.y.astype(np.float64)
-    raw = np.full(len(ds), base_score, dtype=np.float64)
+    # cell 2 * code + label of the (pattern, label) count table; only present cells train
+    table = np.bincount(2 * pattern_codes(ds.X).astype(np.intp) + ds.y)
+    cells = np.flatnonzero(table)
+    count = table[cells]
+    Xb = PATTERNS[cells >> 1] == 1
+    yf = (cells & 1).astype(np.float64)
+    raw = np.full(len(cells), base_score, dtype=np.float64)
     trees = []
     for _ in range(cfg.num_rounds):
         g, h = logistic_grad_hess(raw, yf)
-        root, updates = _grow_tree(Xb, g, h, cfg)
-        for value, idx in updates:
-            raw[idx] += value
+        root = _grow_tree(Xb, count * g, count * h, count, cfg)
+        raw += tree_values(root, Xb)
         trees.append(root)
     return Model(schema=FEATURE_NAMES, base_score=base_score, trees=tuple(trees),
                  config=cfg)
@@ -332,8 +316,12 @@ def save_model(model: Model) -> str:
     return _emit_json(doc) + "\n"
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _finite_real(value, what: str) -> float:
-    if not isinstance(value, (int, float)):
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise DataFormatError(f"malformed model document: non-numeric {what}")
     try:
         real = float(value)
@@ -344,26 +332,35 @@ def _finite_real(value, what: str) -> float:
     return real
 
 
-def _parse_node(doc) -> TreeNode:
+def _parse_node(doc, path: frozenset = frozenset()) -> TreeNode:
+    """One node; `path` holds the features split on above it."""
     if not isinstance(doc, dict):
         raise DataFormatError("malformed model document: node is not an object")
     keys = set(doc)
     if keys == {"value", "cover"}:
-        return TreeNode(
+        node = TreeNode(
             cover=_finite_real(doc["cover"], "cover"),
             value=_finite_real(doc["value"], "leaf value"),
         )
-    if keys == {"feature", "cover", "left", "right"}:
+    elif keys == {"feature", "cover", "left", "right"}:
         feature = doc["feature"]
-        if not isinstance(feature, int) or not 0 <= feature < N_FEATURES:
+        if not _is_int(feature) or not 0 <= feature < N_FEATURES:
             raise DataFormatError("malformed model document: bad feature index")
-        return TreeNode(
+        if feature in path:
+            raise DataFormatError("malformed model document: feature repeated on a path")
+        node = TreeNode(
             cover=_finite_real(doc["cover"], "cover"),
             feature=feature,
-            left=_parse_node(doc["left"]),
-            right=_parse_node(doc["right"]),
+            left=_parse_node(doc["left"], path | {feature}),
+            right=_parse_node(doc["right"], path | {feature}),
         )
-    raise DataFormatError("malformed model document: unexpected node keys")
+        if not math.isclose(node.cover, node.left.cover + node.right.cover, rel_tol=1e-9):
+            raise DataFormatError("malformed model document: cover is not left + right cover")
+    else:
+        raise DataFormatError("malformed model document: unexpected node keys")
+    if not node.cover > 0.0:
+        raise DataFormatError("malformed model document: non-positive cover")
+    return node
 
 
 def load_model(blob) -> Model:
@@ -374,17 +371,25 @@ def load_model(blob) -> Model:
         doc = json.loads(blob)
     except json.JSONDecodeError as exc:
         raise DataFormatError(f"malformed model document: {exc}") from None
+    except RecursionError:
+        raise DataFormatError("malformed model document: nested too deeply") from None
     if not isinstance(doc, dict):
         raise DataFormatError("malformed model document: not an object")
-    if doc.get("format_version") != FORMAT_VERSION:
+    if not _is_int(doc.get("format_version")) or doc["format_version"] != FORMAT_VERSION:
         raise DataFormatError(
             f"model format_version mismatch: expected {FORMAT_VERSION}"
         )
-    if tuple(doc.get("schema", ())) != FEATURE_NAMES:
+    if doc.get("schema") != list(FEATURE_NAMES):
         raise DataFormatError("model schema mismatch")
     cfg_doc = doc.get("config")
     if not isinstance(cfg_doc, dict) or set(cfg_doc) != set(_CONFIG_FIELDS):
         raise DataFormatError("malformed model document: bad config block")
+    for name, value in cfg_doc.items():
+        if isinstance(getattr(TrainConfig, name), int):  # the default shows the type
+            if not _is_int(value):
+                raise DataFormatError(f"malformed model document: non-integer {name}")
+        else:
+            _finite_real(value, name)
     try:
         cfg = TrainConfig(**cfg_doc)
     except ContractError as exc:

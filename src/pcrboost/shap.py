@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dataset import FEATURE_NAMES, N_FEATURES, Dataset
+from .dataset import FEATURE_NAMES, N_FEATURES, PATTERNS, Dataset, pattern_codes
 from .errors import ContractError
 from .gbm import Model, TreeNode
 
@@ -102,9 +102,9 @@ def _explain_matrix(model: Model, X: np.ndarray):
 def explain(model: Model, record) -> ShapExplanation:
     """Exact Shapley attribution of one record's raw prediction."""
     x = np.asarray(record)
-    if x.ndim != 1 or x.shape[0] != N_FEATURES:
+    if x.ndim != 1:
         raise ContractError(f"feature vector length must be {N_FEATURES}")
-    base, phis = _explain_matrix(model, x[None, :])
+    base, phis = _explain_matrix(model, PATTERNS[pattern_codes(x[None, :])])
     return ShapExplanation(
         base_value=base,
         contributions=phis[0],
@@ -115,14 +115,14 @@ def explain(model: Model, record) -> ShapExplanation:
 def explain_dataset(model: Model, ds: Dataset):
     """Attributions for every record; returns (base_value, (n,8) array).
 
-    Duplicate feature rows share one grid computation (at most 256 distinct
-    rows exist), then results are broadcast back to record order.
+    Records sharing a pattern share one grid computation (at most 256
+    patterns exist), then results are broadcast back to record order.
     """
     if len(ds) == 0:
         raise ContractError("empty dataset")
-    distinct, inverse = np.unique(ds.X, axis=0, return_inverse=True)
-    base, phis = _explain_matrix(model, distinct)
-    return base, phis[inverse.reshape(-1)]
+    distinct, inverse = np.unique(pattern_codes(ds.X), return_inverse=True)
+    base, phis = _explain_matrix(model, PATTERNS[distinct])
+    return base, phis[inverse]
 
 
 def rank_features(means: dict[str, float]) -> list[str]:

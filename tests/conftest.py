@@ -11,7 +11,7 @@ import pytest
 
 from pcrboost.dataset import FEATURE_NAMES, N_FEATURES, Dataset
 from pcrboost.errors import ContractError
-from pcrboost.gbm import Model, TrainConfig, TreeNode
+from pcrboost.gbm import Model, TrainConfig, TreeNode, logistic_grad_hess, tree_values
 from pcrboost.metrics import ScoredLabels, aupr, auroc, roc_curve
 
 
@@ -95,6 +95,114 @@ def scalar_shapley(model: Model, x):
                 s = frozenset(combo)
                 phis[f] += weight * (v(s | {f}) - v(s))
     return v(frozenset()), phis
+
+
+def staged_raw(model: Model, X: np.ndarray):
+    """Yield the raw scores of the rows of X after 0, 1, ..., len(trees) trees."""
+    raw = np.full(X.shape[0], model.base_score, dtype=np.float64)
+    yield raw.copy()
+    for tree in model.trees:
+        raw += tree_values(tree, X)
+        yield raw.copy()
+
+
+def _relative_gap(gains) -> float:
+    """Relative distance between the two largest gains (inf if fewer than two)."""
+    if len(gains) < 2:
+        return math.inf
+    first, second = sorted(gains, reverse=True)[:2]
+    return (first - second) / max(abs(first), abs(second))
+
+
+class _ReferenceNode:
+    """Per-record node state: every valid split's gain, keyed by feature."""
+
+    def __init__(self, idx, banned, g, h, Xb, cfg):
+        self.idx = idx
+        self.banned = banned
+        self.feature = self.left = self.right = None
+        gi, hi = g[idx], h[idx]
+        self.G = float(np.sum(gi))
+        self.H = float(np.sum(hi))
+        lam = cfg.l2_lambda
+        parent_term = self.G * self.G / (self.H + lam)
+        self.gains = {}
+        for f in range(N_FEATURES):
+            if f in banned:
+                continue
+            mask = Xb[idx, f]
+            n_right = int(np.sum(mask))
+            if min(n_right, len(idx) - n_right) < cfg.min_samples_leaf:
+                continue
+            G_r, H_r = float(np.sum(gi[mask])), float(np.sum(hi[mask]))
+            G_l, H_l = float(np.sum(gi[~mask])), float(np.sum(hi[~mask]))
+            self.gains[f] = 0.5 * (
+                G_l * G_l / (H_l + lam) + G_r * G_r / (H_r + lam) - parent_term
+            ) - cfg.min_split_gain
+        # max keeps the first maximum, so the lower feature index wins ties
+        self.best_feature = max(self.gains, key=self.gains.get, default=None)
+        self.best_gain = None if self.best_feature is None else self.gains[self.best_feature]
+
+
+def _reference_tree(Xb, g, h, cfg):
+    """One per-record leaf-wise tree: (root, leaf updates, narrowest gain gap)."""
+    root = _ReferenceNode(np.arange(Xb.shape[0]), frozenset(), g, h, Xb, cfg)
+    leaves = [root]
+    gap = math.inf
+    while len(leaves) < cfg.max_leaves:
+        splittable = [leaf for leaf in leaves if leaf.best_gain is not None and leaf.best_gain > 0.0]
+        if not splittable:
+            break
+        # max keeps the first maximum, so the earlier-created leaf wins ties
+        best = max(splittable, key=lambda leaf: leaf.best_gain)
+        gap = min(gap, _relative_gap([leaf.best_gain for leaf in splittable]),
+                  _relative_gap(list(best.gains.values())))
+        f = best.best_feature
+        mask = Xb[best.idx, f]
+        banned = best.banned | {f}
+        best.feature = f
+        best.left = _ReferenceNode(best.idx[~mask], banned, g, h, Xb, cfg)
+        best.right = _ReferenceNode(best.idx[mask], banned, g, h, Xb, cfg)
+        leaves.remove(best)
+        leaves += [best.left, best.right]
+
+    updates = []
+
+    def finalize(node) -> TreeNode:
+        if node.feature is None:
+            value = -cfg.learning_rate * node.G / (node.H + cfg.l2_lambda)
+            updates.append((value, node.idx))
+            return TreeNode(cover=node.H, value=value)
+        left, right = finalize(node.left), finalize(node.right)
+        return TreeNode(cover=left.cover + right.cover, feature=node.feature,
+                        left=left, right=right)
+
+    return finalize(root), updates, gap
+
+
+def reference_fit(ds: Dataset, cfg: TrainConfig):
+    """Per-record trainer: every split sums g and h over the records themselves.
+
+    Returns (model, gaps), where gaps[t] is the smallest relative distance
+    between the two best candidate gains over the split decisions of tree t
+    (among the splittable leaves, and among the chosen leaf's features).
+    """
+    n_pos = ds.n_positive
+    p_bar = n_pos / len(ds)
+    base_score = math.log(p_bar / (1.0 - p_bar))
+    Xb = ds.X != 0
+    yf = ds.y.astype(np.float64)
+    raw = np.full(len(ds), base_score, dtype=np.float64)
+    trees, gaps = [], []
+    for _ in range(cfg.num_rounds):
+        g, h = logistic_grad_hess(raw, yf)
+        root, updates, gap = _reference_tree(Xb, g, h, cfg)
+        for value, idx in updates:
+            raw[idx] += value
+        trees.append(root)
+        gaps.append(gap)
+    model = Model(schema=FEATURE_NAMES, base_score=base_score, trees=tuple(trees), config=cfg)
+    return model, gaps
 
 
 _N_SUBSETS = 1 << N_FEATURES

@@ -36,7 +36,7 @@ from pcrboost.metrics import (
     roc_curve,
 )
 from pcrboost.shap import explain, explain_dataset, mean_abs_shap
-from conftest import pair_count_auroc, random_model, shapley_brute_force
+from conftest import pair_count_auroc, random_model, shapley_brute_force, staged_raw
 
 TRAIN_N, TRAIN_POS = 51831, 4769
 TEST_N, TEST_POS = 47401, 3624
@@ -157,7 +157,7 @@ def test_criterion_07_training_log_loss_nonincreasing(desk_scale):
     sign = np.where(train.y == 1, -1.0, 1.0)
     losses = [
         float(np.mean(np.logaddexp(0.0, sign * raw)))
-        for raw in model.staged_raw(train.X)
+        for raw in staged_raw(model, train.X)
     ]
     assert len(losses) == 101
     for prev, cur in zip(losses, losses[1:]):

@@ -350,6 +350,27 @@ class TestTopLevel:
         assert run("train", "--data", bad, "--out-model", tmp_path / "m.json",
                    "--seed", "0") == 2
 
+    def test_malformed_model_is_format_error(self, pipeline, tmp_path):
+        text = (pipeline / "model.json").read_text()
+        doc = json.loads(text)
+        root = doc["trees"][0]
+        deep = '{"value": 0.5, "cover": 1.0}'
+        for _ in range(3000):
+            deep = ('{"feature": 0, "cover": 2.0, "left": ' + deep
+                    + ', "right": {"value": 0.1, "cover": 1.0}}')
+        variants = [
+            json.dumps(dict(doc, trees=[dict(root, feature=True)])),
+            json.dumps(dict(doc, config=dict(doc["config"], num_rounds=True))),
+            json.dumps(dict(doc, trees=[dict(root, left=dict(root))])),
+            text.replace('"trees": [', '"trees": [' + deep + ", ", 1),
+        ]
+        bad = tmp_path / "bad.json"
+        for variant in variants:
+            bad.write_text(variant)
+            for command in ("predict", "explain"):
+                assert run(command, "--model", bad, "--data", pipeline / "data.csv",
+                           "--out", tmp_path / "out.csv") == 2, (command, variant[:80])
+
     def test_missing_input_file_is_io_error(self, tmp_path):
         assert run("train", "--data", tmp_path / "absent.csv",
                    "--out-model", tmp_path / "m.json", "--seed", "0") == 4

@@ -88,6 +88,11 @@ class TestLoadCsv:
         blob = csv_bytes(CSV_HEADER, [[0] * 9]).replace(b"\n", b"\r\n")
         assert len(load_csv(blob)) == 1
 
+    def test_utf8_bom_accepted(self):
+        blob = csv_bytes(CSV_HEADER, [[1, 0, 1, 0, 0, 0, 0, 1, 1]])
+        assert load_csv(b"\xef\xbb\xbf" + blob) == load_csv(blob)
+        assert load_csv(io.BytesIO(b"\xef\xbb\xbf" + blob)) == load_csv(blob)
+
 
 class TestSaveCsv:
     def test_round_trip_identity(self, rng):

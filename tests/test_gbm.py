@@ -8,7 +8,7 @@ import math
 import numpy as np
 import pytest
 
-from pcrboost.dataset import FEATURE_NAMES, Dataset
+from pcrboost.dataset import FEATURE_NAMES, PATTERNS, Dataset
 from pcrboost.errors import ContractError, DataFormatError
 from pcrboost.gbm import (
     Model,
@@ -21,7 +21,13 @@ from pcrboost.gbm import (
     sigmoid,
     tree_values,
 )
-from conftest import make_dataset, random_model, tree_value_scalar
+from conftest import (
+    make_dataset,
+    random_model,
+    reference_fit,
+    staged_raw,
+    tree_value_scalar,
+)
 
 
 def log_loss(y, p):
@@ -230,7 +236,7 @@ class TestPrediction:
     def test_staged_raw_prefix_sums(self, rng):
         ds = make_dataset(rng, 300, p_pos=0.4)
         model = fit(ds, TrainConfig(num_rounds=6))
-        stages = list(model.staged_raw(ds.X))
+        stages = list(staged_raw(model, ds.X))
         assert len(stages) == 7
         assert np.array_equal(stages[0], np.full(len(ds), model.base_score))
         partial = np.full(len(ds), model.base_score)
@@ -239,12 +245,118 @@ class TestPrediction:
             assert np.array_equal(stages[t], partial)
         assert np.array_equal(stages[-1], model.predict_raw(ds.X))
 
+    def test_non_binary_features_rejected(self, rng):
+        model = random_model(rng, n_trees=2)
+        x = np.zeros(8, dtype=np.uint8)
+        x[3] = 2
+        for bad in (x, x[None, :], x.astype(np.float64) / 4, -x.astype(np.int64)):
+            with pytest.raises(ContractError, match="non-binary"):
+                model.predict_raw(bad)
+            with pytest.raises(ContractError, match="non-binary"):
+                model.predict_proba(bad)
+        with pytest.raises(ContractError, match="length"):
+            model.predict_raw(np.zeros((2, 7), dtype=np.uint8))
+
+
+def structure(node):
+    """Nested split features of a tree, None at each leaf."""
+    if node.is_leaf:
+        return None
+    return (node.feature, structure(node.left), structure(node.right))
+
+
+def walk_features(tree) -> set[int]:
+    return {node.feature for node, _ in walk(tree) if not node.is_leaf}
+
+
+def compare_with_per_record_oracle(ds, cfg):
+    """Train with fit and with the per-record oracle; assert the same trees.
+
+    A structural mismatch is allowed only at a tree where the oracle's two
+    best candidate gains are within 1e-9 relative, where rounding may flip
+    the choice; trees after it are not compared. Returns the index of that
+    tree, or None when every tree matches and the final raw scores agree
+    within 1e-12 on all 256 patterns.
+    """
+    oracle, gaps = reference_fit(ds, cfg)
+    model = fit(ds, cfg)
+    assert model.base_score == oracle.base_score
+    assert len(model.trees) == len(oracle.trees) == cfg.num_rounds
+    for t, (ours, theirs) in enumerate(zip(model.trees, oracle.trees)):
+        if structure(ours) != structure(theirs):
+            assert gaps[t] < 1e-9, f"tree {t} differs without a near tie ({gaps[t]:.3g})"
+            return t
+    assert np.max(np.abs(model.predict_raw(PATTERNS) - oracle.predict_raw(PATTERNS))) <= 1e-12
+    return None
+
+
+class TestCountTableTrainer:
+    def test_matches_per_record_oracle(self, rng):
+        configs = (
+            TrainConfig(num_rounds=20),
+            TrainConfig(num_rounds=15, max_leaves=4, min_samples_leaf=5, learning_rate=0.3),
+            TrainConfig(num_rounds=10, max_leaves=32, min_samples_leaf=1, l2_lambda=0.0,
+                        min_split_gain=0.01),
+        )
+        for trial in range(6):
+            ds = make_dataset(rng, int(rng.integers(50, 1500)), p_pos=float(rng.uniform(0.1, 0.6)))
+            assert compare_with_per_record_oracle(ds, configs[trial % 3]) is None
+
+    def test_min_samples_leaf_boundary(self, rng):
+        # feature 4 isolates 19 positives, feature 3 isolates 20: with
+        # min_samples_leaf=20 only the feature-3 split is allowed at the root
+        n = 400
+        X = (rng.random((n, 8)) < 0.5).astype(np.uint8)
+        X[:, 3] = X[:, 4] = 0
+        X[:20, 3] = 1
+        X[20:39, 4] = 1
+        y = (rng.random(n) < 0.1).astype(np.uint8)
+        y[:39] = 1
+        ds = Dataset(X, y)
+        cfg = TrainConfig(num_rounds=5, max_leaves=8, min_samples_leaf=20)
+        assert compare_with_per_record_oracle(ds, cfg) is None
+        model = fit(ds, cfg)
+        assert model.trees[0].feature == 3
+        assert all(4 not in walk_features(tree) for tree in model.trees)
+
+    def test_identical_columns_keep_lower_index(self, rng):
+        ds = make_dataset(rng, 800, p_pos=0.3)
+        X = ds.X.copy()
+        X[:, 5] = X[:, 2]  # cough duplicated: every split on it is an exact tie
+        ds = Dataset(X, ds.y)
+        cfg = TrainConfig(num_rounds=10, max_leaves=8, min_samples_leaf=10)
+        assert compare_with_per_record_oracle(ds, cfg) is None
+        model = fit(ds, cfg)
+        used = set().union(*(walk_features(tree) for tree in model.trees))
+        assert 2 in used and 5 not in used
+
+    def test_near_tie_flips_only_within_tolerance(self, rng):
+        # features 0 and 1 are mirror images over the count table and carry
+        # the strongest signal, so their root gains are equal in exact
+        # arithmetic and differ only by rounding
+        n = 3000
+        X = (rng.random((n, 8)) < 0.3).astype(np.uint8)
+        X[:, 0] = rng.random(n) < 0.5
+        X[:, 1] = 0
+        y = (rng.random(n) < 0.1 + 0.6 * X[:, 0]).astype(np.uint8)
+        mirror = np.flatnonzero(X[:, 0] == 1)
+        swapped = X[mirror].copy()
+        swapped[:, [0, 1]] = swapped[:, [1, 0]]
+        X = np.vstack([X, swapped])
+        y = np.concatenate([y, y[mirror]])
+        perm = rng.permutation(len(y))
+        ds = Dataset(X[perm], y[perm])
+        cfg = TrainConfig(num_rounds=10, max_leaves=4, min_samples_leaf=5)
+        _, gaps = reference_fit(ds, cfg)
+        assert min(gaps) < 1e-9  # the near tie is really there
+        compare_with_per_record_oracle(ds, cfg)
+
 
 class TestTrainingDynamics:
     def test_log_loss_nonincreasing(self, rng):
         ds = make_dataset(rng, 500, p_pos=0.35)
         model = fit(ds, TrainConfig(num_rounds=30))
-        losses = [log_loss(ds.y, sigmoid(raw)) for raw in model.staged_raw(ds.X)]
+        losses = [log_loss(ds.y, sigmoid(raw)) for raw in staged_raw(model, ds.X)]
         for prev, cur in zip(losses, losses[1:]):
             assert cur <= prev + 1e-9
 
@@ -333,3 +445,49 @@ class TestPersistence:
             edit(doc)
             with pytest.raises(DataFormatError, match="non-finite"):
                 load_model(json.dumps(doc))
+
+    def test_malformed_types_and_trees_rejected_on_load(self, rng):
+        def leftmost_leaf(doc):
+            node = doc["trees"][0]
+            while "value" not in node:
+                node = node["left"]
+            return node
+
+        def repeat_root_feature(doc):
+            root = doc["trees"][0]
+            leaf = leftmost_leaf(doc)
+            split = {"feature": root["feature"], "cover": leaf["cover"],
+                     "left": {"value": 0.0, "cover": leaf["cover"] / 2},
+                     "right": {"value": 0.0, "cover": leaf["cover"] / 2}}
+            leaf.clear()
+            leaf.update(split)
+
+        edits = (
+            (lambda doc: doc["trees"][0].update(feature=True), "feature index"),
+            (lambda doc: doc["config"].update(num_rounds=True), "num_rounds"),
+            (lambda doc: doc["config"].update(max_leaves=4.0), "max_leaves"),
+            (lambda doc: doc["config"].update(learning_rate=True), "learning_rate"),
+            (lambda doc: doc["config"].update(l2_lambda=math.nan), "l2_lambda"),
+            (lambda doc: doc.update(format_version=True), "format_version"),
+            (lambda doc: doc.update(base_score=False), "base_score"),
+            (lambda doc: doc.update(schema=5), "schema mismatch"),
+            (repeat_root_feature, "feature repeated"),
+            (lambda doc: doc["trees"][0].update(cover=1e-300), "left \\+ right"),
+            (lambda doc: leftmost_leaf(doc).update(cover=-1.0), "non-positive cover"),
+            (lambda doc: leftmost_leaf(doc).update(cover=0.0), "non-positive cover"),
+        )
+        blob = save_model(random_model(rng, n_trees=1))
+        assert json.loads(blob)["trees"][0]["feature"] is not None
+        for edit, message in edits:
+            doc = json.loads(blob)
+            edit(doc)
+            with pytest.raises(DataFormatError, match=message):
+                load_model(json.dumps(doc))
+        # a tree nested 3000 levels deep, written as text: json.dumps cannot
+        deep = '{"value": 0.5, "cover": 1.0}'
+        for _ in range(3000):
+            deep = ('{"feature": 0, "cover": 2.0, "left": ' + deep
+                    + ', "right": {"value": 0.1, "cover": 1.0}}')
+        with pytest.raises(DataFormatError, match="nested too deeply"):
+            load_model(blob.replace('"trees": [', '"trees": [' + deep + ", ", 1))
+

@@ -141,6 +141,11 @@ class TestClosedForms:
         model = random_model(rng, n_trees=1)
         with pytest.raises(ContractError):
             explain(model, np.zeros(5, dtype=np.uint8))
+        for value in (2, 0.5, -1):
+            x = np.zeros(8)
+            x[3] = value
+            with pytest.raises(ContractError, match="non-binary"):
+                explain(model, x)
 
 
 class TestExplainDataset:
