@@ -23,6 +23,7 @@ from .dataset import (
     FEATURE_NAMES,
     BiasSimConfig,
     Dataset,
+    distinct_patterns,
     load_csv,
     marginals_from,
     reference_marginals,
@@ -32,7 +33,7 @@ from .dataset import (
     synthesize,
 )
 from .errors import ContractError, DataFormatError
-from .formatting import write_csv
+from .formatting import PatternRows, write_csv
 from .gbm import TrainConfig, fit, load_model, save_model
 from .metrics import (
     THRESHOLD_REPORT_FIELDS,
@@ -192,6 +193,8 @@ def _read_config(path: str) -> dict[str, str]:
             text = fh.read()
     except OSError as exc:
         raise DataFormatError(f"cannot read config file: {exc}") from None
+    except UnicodeDecodeError:
+        raise DataFormatError("config file is not UTF-8 text") from None
     values = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
@@ -299,7 +302,8 @@ def cmd_predict(args, parser):
     ds = _load_dataset(args.data)
     _check_schema(model, ds)
     scores = model.predict_proba(ds.X)
-    rows = [(i, float(s)) for i, s in enumerate(scores)]
+    _, first, inverse = distinct_patterns(ds.X)
+    rows = PatternRows([[(float(scores[i]),)] for i in first], inverse)
     write_csv(args.out, ["record_index", "score"], rows)
     return [args.model, args.data], [args.out], args.out + ".manifest.json"
 
@@ -309,10 +313,10 @@ def cmd_explain(args, parser):
     ds = _load_dataset(args.data)
     _check_schema(model, ds)
     base_value, phis = explain_dataset(model, ds)
-    rows = []
-    for r in range(len(ds)):
-        for i, name in enumerate(FEATURE_NAMES):
-            rows.append((r, name, int(ds.X[r, i]), float(phis[r, i]), base_value))
+    # each pattern's rows come from its first record; the others repeat them
+    _, first, inverse = distinct_patterns(ds.X)
+    rows = PatternRows([[(name, int(ds.X[i, f]), float(phis[i, f]), base_value)
+                         for f, name in enumerate(FEATURE_NAMES)] for i in first], inverse)
     write_csv(
         args.out,
         ["record_index", "feature", "feature_value", "shap_value", "base_value"],
@@ -408,6 +412,8 @@ def _read_table(path: str, required: set[str]) -> list[dict]:
             return list(reader)
     except _csv.Error as exc:
         raise DataFormatError(f"malformed input CSV: {exc}") from None
+    except UnicodeDecodeError:
+        raise DataFormatError("malformed input CSV: not UTF-8 text") from None
 
 
 def _float_cell(row: dict, key: str) -> float:
@@ -415,7 +421,10 @@ def _float_cell(row: dict, key: str) -> float:
         value = float(row[key])
     except (TypeError, ValueError):
         value = math.nan
-    if not math.isfinite(value):
+    # rates and 0/1 feature values lie in [0, 1]; SHAP values must stay far
+    # enough inside the float range for the beeswarm's axis span to be finite
+    lo, hi = (-1e300, 1e300) if key == "shap_value" else (0.0, 1.0)
+    if not lo <= value <= hi:  # false for NaN too
         raise DataFormatError(f"malformed input CSV: bad {key} value {row[key]!r}")
     return value
 
@@ -426,6 +435,8 @@ def cmd_plot(args, parser):
         if args.seed is None:
             parser.error("missing required flag --seed (needed for beeswarm)")
         rows = _read_table(args.in_path, {"feature", "shap_value", "feature_value"})
+        if not rows:
+            raise DataFormatError("malformed input CSV: no SHAP rows")
         by_feature: dict[str, list[tuple[float, int]]] = {}
         for row in rows:
             name = row["feature"]

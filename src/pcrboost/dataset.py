@@ -61,6 +61,12 @@ def pattern_codes(X) -> np.ndarray:
     return np.packbits(X.astype(np.uint8, copy=False), axis=1, bitorder="little")[:, 0]
 
 
+def distinct_patterns(X) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(distinct pattern codes of X's rows, ascending; each one's first row; each row's index
+    into them)."""
+    return np.unique(pattern_codes(X), return_index=True, return_inverse=True)
+
+
 def _rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(seed))
 
@@ -223,6 +229,8 @@ def load_csv(source) -> Dataset:
             raise DataFormatError("empty CSV body")
         arr = np.array(rows, dtype=np.uint8)
         return Dataset(arr[:, :N_FEATURES], arr[:, N_FEATURES], provenance="csv")
+    except UnicodeDecodeError:
+        raise DataFormatError("malformed CSV: not UTF-8 text") from None
     finally:
         text.detach()
 

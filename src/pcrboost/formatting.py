@@ -11,6 +11,9 @@ import math
 
 # 17 significant digits: the smallest count that round-trips every float64.
 _REAL_FMT = "%.17g"
+# PatternRows text is built and written this many records at a time, so the
+# whole file (23 MB for 47,401 records' SHAP rows) is never held at once
+_CHUNK_RECORDS = 4096
 
 
 def fmt_real(x: float) -> str:
@@ -37,10 +40,41 @@ def fmt_cell(value) -> str:
     return fmt_real(value)
 
 
+class PatternRows:
+    """Rows led by a record index, record r having pattern inverse[r]'s rows.
+
+    pattern_rows[p] lists pattern p's rows without the index; write_csv
+    formats each once, with the bytes of writing the rows one by one.
+    """
+
+    def __init__(self, pattern_rows: list, inverse):
+        self.pattern_rows = pattern_rows
+        self.inverse = inverse.tolist()  # an integer NumPy array
+
+    def __len__(self) -> int:
+        return sum(len(self.pattern_rows[p]) for p in self.inverse)
+
+    def chunks(self):
+        """The CSV text of these rows, _CHUNK_RECORDS records at a time."""
+        # str(r).join(("", s1, s2)) == f"{r}{s1}{r}{s2}": one join per record
+        blocks = [("",) + tuple("," + _line(row) for row in rows) for rows in self.pattern_rows]
+        for start in range(0, len(self.inverse), _CHUNK_RECORDS):
+            yield "".join(str(r).join(blocks[p]) for r, p in
+                          enumerate(self.inverse[start:start + _CHUNK_RECORDS], start))
+
+
+def _line(row) -> str:
+    return ",".join(fmt_cell(v) for v in row) + "\n"
+
+
 def write_csv(path, header: list[str], rows) -> None:
-    """Write a CSV with LF newlines and deterministic cell formatting."""
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(fmt_cell(v) for v in row))
+    """Write a CSV with LF newlines and deterministic cell formatting.
+
+    rows is an iterable of row tuples or a PatternRows.
+    """
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(",".join(header) + "\n")
+        if isinstance(rows, PatternRows):
+            fh.writelines(rows.chunks())
+        else:
+            fh.write("".join(map(_line, rows)))

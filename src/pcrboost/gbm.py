@@ -266,7 +266,10 @@ def fit(ds: Dataset, cfg: TrainConfig) -> Model:
     trees = []
     for _ in range(cfg.num_rounds):
         g, h = logistic_grad_hess(raw, yf)
-        root = _grow_tree(Xb, count * g, count * h, count, cfg)
+        try:
+            root = _grow_tree(Xb, count * g, count * h, count, cfg)
+        except ZeroDivisionError:  # the tree's only divisor is a node's H + l2_lambda
+            raise ContractError("zero hessian sum in a tree node: use --l2-lambda > 0") from None
         raw += tree_values(root, Xb)
         trees.append(root)
     return Model(schema=FEATURE_NAMES, base_score=base_score, trees=tuple(trees),
@@ -369,7 +372,7 @@ def load_model(blob) -> Model:
         blob = blob.decode("utf-8", errors="replace")
     try:
         doc = json.loads(blob)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an integer literal too long to convert
         raise DataFormatError(f"malformed model document: {exc}") from None
     except RecursionError:
         raise DataFormatError("malformed model document: nested too deeply") from None

@@ -5,8 +5,9 @@ coalition follows the record's branch; a feature outside it descends both
 children weighted by their cover proportions. With the schema fixed at 8
 features the Shapley sum is computed exactly over all 2^8 coalitions.
 
-Contributions are in raw log-odds space. Attributions accumulate per-leaf
-path products over the full coalition grid.
+Contributions are in raw log-odds space. Attributions are computed once
+per distinct pattern: each tree is walked top-down, carrying path weights
+over the full coalition grid from parent to child.
 """
 
 from __future__ import annotations
@@ -17,9 +18,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dataset import FEATURE_NAMES, N_FEATURES, PATTERNS, Dataset, pattern_codes
+from .dataset import FEATURE_NAMES, N_FEATURES, PATTERNS, Dataset, distinct_patterns, pattern_codes
 from .errors import ContractError
-from .gbm import Model, TreeNode
+from .gbm import Model
 
 _N_SUBSETS = 1 << N_FEATURES
 _MASKS = np.arange(_N_SUBSETS, dtype=np.int64)
@@ -31,8 +32,7 @@ _WEIGHT = np.array(
         for k in range(N_FEATURES)
     ]
 )
-_BIT = [(_MASKS >> f) & 1 == 1 for f in range(N_FEATURES)]
-_WITHOUT = [np.flatnonzero(~_BIT[f]) for f in range(N_FEATURES)]
+_WITHOUT = [np.flatnonzero((_MASKS >> f) & 1 == 0) for f in range(N_FEATURES)]
 _WITH = [_WITHOUT[f] | (1 << f) for f in range(N_FEATURES)]
 _COEF = [_WEIGHT[_POP[_WITHOUT[f]]] for f in range(N_FEATURES)]
 
@@ -61,35 +61,38 @@ class BeeswarmPoint(NamedTuple):
     feature_value: int
 
 
-def _leaf_paths(root: TreeNode):
-    """Yield (leaf value, path) pairs; path entries are (feature, is_right, ratio)."""
-    stack = [(root, [])]
-    while stack:
-        node, path = stack.pop()
-        if node.is_leaf:
-            yield float(node.value), path
-            continue
-        if not node.cover > 0.0:
-            raise ContractError("degenerate tree cover: zero cover at an internal node")
-        left_ratio = node.left.cover / node.cover
-        right_ratio = node.right.cover / node.cover
-        stack.append((node.left, path + [(node.feature, 0, left_ratio)]))
-        stack.append((node.right, path + [(node.feature, 1, right_ratio)]))
-
-
 def _explain_matrix(model: Model, X: np.ndarray):
-    """Coalition-grid attributions for distinct rows X; returns (base, (n,8) phis)."""
+    """Coalition-grid attributions for distinct rows X; returns (base, (n,8) phis).
+
+    One walk per tree, right child first: a child's path weight is its
+    parent's times, per coalition and row, the row's agreement with the
+    branch (split feature in the coalition) or the branch's cover share
+    (not in it). Weights keep size-1 axes for the features off their path.
+    """
     n = X.shape[0]
     phis = np.zeros((n, N_FEATURES))
     base = float(model.base_score)
+    # agree[f][side]: 1.0 where a row's feature f routes to `side` (0 left, 1 right)
+    agree = [[(X[:, f] == side).astype(np.float64) for side in (0, 1)]
+             for f in range(N_FEATURES)]
     for tree in model.trees:
         v = np.zeros((_N_SUBSETS, n))
-        for value, path in _leaf_paths(tree):
-            w = np.ones((_N_SUBSETS, n))
-            for f, is_right, ratio in path:
-                agree = (X[:, f] == is_right).astype(np.float64)
-                w *= np.where(_BIT[f][:, None], agree[None, :], ratio)
-            v += value * w
+        grid = v.reshape((2,) * N_FEATURES + (n,))  # axis 7 - f holds bit f of the mask
+        stack = [(tree, np.ones((1,) * N_FEATURES + (n,)))]
+        while stack:
+            node, w = stack.pop()
+            if node.is_leaf:
+                grid += float(node.value) * w
+                continue
+            if not node.cover > 0.0:
+                raise ContractError("degenerate tree cover: zero cover at an internal node")
+            f, axis = node.feature, N_FEATURES - 1 - node.feature
+            shape = w.shape[:axis] + (2,) + w.shape[axis + 1:]
+            # the coalitions without / with feature f
+            off, on = np.split(np.broadcast_to(w, shape), 2, axis=axis)
+            for side, child in enumerate((node.left, node.right)):
+                share = child.cover / node.cover
+                stack.append((child, np.concatenate([off * share, on * agree[f][side]], axis)))
         for f in range(N_FEATURES):
             delta = v[_WITH[f]] - v[_WITHOUT[f]]
             # elementwise multiply + sum, not `@`: BLAS reductions may vary
@@ -112,16 +115,18 @@ def explain(model: Model, record) -> ShapExplanation:
     )
 
 
-def explain_dataset(model: Model, ds: Dataset):
-    """Attributions for every record; returns (base_value, (n,8) array).
-
-    Records sharing a pattern share one grid computation (at most 256
-    patterns exist), then results are broadcast back to record order.
-    """
+def explain_patterns(model: Model, ds: Dataset):
+    """(base_value, distinct pattern codes ascending, their (p,8) phis, each record's index)."""
     if len(ds) == 0:
         raise ContractError("empty dataset")
-    distinct, inverse = np.unique(pattern_codes(ds.X), return_inverse=True)
-    base, phis = _explain_matrix(model, PATTERNS[distinct])
+    codes, _, inverse = distinct_patterns(ds.X)
+    base, phis = _explain_matrix(model, PATTERNS[codes])
+    return base, codes, phis, inverse
+
+
+def explain_dataset(model: Model, ds: Dataset):
+    """Attributions for every record; returns (base_value, (n,8) array)."""
+    base, _, phis, inverse = explain_patterns(model, ds)
     return base, phis[inverse]
 
 

@@ -8,11 +8,25 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, settings
 
 from pcrboost.dataset import FEATURE_NAMES, N_FEATURES, Dataset
 from pcrboost.errors import ContractError
+from pcrboost.formatting import write_csv
 from pcrboost.gbm import Model, TrainConfig, TreeNode, logistic_grad_hess, tree_values
 from pcrboost.metrics import ScoredLabels, aupr, auroc, roc_curve
+
+# Property tests replay the same examples on every run (no example database),
+# and their example counts keep the whole fuzz module to a few seconds.
+settings.register_profile(
+    "pcrboost",
+    derandomize=True,
+    database=None,
+    max_examples=100,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+settings.load_profile("pcrboost")
 
 
 def make_dataset(rng: np.random.Generator, n: int, p_pos: float = 0.3) -> Dataset:
@@ -248,6 +262,71 @@ def shapley_brute_force(model: Model, record):
                 continue
             phis[f] += _WEIGHT[size] * (v[mask | (1 << f)] - v[mask])
     return float(v[0]), phis
+
+
+def _leaf_paths(root: TreeNode):
+    """Yield (leaf value, path) pairs; path entries are (feature, is_right, ratio)."""
+    stack = [(root, [])]
+    while stack:
+        node, path = stack.pop()
+        if node.is_leaf:
+            yield float(node.value), path
+            continue
+        if not node.cover > 0.0:
+            raise ContractError("degenerate tree cover: zero cover at an internal node")
+        left_ratio = node.left.cover / node.cover
+        right_ratio = node.right.cover / node.cover
+        stack.append((node.left, path + [(node.feature, 0, left_ratio)]))
+        stack.append((node.right, path + [(node.feature, 1, right_ratio)]))
+
+
+_BIT = [(_MASKS >> f) & 1 == 1 for f in range(N_FEATURES)]
+_WITHOUT = [np.flatnonzero(~_BIT[f]) for f in range(N_FEATURES)]
+_WITH = [_WITHOUT[f] | (1 << f) for f in range(N_FEATURES)]
+_COEF = [np.array([_WEIGHT[bin(m).count("1")] for m in _WITHOUT[f]]) for f in range(N_FEATURES)]
+
+
+def reference_explain_matrix(model: Model, X: np.ndarray):
+    """Per-leaf coalition-grid attributions for distinct rows X: (base, (n,8) phis).
+
+    Every leaf multiplies its whole root-to-leaf path over the (coalitions x
+    rows) grid from a weight of ones; the per-tree Shapley combination is
+    the production one, so results must agree bit for bit.
+    """
+    n = X.shape[0]
+    phis = np.zeros((n, N_FEATURES))
+    base = float(model.base_score)
+    for tree in model.trees:
+        v = np.zeros((_N_SUBSETS, n))
+        for value, path in _leaf_paths(tree):
+            w = np.ones((_N_SUBSETS, n))
+            for f, is_right, ratio in path:
+                agree = (X[:, f] == is_right).astype(np.float64)
+                w *= np.where(_BIT[f][:, None], agree[None, :], ratio)
+            v += value * w
+        for f in range(N_FEATURES):
+            delta = v[_WITH[f]] - v[_WITHOUT[f]]
+            phis[:, f] += (_COEF[f][:, None] * delta).sum(axis=0)
+        base += float(v[0, 0])
+    return base, phis
+
+
+def reference_write_scores(path, scores) -> None:
+    """scores.csv as one (record_index, score) tuple per record."""
+    write_csv(path, ["record_index", "score"], [(i, float(s)) for i, s in enumerate(scores)])
+
+
+def reference_write_shap(path, ds: Dataset, base_value: float, phis: np.ndarray) -> None:
+    """shap.csv as one tuple per record and feature, record-major."""
+    rows = []
+    for r in range(len(ds)):
+        for i, name in enumerate(FEATURE_NAMES):
+            rows.append((r, name, int(ds.X[r, i]), float(phis[r, i]), base_value))
+    write_csv(
+        path,
+        ["record_index", "feature", "feature_value", "shap_value", "base_value"],
+        rows,
+    )
 
 
 def pair_count_auroc(sl) -> float:

@@ -9,9 +9,17 @@ import numpy as np
 import pytest
 
 from pcrboost.cli import main
-from pcrboost.dataset import FEATURE_NAMES, load_csv
+from pcrboost.dataset import (
+    FEATURE_NAMES,
+    PATTERNS,
+    Dataset,
+    load_csv,
+    pattern_codes,
+    save_csv,
+)
 from pcrboost.gbm import load_model
 from pcrboost.metrics import ScoredLabels, auroc
+from conftest import reference_explain_matrix, reference_write_scores, reference_write_shap
 
 SYNTH = ["synth", "--n-pos", "200", "--n-neg", "800", "--seed", "3"]
 
@@ -161,8 +169,12 @@ class TestPlots:
                    "--out", tmp_path / "x.svg") == 2
 
     def test_plot_rejects_non_finite_cells(self, pipeline, tmp_path):
+        # non-finite cells, rates outside [0, 1], and SHAP values whose axis span overflows
         for kind, table, column, bad in (("roc", "eval_thresholds.csv", "fpr", "inf"),
-                                         ("beeswarm", "shap.csv", "shap_value", "nan")):
+                                         ("beeswarm", "shap.csv", "shap_value", "nan"),
+                                         ("roc", "eval_thresholds.csv", "fpr", "1e308"),
+                                         ("pr", "eval_thresholds.csv", "ppv", "-0.5"),
+                                         ("beeswarm", "shap.csv", "shap_value", "-1e308")):
             lines = (pipeline / table).read_text().splitlines()
             row = lines[1].split(",")
             row[lines[0].split(",").index(column)] = bad
@@ -282,6 +294,41 @@ class TestTrainModes:
     def test_unwritable_output_is_io_error(self, pipeline, tmp_path):
         assert run("train", "--data", pipeline / "data.csv",
                    "--out-model", tmp_path / "no_dir" / "m.json", "--seed", "0") == 4
+
+    def test_zero_hessian_with_zero_lambda_is_contract_error(self, tmp_path, capsys):
+        X = PATTERNS[:40]
+        data = tmp_path / "separable.csv"
+        with open(data, "wb") as fh:
+            save_csv(Dataset(X, X[:, 1]), fh)
+        assert run("train", "--data", data, "--out-model", tmp_path / "m.json",
+                   "--seed", "0", "--l2-lambda", "0", "--learning-rate", "1",
+                   "--min-samples-leaf", "1") == 3
+        assert "zero hessian sum" in capsys.readouterr().err
+
+
+class TestPerPatternWriters:
+    """scores.csv and shap.csv against the per-record tuple writers, byte for byte."""
+
+    @pytest.mark.parametrize("codes", [[0, 5, 77, 140, 200, 255], [42]],
+                             ids=["tie_heavy", "single_pattern"])
+    def test_outputs_match_per_record_writers(self, pipeline, tmp_path, codes):
+        rng = np.random.default_rng(len(codes))
+        X = PATTERNS[rng.choice(codes, size=700)]
+        ds = Dataset(X, rng.integers(0, 2, size=700, dtype=np.uint8))
+        data = tmp_path / "data.csv"
+        with open(data, "wb") as fh:
+            save_csv(ds, fh)
+        model = load_model((pipeline / "model.json").read_text())
+        for command in ("predict", "explain"):
+            assert run(command, "--model", pipeline / "model.json", "--data", data,
+                       "--out", tmp_path / f"{command}.csv") == 0
+
+        reference_write_scores(tmp_path / "ref_scores.csv", model.predict_proba(ds.X))
+        distinct, inverse = np.unique(pattern_codes(ds.X), return_inverse=True)
+        base, phis = reference_explain_matrix(model, PATTERNS[distinct])
+        reference_write_shap(tmp_path / "ref_shap.csv", ds, base, phis[inverse])
+        for out, ref in (("predict.csv", "ref_scores.csv"), ("explain.csv", "ref_shap.csv")):
+            assert (tmp_path / out).read_bytes() == (tmp_path / ref).read_bytes(), out
 
 
 class TestSimulateBias:

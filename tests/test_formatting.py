@@ -7,7 +7,8 @@ import math
 import numpy as np
 import pytest
 
-from pcrboost.formatting import fmt_cell, fmt_real, write_csv
+from pcrboost import formatting
+from pcrboost.formatting import PatternRows, fmt_cell, fmt_real, write_csv
 
 
 class TestFmtReal:
@@ -50,3 +51,47 @@ class TestWriteCsv:
         blob = path.read_bytes()
         assert blob == b"a,b,c\n1,0.5,\n2,,x\n"
         assert b"\r" not in blob
+
+
+class TestPatternRows:
+    PATTERN_ROWS = [
+        [("cough", 1, 0.1, -2.5), ("fever", 0, math.nan, -2.5)],
+        [],
+        [(None, 1.0 / 3.0)],
+    ]
+    INVERSE = [2, 0, 1, 2, 0]
+
+    def rows(self):
+        return PatternRows(self.PATTERN_ROWS, np.array(self.INVERSE))
+
+    def expanded(self):
+        return [(r, *row) for r, p in enumerate(self.INVERSE) for row in self.PATTERN_ROWS[p]]
+
+    def test_length_counts_expanded_rows(self):
+        rows = self.rows()
+        assert len(rows) == len(self.expanded()) == 6
+
+    def test_bytes_equal_rows_written_one_by_one(self, tmp_path):
+        header = ["i", "a", "b", "c", "d"]
+        write_csv(tmp_path / "fast.csv", header, self.rows())
+        write_csv(tmp_path / "slow.csv", header, self.expanded())
+        blob = (tmp_path / "fast.csv").read_bytes()
+        assert blob == (tmp_path / "slow.csv").read_bytes()
+        assert blob == (b"i,a,b,c,d\n0,,0.33333333333333331\n"
+                        b"1,cough,1,0.10000000000000001,-2.5\n1,fever,0,,-2.5\n"
+                        b"3,,0.33333333333333331\n"
+                        b"4,cough,1,0.10000000000000001,-2.5\n4,fever,0,,-2.5\n")
+
+    def test_chunks_split_on_record_boundaries(self, monkeypatch):
+        rows = self.rows()
+        whole = "".join(rows.chunks())
+        for size in (1, 2, 4, 5, 100):
+            monkeypatch.setattr(formatting, "_CHUNK_RECORDS", size)
+            chunks = list(rows.chunks())
+            assert len(chunks) == -(-5 // size)
+            assert "".join(chunks) == whole
+
+    def test_no_records_writes_header_only(self, tmp_path):
+        path = tmp_path / "empty.csv"
+        write_csv(path, ["i", "x"], PatternRows([[(1.5,)]], np.array([], dtype=np.intp)))
+        assert path.read_bytes() == b"i,x\n"

@@ -1,0 +1,169 @@
+"""Property tests of the input readers: any bytes either parse or raise PcrboostError.
+
+The examples are derandomized by the profile registered in conftest, so a
+run replays the same inputs every time.
+"""
+
+from __future__ import annotations
+
+import json
+import math
+
+import numpy as np
+import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
+
+from pcrboost.cli import _read_config, _read_table, main
+from pcrboost.dataset import CSV_HEADER, Dataset, load_csv
+from pcrboost.errors import PcrboostError
+from pcrboost.gbm import Model, load_model, save_model
+from conftest import random_model
+
+SEPARATORS = st.sampled_from(["\n", "\r\n", "\r"])
+
+
+def csv_text(header, cells, width):
+    """Strategy for CSV-shaped text: one of `header`'s names lists, then rows that
+    are `width` 0/1 cells or lists of `cells`, with any line separator and BOM."""
+    names = st.permutations(header) | st.lists(st.sampled_from(header + ("", "x")), max_size=12)
+    row = st.lists(st.sampled_from(["0", "1"]), min_size=width, max_size=width) | st.lists(
+        cells, max_size=12)
+    return st.tuples(names, st.lists(row, max_size=8), SEPARATORS, st.booleans()).map(
+        lambda t: ("\ufeff" if t[3] else "")
+        + t[2].join(",".join(r) for r in [list(t[0])] + t[1])
+    )
+
+
+DATASET_TEXT = csv_text(
+    CSV_HEADER,
+    st.sampled_from(["0", "1", "", "2", " 1", '"1"', "0.0", "-0", "\u0661", '"', "1,0"]),
+    len(CSV_HEADER),
+)
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(max_size=8)
+    | st.floats(allow_nan=True, allow_infinity=True),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.sampled_from(["value", "cover", "feature", "left", "right", "x"]),
+                      inner, max_size=4),
+    max_leaves=12,
+)
+
+
+def must_parse_or_refuse(call, *args):
+    try:
+        call(*args)
+    except PcrboostError:
+        pass
+
+
+@pytest.fixture(scope="module")
+def scratch(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "input"
+
+
+@pytest.fixture(scope="module")
+def model_doc():
+    model = random_model(np.random.default_rng(5), n_trees=2)
+    return json.loads(save_model(model))
+
+
+def paths_in(doc, prefix=()):
+    """Every key path inside a JSON document, containers before their items."""
+    yield prefix
+    if isinstance(doc, (dict, list)):
+        for key, value in doc.items() if isinstance(doc, dict) else enumerate(doc):
+            yield from paths_in(value, prefix + (key,))
+
+
+def value_at(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+def replaced(doc, path, value):
+    if not path:
+        return value
+    out = dict(doc) if isinstance(doc, dict) else list(doc)
+    out[path[0]] = replaced(doc[path[0]], path[1:], value)
+    return out
+
+
+class TestLoadCsv:
+    @given(st.binary(max_size=300))
+    @example(b"\xff\xfe" + b",".join(name.encode() for name in CSV_HEADER))
+    @example(",".join(CSV_HEADER).encode() + b"\n0,0,0,0,0,0,0,0,\xe9\n")
+    def test_arbitrary_bytes(self, blob):
+        must_parse_or_refuse(load_csv, blob)
+
+    @given(DATASET_TEXT)
+    def test_csv_shaped_text(self, text):
+        try:
+            ds = load_csv(text.encode("utf-8"))
+        except PcrboostError:
+            return
+        assert isinstance(ds, Dataset) and len(ds) > 0
+        assert set(np.unique(ds.X)) <= {0, 1} and set(np.unique(ds.y)) <= {0, 1}
+
+
+class TestLoadModel:
+    @given(st.binary(max_size=300))
+    @example(b'{"format_version": ' + b"1" * 5000 + b"}")
+    @example(b"[" * 100000)
+    def test_arbitrary_bytes(self, blob):
+        must_parse_or_refuse(load_model, blob)
+
+    @given(st.data())
+    def test_one_value_of_a_valid_document_replaced(self, model_doc, data):
+        paths = list(paths_in(model_doc))
+        value = data.draw(
+            st.integers(-1, 9)
+            | st.floats(allow_nan=True, allow_infinity=True)
+            | st.sampled_from(paths).map(lambda other: value_at(model_doc, other))
+            | JSON_VALUES
+        )
+        doc = replaced(model_doc, data.draw(st.sampled_from(paths)), value)
+        try:
+            model = load_model(json.dumps(doc))
+        except PcrboostError:
+            return
+        assert isinstance(model, Model)
+        assert all(math.isfinite(v) for v in model.predict_raw(np.eye(8, dtype=np.uint8)))
+
+
+class TestCliReaders:
+    @given(st.binary(max_size=200))
+    @example(b"seed = 1\n\xff\n")
+    def test_config_bytes(self, scratch, blob):
+        scratch.write_bytes(blob)
+        must_parse_or_refuse(_read_config, str(scratch))
+
+    @given(st.text(max_size=200))
+    def test_config_text(self, scratch, text):
+        scratch.write_text(text, encoding="utf-8")
+        must_parse_or_refuse(_read_config, str(scratch))
+
+    @given(st.binary(max_size=300))
+    @example(b"fpr,sensitivity,ppv\n\xff,1,1\n")
+    def test_table_bytes(self, scratch, blob):
+        scratch.write_bytes(blob)
+        must_parse_or_refuse(_read_table, str(scratch), {"fpr", "sensitivity", "ppv"})
+
+    @given(csv_text(("fpr", "sensitivity", "ppv"),
+                    st.sampled_from(["0", "0.5", "1", "", "nan", "-inf", "1e400", "a", '"']), 3))
+    def test_plot_from_table_text(self, scratch, text):
+        # the reader and the cell parsing together: exit 0 or a format error
+        scratch.write_text(text, encoding="utf-8")
+        args = ["--in", str(scratch), "--out", str(scratch.with_name("plot.svg"))]
+        for kind in ("roc", "pr"):
+            assert main(["plot", "--kind", kind, *args]) in (0, 2)
+
+    @given(csv_text(("feature", "shap_value", "feature_value"),
+                    st.sampled_from(["cough", "fever", "x", "0", "1", "-0.5", "", "nan", "1e308",
+                                     "-1e308", "2", "0.5"]), 3))
+    def test_beeswarm_from_table_text(self, scratch, text):
+        scratch.write_text(text, encoding="utf-8")
+        args = ["--in", str(scratch), "--out", str(scratch.with_name("beeswarm.svg"))]
+        assert main(["plot", "--kind", "beeswarm", "--seed", "1", *args]) in (0, 2)

@@ -139,6 +139,16 @@ class TestFit:
         with pytest.raises(ContractError):
             fit(ds, TrainConfig())
 
+    def test_zero_hessian_with_zero_lambda_is_contract_error(self):
+        # the label equals age_60_plus, so at learning rate 1 the raw scores run
+        # off until p(1-p) underflows to 0 in whole nodes
+        X = PATTERNS[:40]
+        ds = Dataset(X, X[:, 1])
+        cfg = dict(learning_rate=1.0, min_samples_leaf=1, l2_lambda=0.0)
+        assert len(fit(ds, TrainConfig(num_rounds=5, **cfg)).trees) == 5
+        with pytest.raises(ContractError, match="zero hessian sum.*l2-lambda > 0"):
+            fit(ds, TrainConfig(num_rounds=100, **cfg))
+
     def test_config_bounds(self):
         with pytest.raises(ContractError):
             TrainConfig(num_rounds=-1)

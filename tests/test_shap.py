@@ -5,20 +5,30 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from pcrboost.dataset import FEATURE_NAMES, Dataset
+from pcrboost.dataset import (
+    FEATURE_NAMES,
+    PATTERNS,
+    Dataset,
+    pattern_codes,
+    reference_marginals,
+    synthesize,
+)
 from pcrboost.errors import ContractError
 from pcrboost.gbm import Model, TrainConfig, TreeNode, fit
 from pcrboost.shap import (
     BeeswarmPoint,
+    _explain_matrix,
     beeswarm_points,
     explain,
     explain_dataset,
+    explain_patterns,
     mean_abs_shap,
 )
 from conftest import (
     assert_local_accuracy,
     make_dataset,
     random_model,
+    reference_explain_matrix,
     scalar_shapley,
     shapley_brute_force,
 )
@@ -174,6 +184,62 @@ class TestExplainDataset:
         ds = Dataset(np.zeros((0, 8), dtype=np.uint8), np.zeros(0, dtype=np.uint8))
         with pytest.raises(ContractError, match="empty dataset"):
             explain_dataset(model, ds)
+
+
+class TestTopDownMatchesPerLeafReference:
+    """The one-walk-per-tree grid against the per-leaf path products, bit for bit."""
+
+    def assert_identical(self, model, X=PATTERNS):
+        base, phis = _explain_matrix(model, X)
+        ref_base, ref_phis = reference_explain_matrix(model, X)
+        assert base == ref_base
+        assert np.array_equal(phis, ref_phis)
+
+    def test_random_models(self, rng):
+        for n_trees in (1, 2, 5, 20):
+            self.assert_identical(random_model(rng, n_trees))
+
+    def test_stumps_and_empty_model(self):
+        self.assert_identical(stump_model("cough", 0.9, -0.4, 3.0, 1.0))
+        self.assert_identical(stump_model("contact_confirmed", -2.0, 1.5, 0.1, 7.3))
+        self.assert_identical(Model(FEATURE_NAMES, -0.7, (), TrainConfig()))
+
+    def test_desk_scale_model(self):
+        # the acceptance gate's criterion-5 model (51,831 records, defaults)
+        train = synthesize(reference_marginals(), 4769, 51831 - 4769, seed=101)
+        self.assert_identical(fit(train, TrainConfig()))
+
+    def test_row_subsets_and_single_row(self, rng):
+        model = random_model(rng, 6)
+        self.assert_identical(model, PATTERNS[rng.permutation(256)[:37]])
+        self.assert_identical(model, PATTERNS[[200]])
+
+    def test_feature_repeated_on_a_path(self):
+        # load_model refuses this shape, but an in-memory Model can hold it
+        inner = TreeNode(cover=3.0, feature=2, left=TreeNode(cover=1.0, value=0.5),
+                         right=TreeNode(cover=2.0, value=-1.0))
+        root = TreeNode(cover=5.0, feature=2, left=inner, right=TreeNode(cover=2.0, value=2.0))
+        self.assert_identical(Model(FEATURE_NAMES, 0.0, (root,), TrainConfig()))
+
+
+class TestExplainPatterns:
+    def test_per_pattern_results_broadcast_to_records(self, rng):
+        model = random_model(rng, n_trees=3)
+        X = PATTERNS[rng.choice([3, 77, 140, 255], size=50)]
+        ds = Dataset(X, rng.integers(0, 2, size=50, dtype=np.uint8))
+        base, codes, phis, inverse = explain_patterns(model, ds)
+        assert codes.tolist() == [3, 77, 140, 255]
+        assert np.array_equal(codes[inverse], pattern_codes(X))
+        ref_base, ref_phis = reference_explain_matrix(model, PATTERNS[codes])
+        assert base == ref_base and np.array_equal(phis, ref_phis)
+        record_base, record_phis = explain_dataset(model, ds)
+        assert record_base == base
+        assert np.array_equal(record_phis, phis[inverse])
+
+    def test_empty_dataset_rejected(self, rng):
+        ds = Dataset(np.zeros((0, 8), dtype=np.uint8), np.zeros(0, dtype=np.uint8))
+        with pytest.raises(ContractError, match="empty dataset"):
+            explain_patterns(random_model(rng, n_trees=1), ds)
 
 
 class TestMeanAbsShap:
