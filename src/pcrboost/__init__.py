@@ -3,8 +3,8 @@
 Submodules:
     dataset  - CSV I/O, calibrated synthesis, reporter rates, bias simulation
     gbm      - second-order boosting, prediction, model JSON persistence
-    shap     - exact coalition-enumeration SHAP and feature rankings
-    metrics  - ROC/PR curves, threshold panels, percentile bootstrap
+    shap     - exact coalition-enumeration SHAP and feature ranking order
+    metrics  - auROC/auPRC, threshold panels, percentile bootstrap with ROC band
     plots    - deterministic SVG rendering (curves, beeswarm)
     cli      - the `pcrboost` command-line pipeline
 """

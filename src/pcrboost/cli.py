@@ -16,7 +16,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from . import __version__
 from .dataset import (
@@ -72,17 +72,8 @@ class RunManifest:
     duration_seconds: float
 
     def write(self, path: str) -> None:
-        doc = {
-            "command": self.command,
-            "tool_version": self.tool_version,
-            "parameters": self.parameters,
-            "inputs": self.inputs,
-            "outputs": self.outputs,
-            "seed": self.seed,
-            "duration_seconds": self.duration_seconds,
-        }
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            json.dump(doc, fh, indent=2, default=str)
+            json.dump(asdict(self), fh, indent=2, default=str)
             fh.write("\n")
 
 
@@ -257,16 +248,6 @@ def _load_model(path: str):
         return load_model(fh.read())
 
 
-def _check_schema(model, ds) -> None:
-    if tuple(model.schema) != tuple(ds.schema):
-        raise ContractError("schema mismatch between model and dataset")
-
-
-def _scored(model, ds) -> ScoredLabels:
-    _check_schema(model, ds)
-    return ScoredLabels(model.predict_proba(ds.X), ds.y)
-
-
 def cmd_synth(args, parser):
     if args.marginals:
         marginals = marginals_from(_load_dataset(args.marginals))
@@ -300,7 +281,6 @@ def cmd_train(args, parser):
 def cmd_predict(args, parser):
     model = _load_model(args.model)
     ds = _load_dataset(args.data)
-    _check_schema(model, ds)
     scores = model.predict_proba(ds.X)
     _, first, inverse = distinct_patterns(ds.X)
     rows = PatternRows([[(float(scores[i]),)] for i in first], inverse)
@@ -311,7 +291,6 @@ def cmd_predict(args, parser):
 def cmd_explain(args, parser):
     model = _load_model(args.model)
     ds = _load_dataset(args.data)
-    _check_schema(model, ds)
     base_value, phis = explain_dataset(model, ds)
     # each pattern's rows come from its first record; the others repeat them
     _, first, inverse = distinct_patterns(ds.X)
@@ -328,15 +307,13 @@ def cmd_explain(args, parser):
 def cmd_evaluate(args, parser):
     if args.bootstrap and args.seed is None:
         parser.error("missing required flag --seed (needed when --bootstrap > 0)")
+    if args.roc_band and not args.bootstrap:
+        raise ContractError("--roc-band requires --bootstrap > 0")
     model = _load_model(args.model)
     ds = _load_dataset(args.data)
-    sl = _scored(model, ds)
+    sl = ScoredLabels(model.predict_proba(ds.X), ds.y)
 
-    thresholds_path = args.out_prefix + "thresholds.csv"
-    rows = [threshold_report(sl, float(t)).row() for t in unique_thresholds(sl)]
-    write_csv(thresholds_path, list(THRESHOLD_REPORT_FIELDS), rows)
-    outputs = [thresholds_path]
-
+    # every statistic that can fail is computed before the first file is written
     if args.bootstrap:
         result = bootstrap(sl, args.bootstrap, args.alpha, seed=args.seed)
         summary = [
@@ -348,13 +325,14 @@ def cmd_evaluate(args, parser):
             ("auroc", auroc(sl), None, None),
             ("auprc", aupr(sl), None, None),
         ]
+    thresholds_path = args.out_prefix + "thresholds.csv"
+    rows = [threshold_report(sl, float(t)).row() for t in unique_thresholds(sl)]
+    write_csv(thresholds_path, list(THRESHOLD_REPORT_FIELDS), rows)
     summary_path = args.out_prefix + "summary.csv"
     write_csv(summary_path, ["metric", "point", "lo", "hi"], summary)
-    outputs.append(summary_path)
+    outputs = [thresholds_path, summary_path]
 
     if args.roc_band:
-        if not args.bootstrap:
-            raise ContractError("--roc-band requires --bootstrap > 0")
         grid, lo, hi = result.roc_band
         band_path = args.out_prefix + "roc_band.csv"
         write_csv(
@@ -421,8 +399,8 @@ def _float_cell(row: dict, key: str) -> float:
         value = float(row[key])
     except (TypeError, ValueError):
         value = math.nan
-    # rates and 0/1 feature values lie in [0, 1]; SHAP values must stay far
-    # enough inside the float range for the beeswarm's axis span to be finite
+    # rates lie in [0, 1]; SHAP values must stay far enough inside the
+    # float range for the beeswarm's axis span to be finite
     lo, hi = (-1e300, 1e300) if key == "shap_value" else (0.0, 1.0)
     if not lo <= value <= hi:  # false for NaN too
         raise DataFormatError(f"malformed input CSV: bad {key} value {row[key]!r}")
@@ -443,7 +421,10 @@ def cmd_plot(args, parser):
             if name not in FEATURE_NAMES:
                 raise DataFormatError(f"malformed input CSV: unknown feature {name!r}")
             value = _float_cell(row, "shap_value")
-            by_feature.setdefault(name, []).append((value, int(_float_cell(row, "feature_value"))))
+            cell = row["feature_value"]
+            if cell not in ("0", "1"):  # literal cells, as in a dataset CSV
+                raise DataFormatError(f"malformed input CSV: bad feature_value value {cell!r}")
+            by_feature.setdefault(name, []).append((value, int(cell)))
         means = {
             name: sum(abs(v) for v, _ in pts) / len(pts) for name, pts in by_feature.items()
         }

@@ -79,13 +79,11 @@ class Dataset:
         X: uint8 array of shape (n_records, 8), feature values in schema order.
         y: uint8 array of shape (n_records,), 1 = positive RT-PCR.
         provenance: free-text origin tag (e.g. "csv:path", "synth:seed=7").
-        schema: the fixed feature-name tuple.
     """
 
     X: np.ndarray
     y: np.ndarray
     provenance: str = ""
-    schema: tuple[str, ...] = FEATURE_NAMES
 
     def __post_init__(self):
         X = np.array(self.X, dtype=np.uint8, copy=True)
@@ -98,8 +96,6 @@ class Dataset:
             raise ContractError("non-binary value in features")
         if y.size and y.max() > 1:
             raise ContractError("non-binary value in labels")
-        if tuple(self.schema) != FEATURE_NAMES:
-            raise ContractError("schema mismatch")
         X.flags.writeable = False
         y.flags.writeable = False
         object.__setattr__(self, "X", X)
@@ -109,14 +105,10 @@ class Dataset:
         return self.X.shape[0]
 
     def __eq__(self, other) -> bool:
-        """Record equality: same schema, features, and labels (provenance excluded)."""
+        """Record equality: same features and labels (provenance excluded)."""
         if not isinstance(other, Dataset):
             return NotImplemented
-        return (
-            self.schema == other.schema
-            and np.array_equal(self.X, other.X)
-            and np.array_equal(self.y, other.y)
-        )
+        return np.array_equal(self.X, other.X) and np.array_equal(self.y, other.y)
 
     @property
     def n_positive(self) -> int:
@@ -315,37 +307,6 @@ def simulate_bias(ds: Dataset, cfg: BiasSimConfig) -> Dataset:
     )
 
 
-def split(ds: Dataset, test_fraction: float, seed: int, stratified: bool = False):
-    """Partition into (train, test) by a seeded shuffle.
-
-    Stratified mode shuffles within each class so test prevalence matches the
-    input within one record per class. Record order is preserved in both parts.
-    """
-    if not 0.0 < test_fraction < 1.0:
-        raise ContractError("test_fraction out of range (0,1)")
-    rng = _rng(seed)
-    n = len(ds)
-    if stratified:
-        if ds.n_positive == 0 or ds.n_negative == 0:
-            raise ContractError("degenerate class balance: one class absent")
-        test_parts = []
-        for cls in (0, 1):
-            idx = np.flatnonzero(ds.y == cls)
-            perm = rng.permutation(idx)
-            n_test = int(len(idx) * test_fraction + 0.5)
-            test_parts.append(perm[:n_test])
-        test_idx = np.concatenate(test_parts)
-    else:
-        perm = rng.permutation(n)
-        n_test = int(n * test_fraction + 0.5)
-        test_idx = perm[:n_test]
-    in_test = np.zeros(n, dtype=bool)
-    in_test[test_idx] = True
-    train = ds.take(np.flatnonzero(~in_test), provenance=f"{ds.provenance}|split:train")
-    test = ds.take(np.flatnonzero(in_test), provenance=f"{ds.provenance}|split:test")
-    return train, test
-
-
 def reference_counts() -> dict:
     """The bundled verbatim survey counts (per feature x {true,false} x class)."""
     payload = resources.files("pcrboost.data").joinpath("reference_counts.json")
@@ -373,36 +334,3 @@ def reference_marginals() -> MarginalTable:
         rate_neg[i] = row["negative_n"] / n_neg
     return MarginalTable(rate_pos, rate_neg, n_pos, n_neg)
 
-
-def from_class_counts(
-    positive_true: dict[str, int], negative_true: dict[str, int], n_positive: int, n_negative: int
-) -> Dataset:
-    """Deterministic dataset reproducing exact per-class true counts per feature.
-
-    Within each class block, feature f is 1 in the first positive_true[f]
-    (resp. negative_true[f]) records. Feature co-occurrence is arbitrary but
-    all class-conditional marginal counts are exact.
-    """
-    blocks = []
-    for counts, n_cls in ((positive_true, n_positive), (negative_true, n_negative)):
-        X = np.zeros((n_cls, N_FEATURES), dtype=np.uint8)
-        for i, name in enumerate(FEATURE_NAMES):
-            k = counts[name]
-            if not 0 <= k <= n_cls:
-                raise ContractError(f"count for {name} outside [0, {n_cls}]")
-            X[:k, i] = 1
-        blocks.append(X)
-    X = np.concatenate(blocks, axis=0)
-    y = np.concatenate(
-        [np.ones(n_positive, dtype=np.uint8), np.zeros(n_negative, dtype=np.uint8)]
-    )
-    return Dataset(X, y, provenance="counts:exact")
-
-
-def reference_dataset() -> Dataset:
-    """Dataset realizing the bundled survey counts exactly (99,232 records)."""
-    counts = reference_counts()
-    n_pos, n_neg = _class_totals(counts)
-    pos_true = {f: counts["features"][f]["true"]["positive_n"] for f in FEATURE_NAMES}
-    neg_true = {f: counts["features"][f]["true"]["negative_n"] for f in FEATURE_NAMES}
-    return from_class_counts(pos_true, neg_true, n_pos, n_neg)

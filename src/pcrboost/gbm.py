@@ -120,7 +120,6 @@ def logistic_grad_hess(raw, label):
 class Model:
     """Immutable boosted ensemble: base log-odds plus an ordered tree list."""
 
-    schema: tuple[str, ...]
     base_score: float
     trees: tuple[TreeNode, ...]
     config: TrainConfig
@@ -249,8 +248,6 @@ def fit(ds: Dataset, cfg: TrainConfig) -> Model:
     """
     if len(ds) == 0:
         raise ContractError("empty dataset")
-    if tuple(ds.schema) != FEATURE_NAMES:
-        raise ContractError("schema mismatch")
     n_pos = ds.n_positive
     if n_pos == 0 or n_pos == len(ds):
         raise ContractError("single-class dataset")
@@ -272,8 +269,7 @@ def fit(ds: Dataset, cfg: TrainConfig) -> Model:
             raise ContractError("zero hessian sum in a tree node: use --l2-lambda > 0") from None
         raw += tree_values(root, Xb)
         trees.append(root)
-    return Model(schema=FEATURE_NAMES, base_score=base_score, trees=tuple(trees),
-                 config=cfg)
+    return Model(base_score=base_score, trees=tuple(trees), config=cfg)
 
 
 def _emit_json(obj) -> str:
@@ -311,7 +307,7 @@ def save_model(model: Model) -> str:
     cfg = model.config
     doc = {
         "format_version": FORMAT_VERSION,
-        "schema": list(model.schema),
+        "schema": list(FEATURE_NAMES),
         "base_score": float(model.base_score),
         "config": {name: getattr(cfg, name) for name in _CONFIG_FIELDS},
         "trees": [_node_doc(t) for t in model.trees],
@@ -401,7 +397,6 @@ def load_model(blob) -> Model:
     if not isinstance(trees, list):
         raise DataFormatError("malformed model document: trees must be an array")
     return Model(
-        schema=FEATURE_NAMES,
         base_score=_finite_real(doc.get("base_score"), "base_score"),
         trees=tuple(_parse_node(t) for t in trees),
         config=cfg,

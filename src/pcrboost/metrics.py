@@ -1,4 +1,4 @@
-"""ROC/PR analysis, per-threshold clinical metrics, percentile bootstrap.
+"""auROC/auPRC, per-threshold clinical metrics, percentile bootstrap.
 
 Every statistic is read from one count table: the distinct scores in
 descending order, with the cumulative true- and false-positive counts at
@@ -103,20 +103,6 @@ THRESHOLD_REPORT_FIELDS = tuple(f.name for f in fields(ThresholdReport))
 
 
 @dataclass(frozen=True)
-class Curve:
-    """ROC points are (fpr, tpr, threshold); PR points are (recall, precision, threshold)."""
-
-    kind: str
-    points: tuple[tuple[float, float, float], ...]
-
-    def trapezoid_area(self) -> float:
-        area = 0.0
-        for (x0, y0, _), (x1, y1, _) in zip(self.points, self.points[1:]):
-            area += 0.5 * (y0 + y1) * (x1 - x0)
-        return area
-
-
-@dataclass(frozen=True)
 class BootstrapCI:
     """Percentile bootstrap interval around a point estimate."""
 
@@ -194,23 +180,6 @@ def aupr(sl: ScoredLabels) -> float:
     """Average precision: sum of (delta recall x precision) over unique thresholds."""
     _require_positive(sl)
     return _average_precision(sl._tp, sl._fp)
-
-
-def roc_curve(sl: ScoredLabels) -> Curve:
-    """(0,0) plus one (fpr, tpr, threshold) point per unique descending threshold."""
-    _require_both_classes(sl)
-    fpr, tpr = _roc_points(sl._tp, sl._fp)
-    points = [(0.0, 0.0, math.inf)]
-    points += zip(fpr[1:].tolist(), tpr[1:].tolist(), sl._thresholds.tolist())
-    return Curve(kind="roc", points=tuple(points))
-
-
-def pr_curve(sl: ScoredLabels) -> Curve:
-    """One (recall, precision, threshold) point per unique descending threshold."""
-    _require_positive(sl)
-    tp, pp = sl._tp[1:], sl._tp[1:] + sl._fp[1:]
-    points = zip((tp / tp[-1]).tolist(), (tp / pp).tolist(), sl._thresholds.tolist())
-    return Curve(kind="pr", points=tuple(points))
 
 
 def _ratio(num: int, den: int) -> float:
@@ -308,26 +277,3 @@ def bootstrap(
         roc_band=(grid, tpr_lo, tpr_hi),
     )
 
-
-def threshold_for_sensitivity(sl: ScoredLabels, target: float):
-    """Highest threshold whose sensitivity reaches the target, with its report."""
-    return _search_threshold(sl, target, "sensitivity", descending=True)
-
-
-def threshold_for_specificity(sl: ScoredLabels, target: float):
-    """Lowest threshold whose specificity reaches the target, with its report."""
-    return _search_threshold(sl, target, "specificity", descending=False)
-
-
-def _search_threshold(sl: ScoredLabels, target: float, attr: str, descending: bool):
-    if not 0.0 < target <= 1.0:
-        raise ContractError("target must be in (0, 1]")
-    thresholds = unique_thresholds(sl)
-    if not descending:
-        thresholds = thresholds[::-1]
-    for t in thresholds:
-        report = threshold_report(sl, float(t))
-        achieved = getattr(report, attr)
-        if not math.isnan(achieved) and achieved >= target:
-            return float(t), report
-    raise ContractError(f"target unreachable: no threshold reaches {attr} >= {target}")

@@ -95,7 +95,8 @@ def render_beeswarm_svg(points, *, seed: int, title: str) -> str:
     """One jittered strip per feature, point fill encoding the 0/1 feature value.
 
     `points` are (feature, shap_value, feature_value) triples already grouped
-    by feature in ranking order, as produced by beeswarm_points.
+    by feature in ranking order (mean |SHAP| descending, as `plot --kind
+    beeswarm` orders the rows of a SHAP CSV).
     """
     if not points:
         raise ContractError("no beeswarm points")

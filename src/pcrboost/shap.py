@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -48,17 +47,6 @@ class ShapExplanation:
     base_value: float
     contributions: np.ndarray
     record_echo: tuple[int, ...]
-
-
-class RankedFeature(NamedTuple):
-    feature: str
-    mean_abs_shap: float
-
-
-class BeeswarmPoint(NamedTuple):
-    feature: str
-    shap_value: float
-    feature_value: int
 
 
 def _explain_matrix(model: Model, X: np.ndarray):
@@ -134,31 +122,3 @@ def rank_features(means: dict[str, float]) -> list[str]:
     """Feature names by descending mean |SHAP|, schema order breaking ties."""
     return sorted(means, key=lambda name: (-means[name], FEATURE_NAMES.index(name)))
 
-
-def _mean_abs(phis: np.ndarray) -> dict[str, float]:
-    means = np.abs(phis).mean(axis=0)
-    return {name: float(means[i]) for i, name in enumerate(FEATURE_NAMES)}
-
-
-def mean_abs_shap(model: Model, ds: Dataset) -> list[RankedFeature]:
-    """Per-feature mean |phi| over the dataset, descending; schema-index ties."""
-    _, phis = explain_dataset(model, ds)
-    means = _mean_abs(phis)
-    return [RankedFeature(name, means[name]) for name in rank_features(means)]
-
-
-def beeswarm_points(model: Model, ds: Dataset) -> list[BeeswarmPoint]:
-    """One (feature, shap_value, feature_value) triple per record x feature.
-
-    Triples are grouped by feature in mean-abs-SHAP ranking order, records
-    in dataset order within each group; consumed by the beeswarm plot.
-    """
-    _, phis = explain_dataset(model, ds)
-    points = []
-    for name in rank_features(_mean_abs(phis)):
-        i = FEATURE_NAMES.index(name)
-        for r in range(len(ds)):
-            points.append(
-                BeeswarmPoint(name, float(phis[r, i]), int(ds.X[r, i]))
-            )
-    return points

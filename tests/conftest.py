@@ -4,17 +4,27 @@ from __future__ import annotations
 
 import itertools
 import math
+from dataclasses import dataclass
 from types import SimpleNamespace
+from typing import NamedTuple
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
-from pcrboost.dataset import FEATURE_NAMES, N_FEATURES, Dataset
+from pcrboost.dataset import FEATURE_NAMES, N_FEATURES, Dataset, _class_totals, reference_counts
 from pcrboost.errors import ContractError
 from pcrboost.formatting import write_csv
 from pcrboost.gbm import Model, TrainConfig, TreeNode, logistic_grad_hess, tree_values
-from pcrboost.metrics import ScoredLabels, aupr, auroc, roc_curve
+from pcrboost.metrics import (
+    ScoredLabels,
+    _require_both_classes,
+    _require_positive,
+    _roc_points,
+    aupr,
+    auroc,
+)
+from pcrboost.shap import explain_dataset, rank_features
 
 # Property tests replay the same examples on every run (no example database),
 # and their example counts keep the whole fuzz module to a few seconds.
@@ -42,6 +52,40 @@ def make_dataset(rng: np.random.Generator, n: int, p_pos: float = 0.3) -> Datase
     return Dataset(X, y, provenance="test:random")
 
 
+def from_class_counts(
+    positive_true: dict[str, int], negative_true: dict[str, int], n_positive: int, n_negative: int
+) -> Dataset:
+    """Deterministic dataset reproducing exact per-class true counts per feature.
+
+    Within each class block, feature f is 1 in the first positive_true[f]
+    (resp. negative_true[f]) records. Feature co-occurrence is arbitrary but
+    all class-conditional marginal counts are exact.
+    """
+    blocks = []
+    for counts, n_cls in ((positive_true, n_positive), (negative_true, n_negative)):
+        X = np.zeros((n_cls, N_FEATURES), dtype=np.uint8)
+        for i, name in enumerate(FEATURE_NAMES):
+            k = counts[name]
+            if not 0 <= k <= n_cls:
+                raise ContractError(f"count for {name} outside [0, {n_cls}]")
+            X[:k, i] = 1
+        blocks.append(X)
+    X = np.concatenate(blocks, axis=0)
+    y = np.concatenate(
+        [np.ones(n_positive, dtype=np.uint8), np.zeros(n_negative, dtype=np.uint8)]
+    )
+    return Dataset(X, y, provenance="counts:exact")
+
+
+def reference_dataset() -> Dataset:
+    """Dataset realizing the bundled survey counts exactly (99,232 records)."""
+    counts = reference_counts()
+    n_pos, n_neg = _class_totals(counts)
+    pos_true = {f: counts["features"][f]["true"]["positive_n"] for f in FEATURE_NAMES}
+    neg_true = {f: counts["features"][f]["true"]["negative_n"] for f in FEATURE_NAMES}
+    return from_class_counts(pos_true, neg_true, n_pos, n_neg)
+
+
 def random_tree(rng: np.random.Generator, max_depth: int = 4, split_prob: float = 0.7) -> TreeNode:
     """Random tree with positive covers; internal cover = left + right exactly."""
 
@@ -62,7 +106,6 @@ def random_tree(rng: np.random.Generator, max_depth: int = 4, split_prob: float 
 
 def random_model(rng: np.random.Generator, n_trees: int) -> Model:
     return Model(
-        schema=FEATURE_NAMES,
         base_score=float(rng.uniform(-1.5, 1.5)),
         trees=tuple(random_tree(rng) for _ in range(n_trees)),
         config=TrainConfig(),
@@ -215,7 +258,7 @@ def reference_fit(ds: Dataset, cfg: TrainConfig):
             raw[idx] += value
         trees.append(root)
         gaps.append(gap)
-    model = Model(schema=FEATURE_NAMES, base_score=base_score, trees=tuple(trees), config=cfg)
+    model = Model(base_score=base_score, trees=tuple(trees), config=cfg)
     return model, gaps
 
 
@@ -311,6 +354,46 @@ def reference_explain_matrix(model: Model, X: np.ndarray):
     return base, phis
 
 
+class RankedFeature(NamedTuple):
+    feature: str
+    mean_abs_shap: float
+
+
+class BeeswarmPoint(NamedTuple):
+    feature: str
+    shap_value: float
+    feature_value: int
+
+
+def _mean_abs(phis: np.ndarray) -> dict[str, float]:
+    means = np.abs(phis).mean(axis=0)
+    return {name: float(means[i]) for i, name in enumerate(FEATURE_NAMES)}
+
+
+def mean_abs_shap(model: Model, ds: Dataset) -> list[RankedFeature]:
+    """Per-feature mean |phi| over the dataset, descending; schema-index ties."""
+    _, phis = explain_dataset(model, ds)
+    means = _mean_abs(phis)
+    return [RankedFeature(name, means[name]) for name in rank_features(means)]
+
+
+def beeswarm_points(model: Model, ds: Dataset) -> list[BeeswarmPoint]:
+    """One (feature, shap_value, feature_value) triple per record x feature.
+
+    Triples are grouped by feature in mean-abs-SHAP ranking order, records
+    in dataset order within each group; consumed by the beeswarm plot.
+    """
+    _, phis = explain_dataset(model, ds)
+    points = []
+    for name in rank_features(_mean_abs(phis)):
+        i = FEATURE_NAMES.index(name)
+        for r in range(len(ds)):
+            points.append(
+                BeeswarmPoint(name, float(phis[r, i]), int(ds.X[r, i]))
+            )
+    return points
+
+
 def reference_write_scores(path, scores) -> None:
     """scores.csv as one (record_index, score) tuple per record."""
     write_csv(path, ["record_index", "score"], [(i, float(s)) for i, s in enumerate(scores)])
@@ -327,6 +410,37 @@ def reference_write_shap(path, ds: Dataset, base_value: float, phis: np.ndarray)
         ["record_index", "feature", "feature_value", "shap_value", "base_value"],
         rows,
     )
+
+
+@dataclass(frozen=True)
+class Curve:
+    """ROC points are (fpr, tpr, threshold); PR points are (recall, precision, threshold)."""
+
+    kind: str
+    points: tuple[tuple[float, float, float], ...]
+
+    def trapezoid_area(self) -> float:
+        area = 0.0
+        for (x0, y0, _), (x1, y1, _) in zip(self.points, self.points[1:]):
+            area += 0.5 * (y0 + y1) * (x1 - x0)
+        return area
+
+
+def roc_curve(sl: ScoredLabels) -> Curve:
+    """(0,0) plus one (fpr, tpr, threshold) point per unique descending threshold."""
+    _require_both_classes(sl)
+    fpr, tpr = _roc_points(sl._tp, sl._fp)
+    points = [(0.0, 0.0, math.inf)]
+    points += zip(fpr[1:].tolist(), tpr[1:].tolist(), sl._thresholds.tolist())
+    return Curve(kind="roc", points=tuple(points))
+
+
+def pr_curve(sl: ScoredLabels) -> Curve:
+    """One (recall, precision, threshold) point per unique descending threshold."""
+    _require_positive(sl)
+    tp, pp = sl._tp[1:], sl._tp[1:] + sl._fp[1:]
+    points = zip((tp / tp[-1]).tolist(), (tp / pp).tolist(), sl._thresholds.tolist())
+    return Curve(kind="pr", points=tuple(points))
 
 
 def pair_count_auroc(sl) -> float:

@@ -22,7 +22,6 @@ from pcrboost.dataset import (
     FEATURE_NAMES,
     Dataset,
     load_csv,
-    reference_dataset,
     reference_marginals,
     reporter_positive_rate,
     save_csv,
@@ -33,10 +32,17 @@ from pcrboost.metrics import (
     ScoredLabels,
     auroc,
     bootstrap,
-    roc_curve,
 )
-from pcrboost.shap import explain, explain_dataset, mean_abs_shap
-from conftest import pair_count_auroc, random_model, shapley_brute_force, staged_raw
+from pcrboost.shap import explain, explain_dataset
+from conftest import (
+    mean_abs_shap,
+    pair_count_auroc,
+    random_model,
+    reference_dataset,
+    roc_curve,
+    shapley_brute_force,
+    staged_raw,
+)
 
 TRAIN_N, TRAIN_POS = 51831, 4769
 TEST_N, TEST_POS = 47401, 3624

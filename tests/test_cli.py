@@ -174,7 +174,8 @@ class TestPlots:
                                          ("beeswarm", "shap.csv", "shap_value", "nan"),
                                          ("roc", "eval_thresholds.csv", "fpr", "1e308"),
                                          ("pr", "eval_thresholds.csv", "ppv", "-0.5"),
-                                         ("beeswarm", "shap.csv", "shap_value", "-1e308")):
+                                         ("beeswarm", "shap.csv", "shap_value", "-1e308"),
+                                         ("beeswarm", "shap.csv", "feature_value", "0.5")):
             lines = (pipeline / table).read_text().splitlines()
             row = lines[1].split(",")
             row[lines[0].split(",").index(column)] = bad
@@ -206,6 +207,15 @@ class TestEvaluateModes:
                    "--data", pipeline / "data.csv",
                    "--out-prefix", str(tmp_path / "x_"),
                    "--bootstrap", "0", "--roc-band") == 3
+        assert not list(tmp_path.glob("x_*"))
+
+    def test_single_class_data_writes_nothing(self, pipeline, tmp_path):
+        data = tmp_path / "neg.csv"
+        assert run("synth", "--n-pos", "0", "--n-neg", "50", "--seed", "2", "--out", data) == 0
+        for mode in (["--bootstrap", "0"], ["--bootstrap", "200", "--seed", "1"]):
+            assert run("evaluate", "--model", pipeline / "model.json", "--data", data,
+                       "--out-prefix", str(tmp_path / "x_"), *mode) == 3, mode
+            assert not list(tmp_path.glob("x_*")), mode
 
     def test_separable_toy_reaches_perfect_auroc(self, tmp_path):
         # one informative feature, plenty of records per leaf

@@ -15,19 +15,17 @@ from pcrboost.dataset import (
     Dataset,
     MarginalTable,
     asymptomatic_negative_indices,
-    from_class_counts,
     load_csv,
     marginals_from,
     reference_counts,
-    reference_dataset,
     reference_marginals,
     reporter_positive_rate,
     save_csv,
     simulate_bias,
-    split,
     synthesize,
 )
 from pcrboost.errors import ContractError, DataFormatError
+from conftest import from_class_counts, reference_dataset
 
 
 def csv_bytes(header, rows):
@@ -268,51 +266,6 @@ class TestSimulateBias:
     def test_drop_fraction_bounds(self):
         with pytest.raises(ContractError, match="drop_fraction"):
             BiasSimConfig(1.5, seed=0)
-
-
-class TestSplit:
-    def test_sizes(self, rng):
-        ds = Dataset(
-            rng.integers(0, 2, size=(100, 8), dtype=np.uint8),
-            rng.integers(0, 2, size=100, dtype=np.uint8),
-        )
-        train, test = split(ds, 0.2, seed=1)
-        assert (len(train), len(test)) == (80, 20)
-
-    def test_stratified_prevalence(self, rng):
-        X = rng.integers(0, 2, size=(100, 8), dtype=np.uint8)
-        y = np.array([0] * 90 + [1] * 10, dtype=np.uint8)
-        train, test = split(Dataset(X, y), 0.5, seed=2, stratified=True)
-        assert test.n_negative == 45
-        assert test.n_positive == 5
-
-    def test_same_seed_identical_partition(self, rng):
-        ds = Dataset(
-            rng.integers(0, 2, size=(60, 8), dtype=np.uint8),
-            rng.integers(0, 2, size=60, dtype=np.uint8),
-        )
-        a = split(ds, 0.3, seed=7)
-        b = split(ds, 0.3, seed=7)
-        assert a[0] == b[0] and a[1] == b[1]
-
-    def test_partition_covers_all_records(self, rng):
-        X = rng.integers(0, 2, size=(57, 8), dtype=np.uint8)
-        y = rng.integers(0, 2, size=57, dtype=np.uint8)
-        ds = Dataset(X, y)
-        train, test = split(ds, 0.25, seed=5)
-        assert len(train) + len(test) == 57
-        rows = lambda d: sorted(tuple(r) for r in np.column_stack([d.X, d.y]).tolist())
-        assert rows(Dataset(np.concatenate([train.X, test.X]), np.concatenate([train.y, test.y]))) == rows(ds)
-
-    def test_fraction_out_of_range(self, rng):
-        ds = Dataset(np.zeros((4, 8), dtype=np.uint8), np.array([0, 1, 0, 1], dtype=np.uint8))
-        with pytest.raises(ContractError, match="test_fraction"):
-            split(ds, 1.0, seed=0)
-
-    def test_stratified_single_class_errors(self):
-        ds = Dataset(np.zeros((4, 8), dtype=np.uint8), np.zeros(4, dtype=np.uint8))
-        with pytest.raises(ContractError, match="degenerate class balance"):
-            split(ds, 0.5, seed=0, stratified=True)
 
 
 class TestReferenceTable:

@@ -431,7 +431,7 @@ class TestPersistence:
     def test_non_finite_value_rejected(self, rng):
         model = random_model(rng, n_trees=1)
         bad_tree = TreeNode(cover=5.0, value=float("nan"))
-        bad = Model(model.schema, model.base_score, (bad_tree,), model.config)
+        bad = Model(model.base_score, (bad_tree,), model.config)
         with pytest.raises(ContractError, match="non-finite"):
             save_model(bad)
 

@@ -15,15 +15,11 @@ from pcrboost.metrics import (
     aupr,
     auroc,
     bootstrap,
-    pr_curve,
-    roc_curve,
-    threshold_for_sensitivity,
-    threshold_for_specificity,
     threshold_report,
     unique_thresholds,
 )
 
-from conftest import pair_count_auroc, reference_bootstrap
+from conftest import pair_count_auroc, pr_curve, reference_bootstrap, roc_curve
 
 
 def step_sum_aupr(sl: ScoredLabels) -> float:
@@ -347,42 +343,3 @@ class TestBootstrapMatchesPerRecordReference:
                 moved.add("roc_band")
         # the exclusions move every statistic on some seed, so matching is not vacuous
         assert moved == {"auroc", "aupr", "roc_band"}
-
-
-class TestOperatingPoints:
-    def test_sensitivity_picks_highest_threshold(self):
-        sl = ScoredLabels([0.9, 0.8, 0.3], [1, 1, 0])
-        t, rep = threshold_for_sensitivity(sl, 1.0)
-        assert t == 0.8
-        assert rep.sensitivity == 1.0
-
-    def test_specificity_picks_lowest_threshold(self):
-        sl = ScoredLabels([0.9, 0.8, 0.3], [1, 1, 0])
-        t, rep = threshold_for_specificity(sl, 1.0)
-        assert t == 0.8
-        assert rep.specificity == 1.0
-
-    def test_partial_sensitivity_target(self):
-        sl = ScoredLabels([0.9, 0.8, 0.3], [1, 1, 0])
-        t, rep = threshold_for_sensitivity(sl, 0.5)
-        assert t == 0.9
-        assert rep.sensitivity == 0.5
-
-    def test_unreachable_specificity(self):
-        # the top score is shared across classes: any threshold admitting a
-        # record admits the negative, so specificity 1.0 is unreachable
-        sl = ScoredLabels([0.9, 0.9], [1, 0])
-        with pytest.raises(ContractError, match="target unreachable"):
-            threshold_for_specificity(sl, 1.0)
-
-    def test_all_negative_sensitivity_unreachable(self):
-        sl = ScoredLabels([0.4, 0.6], [0, 0])
-        with pytest.raises(ContractError, match="target unreachable"):
-            threshold_for_sensitivity(sl, 0.9)
-
-    def test_target_bounds(self):
-        sl = ScoredLabels([0.9, 0.1], [1, 0])
-        with pytest.raises(ContractError, match="target"):
-            threshold_for_sensitivity(sl, 1.5)
-        with pytest.raises(ContractError, match="target"):
-            threshold_for_specificity(sl, 0.0)

@@ -9,8 +9,7 @@ from pcrboost.dataset import FEATURE_NAMES, Dataset
 from pcrboost.errors import ContractError
 from pcrboost.gbm import TrainConfig, fit
 from pcrboost.plots import render_beeswarm_svg, render_curve_svg
-from pcrboost.shap import beeswarm_points
-from conftest import make_dataset
+from conftest import beeswarm_points, make_dataset
 
 # plot-area corners under the fixed 640x480 layout
 LEFT, RIGHT = 70.0, 620.0

@@ -15,18 +15,13 @@ from pcrboost.dataset import (
 )
 from pcrboost.errors import ContractError
 from pcrboost.gbm import Model, TrainConfig, TreeNode, fit
-from pcrboost.shap import (
-    BeeswarmPoint,
-    _explain_matrix,
-    beeswarm_points,
-    explain,
-    explain_dataset,
-    explain_patterns,
-    mean_abs_shap,
-)
+from pcrboost.shap import _explain_matrix, explain, explain_dataset, explain_patterns
 from conftest import (
+    BeeswarmPoint,
     assert_local_accuracy,
+    beeswarm_points,
     make_dataset,
+    mean_abs_shap,
     random_model,
     reference_explain_matrix,
     scalar_shapley,
@@ -44,7 +39,7 @@ def stump_model(feature: str, a: float, b: float, left_cover: float, right_cover
         left=TreeNode(cover=left_cover, value=b),
         right=TreeNode(cover=right_cover, value=a),
     )
-    return Model(schema=FEATURE_NAMES, base_score=base, trees=(root,), config=TrainConfig())
+    return Model(base_score=base, trees=(root,), config=TrainConfig())
 
 
 class TestOracleAgreement:
@@ -94,7 +89,7 @@ class TestLocalAccuracy:
 
 class TestClosedForms:
     def test_empty_model_all_zero(self):
-        model = Model(FEATURE_NAMES, base_score=-0.7, trees=(), config=TrainConfig())
+        model = Model(base_score=-0.7, trees=(), config=TrainConfig())
         exp = explain(model, np.ones(8, dtype=np.uint8))
         assert exp.base_value == -0.7
         assert np.array_equal(exp.contributions, np.zeros(8))
@@ -122,7 +117,6 @@ class TestClosedForms:
 
     def test_unused_feature_contributes_exactly_zero(self):
         model = Model(
-            FEATURE_NAMES,
             base_score=0.1,
             trees=stump_model("cough", 1.0, -1.0, 2.0, 2.0).trees
             + stump_model("fever", 0.5, -0.5, 1.0, 3.0).trees,
@@ -139,9 +133,9 @@ class TestClosedForms:
         t2 = random_model(rng, n_trees=1).trees
         base = 0.3
         cfg = TrainConfig()
-        m1 = Model(FEATURE_NAMES, base, t1, cfg)
-        m2 = Model(FEATURE_NAMES, base, t2, cfg)
-        m12 = Model(FEATURE_NAMES, base, t1 + t2, cfg)
+        m1 = Model(base, t1, cfg)
+        m2 = Model(base, t2, cfg)
+        m12 = Model(base, t1 + t2, cfg)
         x = rng.integers(0, 2, size=8, dtype=np.uint8)
         e1, e2, e12 = explain(m1, x), explain(m2, x), explain(m12, x)
         assert np.max(np.abs(e12.contributions - (e1.contributions + e2.contributions))) <= 1e-12
@@ -202,7 +196,7 @@ class TestTopDownMatchesPerLeafReference:
     def test_stumps_and_empty_model(self):
         self.assert_identical(stump_model("cough", 0.9, -0.4, 3.0, 1.0))
         self.assert_identical(stump_model("contact_confirmed", -2.0, 1.5, 0.1, 7.3))
-        self.assert_identical(Model(FEATURE_NAMES, -0.7, (), TrainConfig()))
+        self.assert_identical(Model(-0.7, (), TrainConfig()))
 
     def test_desk_scale_model(self):
         # the acceptance gate's criterion-5 model (51,831 records, defaults)
@@ -219,7 +213,7 @@ class TestTopDownMatchesPerLeafReference:
         inner = TreeNode(cover=3.0, feature=2, left=TreeNode(cover=1.0, value=0.5),
                          right=TreeNode(cover=2.0, value=-1.0))
         root = TreeNode(cover=5.0, feature=2, left=inner, right=TreeNode(cover=2.0, value=2.0))
-        self.assert_identical(Model(FEATURE_NAMES, 0.0, (root,), TrainConfig()))
+        self.assert_identical(Model(0.0, (root,), TrainConfig()))
 
 
 class TestExplainPatterns:
@@ -244,7 +238,7 @@ class TestExplainPatterns:
 
 class TestMeanAbsShap:
     def test_empty_model_ranks_schema_order(self, rng):
-        model = Model(FEATURE_NAMES, 0.0, (), TrainConfig())
+        model = Model(0.0, (), TrainConfig())
         ds = make_dataset(rng, 20)
         ranking = mean_abs_shap(model, ds)
         assert [r.feature for r in ranking] == list(FEATURE_NAMES)
@@ -308,7 +302,7 @@ class TestDegenerateTrees:
             left=TreeNode(cover=0.0, value=1.0),
             right=TreeNode(cover=0.0, value=-1.0),
         )
-        return Model(FEATURE_NAMES, 0.0, (root,), TrainConfig())
+        return Model(0.0, (root,), TrainConfig())
 
     def test_production_path_rejects_zero_cover(self):
         with pytest.raises(ContractError, match="degenerate tree cover"):
