@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import operator
 import sys
 import time
 from dataclasses import asdict, dataclass
@@ -168,7 +169,7 @@ def build_parser():
     p.add_argument("--kind", choices=("roc", "pr", "beeswarm"))
     p.add_argument("--in", dest="in_path",
                    help="thresholds CSV (roc/pr) or SHAP CSV (beeswarm)")
-    p.add_argument("--band", help="roc_band CSV for the shaded ROC band")
+    p.add_argument("--band", help="roc_band CSV for the shaded ROC band (roc only)")
     p.add_argument("--out", help="output SVG path")
     p.add_argument("--seed", type=int, help="jitter seed (required for beeswarm)")
 
@@ -309,6 +310,8 @@ def cmd_evaluate(args, parser):
         parser.error("missing required flag --seed (needed when --bootstrap > 0)")
     if args.roc_band and not args.bootstrap:
         raise ContractError("--roc-band requires --bootstrap > 0")
+    if not 0.0 < args.alpha < 1.0:  # false for NaN too; checked even without a bootstrap
+        raise ContractError("alpha must be in (0, 1)")
     model = _load_model(args.model)
     ds = _load_dataset(args.data)
     sl = ScoredLabels(model.predict_proba(ds.X), ds.y)
@@ -407,32 +410,58 @@ def _float_cell(row: dict, key: str) -> float:
     return value
 
 
+def _read_shap_points(path: str) -> list[tuple[str, float, int]]:
+    """A SHAP CSV's (feature, shap_value, feature_value) points, in file order."""
+    import csv as _csv
+
+    columns = ("feature", "shap_value", "feature_value")
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            reader = _csv.reader(fh)
+            header = next(reader, None)
+            if header is None or not set(columns).issubset(header):
+                raise DataFormatError(f"malformed input CSV: need columns {sorted(columns)}")
+            # as in csv.DictReader: blank rows are skipped, a repeated name reads
+            # its last column and a short row's missing cells are None
+            cells = operator.itemgetter(*({name: i for i, name in enumerate(header)}[c]
+                                          for c in columns))
+            pad = [None] * len(header)
+            distinct: dict[tuple, tuple] = {}
+            keys = [distinct.setdefault(key, key)
+                    for key in (cells(row + pad) for row in reader if row)]
+    except _csv.Error as exc:
+        raise DataFormatError(f"malformed input CSV: {exc}") from None
+    except UnicodeDecodeError:
+        raise DataFormatError("malformed input CSV: not UTF-8 text") from None
+    if not keys:
+        raise DataFormatError("malformed input CSV: no SHAP rows")
+    # checked after every line parsed (a bad line wins), in file order (the first bad row is named)
+    for key in distinct:
+        name, value, cell = key
+        if name not in FEATURE_NAMES:
+            raise DataFormatError(f"malformed input CSV: unknown feature {name!r}")
+        value = _float_cell({"shap_value": value}, "shap_value")
+        if cell not in ("0", "1"):  # literal cells, as in a dataset CSV
+            raise DataFormatError(f"malformed input CSV: bad feature_value value {cell!r}")
+        distinct[key] = (name, value, int(cell))
+    return list(map(distinct.__getitem__, keys))
+
+
 def cmd_plot(args, parser):
     inputs = [args.in_path]
+    if args.band and args.kind != "roc":
+        parser.error("--band applies only to --kind roc")
     if args.kind == "beeswarm":
         if args.seed is None:
             parser.error("missing required flag --seed (needed for beeswarm)")
-        rows = _read_table(args.in_path, {"feature", "shap_value", "feature_value"})
-        if not rows:
-            raise DataFormatError("malformed input CSV: no SHAP rows")
-        by_feature: dict[str, list[tuple[float, int]]] = {}
-        for row in rows:
-            name = row["feature"]
-            if name not in FEATURE_NAMES:
-                raise DataFormatError(f"malformed input CSV: unknown feature {name!r}")
-            value = _float_cell(row, "shap_value")
-            cell = row["feature_value"]
-            if cell not in ("0", "1"):  # literal cells, as in a dataset CSV
-                raise DataFormatError(f"malformed input CSV: bad feature_value value {cell!r}")
-            by_feature.setdefault(name, []).append((value, int(cell)))
-        means = {
-            name: sum(abs(v) for v, _ in pts) / len(pts) for name, pts in by_feature.items()
-        }
-        points = [
-            (name, value, feature_value)
-            for name in rank_features(means)
-            for value, feature_value in by_feature[name]
-        ]
+        by_feature: dict[str, list[tuple[str, float, int]]] = {}
+        for point in _read_shap_points(args.in_path):
+            by_feature.setdefault(point[0], []).append(point)
+        # the builtin sum over each feature's records in file order; a count x |v|
+        # product per distinct cell rounds differently and can flip a near-tie
+        means = {name: sum(abs(v) for _, v, _ in pts) / len(pts)
+                 for name, pts in by_feature.items()}
+        points = [point for name in rank_features(means) for point in by_feature[name]]
         svg = render_beeswarm_svg(points, seed=args.seed, title="SHAP beeswarm")
     else:
         rows = _read_table(args.in_path, {"sensitivity", "fpr", "ppv"})

@@ -100,17 +100,18 @@ def render_beeswarm_svg(points, *, seed: int, title: str) -> str:
     """
     if not points:
         raise ContractError("no beeswarm points")
-    features: list[str] = []
-    grouped: dict[str, list[tuple[float, int]]] = {}
-    for feature, shap_value, feature_value in points:
-        if feature not in grouped:
-            features.append(feature)
-            grouped[feature] = []
-        grouped[feature].append((float(shap_value), int(feature_value)))
+    # strips in order of each feature's first appearance, points in input order
+    names = [p[0] for p in points]
+    strip_of = {name: i for i, name in enumerate(dict.fromkeys(names))}
+    strips = np.fromiter(map(strip_of.__getitem__, names), np.int64, len(names))
+    order = np.argsort(strips, kind="stable")
+    cuts = np.cumsum(np.bincount(strips))[:-1]
+    values = np.array([p[1] for p in points], dtype=np.float64)
+    fill_of = {v: _VALUE_COLORS.get(int(v), _AXIS) for v in {p[2] for p in points}}
+    fills = np.array([fill_of[p[2]] for p in points], dtype=object)
 
-    height = _MT + _STRIP_H * len(features) + _MB
-    values = [v for feature in features for v, _ in grouped[feature]]
-    span = max(max(abs(v) for v in values), 1e-12)
+    height = _MT + _STRIP_H * len(strip_of) + _MB
+    span = max(float(np.abs(values).max()), 1e-12)
     lo, hi = -1.08 * span, 1.08 * span
     px = lambda x: _ML + (x - lo) / (hi - lo) * (_CURVE_W - _ML - _MR)
 
@@ -131,25 +132,25 @@ def render_beeswarm_svg(points, *, seed: int, title: str) -> str:
         )
         parts.append(_text(legend_x + dx + 10, _MT - 10, f"value {value}", anchor="start", size=11))
 
-    for strip, feature in enumerate(features):
+    max_off = _STRIP_H / 2 - 4
+    for strip, (feature, strip_values, strip_fills) in enumerate(
+            zip(strip_of, np.split(values[order], cuts), np.split(fills[order], cuts))):
         cy = _MT + _STRIP_H * (strip + 0.5)
         parts.append(_text(_ML - 8, cy + 4, feature, anchor="end", size=11))
-        # collision avoidance: points sharing a 4px x-bin stack outward from
-        # the strip center, alternating sides, with a small seeded jitter
-        bins: dict[int, int] = {}
-        max_off = _STRIP_H / 2 - 4
-        for shap_value, feature_value in grouped[feature]:
-            x = px(shap_value)
-            b = int(x // 4)
-            k = bins.get(b, 0)
-            bins[b] = k + 1
-            step = (k + 1) // 2 * 5.0
-            off = step if k % 2 == 1 else -step
-            off = max(-max_off, min(max_off, off + rng.uniform(-1.2, 1.2)))
-            parts.append(
-                f'<circle cx="{_f(x)}" cy="{_f(cy + off)}" r="2.4" '
-                f'fill="{_VALUE_COLORS.get(feature_value, _AXIS)}" fill-opacity="0.8"/>'
-            )
+        x = px(strip_values)
+        # collision avoidance: the k-th point of a 4px x-bin stacks (k + 1) // 2
+        # steps of 5px out from the strip center, alternating sides, plus jitter
+        by_bin = np.argsort(x // 4, kind="stable")
+        sorted_bins = (x // 4)[by_bin]
+        k = np.empty_like(by_bin)
+        k[by_bin] = np.arange(len(x)) - np.searchsorted(sorted_bins, sorted_bins)
+        step = (k + 1) // 2 * 5.0
+        off = np.where(k % 2 == 1, step, -step) + rng.uniform(-1.2, 1.2, size=len(x))
+        off = np.maximum(-max_off, np.minimum(max_off, off))
+        distinct_x, x_index = np.unique(x, return_inverse=True)
+        cx = np.array([_f(v) for v in distinct_x.tolist()], dtype=object)[x_index]
+        parts += [f'<circle cx="{c}" cy="{y:.2f}" r="2.4" fill="{f}" fill-opacity="0.8"/>'
+                  for c, y, f in zip(cx.tolist(), (cy + off).tolist(), strip_fills.tolist())]
     parts.append(
         _text((_ML + _CURVE_W - _MR) / 2, height - 12, "SHAP value (log-odds)")
     )

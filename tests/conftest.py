@@ -12,8 +12,9 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
+from pcrboost.cli import _float_cell, _read_table
 from pcrboost.dataset import FEATURE_NAMES, N_FEATURES, Dataset, _class_totals, reference_counts
-from pcrboost.errors import ContractError
+from pcrboost.errors import ContractError, DataFormatError
 from pcrboost.formatting import write_csv
 from pcrboost.gbm import Model, TrainConfig, TreeNode, logistic_grad_hess, tree_values
 from pcrboost.metrics import (
@@ -23,6 +24,20 @@ from pcrboost.metrics import (
     _roc_points,
     aupr,
     auroc,
+)
+from pcrboost.plots import (
+    _AXIS,
+    _CURVE_W,
+    _GRID,
+    _MB,
+    _ML,
+    _MR,
+    _MT,
+    _STRIP_H,
+    _VALUE_COLORS,
+    _f,
+    _svg_open,
+    _text,
 )
 from pcrboost.shap import explain_dataset, rank_features
 
@@ -410,6 +425,90 @@ def reference_write_shap(path, ds: Dataset, base_value: float, phis: np.ndarray)
         ["record_index", "feature", "feature_value", "shap_value", "base_value"],
         rows,
     )
+
+
+def reference_render_beeswarm_svg(points, *, seed: int, title: str) -> str:
+    """The beeswarm drawn one point at a time, one scalar jitter draw per point."""
+    if not points:
+        raise ContractError("no beeswarm points")
+    features: list[str] = []
+    grouped: dict[str, list[tuple[float, int]]] = {}
+    for feature, shap_value, feature_value in points:
+        if feature not in grouped:
+            features.append(feature)
+            grouped[feature] = []
+        grouped[feature].append((float(shap_value), int(feature_value)))
+
+    height = _MT + _STRIP_H * len(features) + _MB
+    values = [v for feature in features for v, _ in grouped[feature]]
+    span = max(max(abs(v) for v in values), 1e-12)
+    lo, hi = -1.08 * span, 1.08 * span
+    px = lambda x: _ML + (x - lo) / (hi - lo) * (_CURVE_W - _ML - _MR)
+
+    rng = np.random.Generator(np.random.PCG64(seed))
+    parts = [_svg_open(_CURVE_W, height)]
+    parts.append(_text(_CURVE_W / 2, 22, title, size=14))
+    zero_x = px(0.0)
+    parts.append(
+        f'<line x1="{_f(zero_x)}" y1="{_MT}" x2="{_f(zero_x)}" '
+        f'y2="{height - _MB}" stroke="{_GRID}" stroke-width="1"/>'
+    )
+    legend_x = _CURVE_W - _MR - 150
+    for value, dx in ((0, 0), (1, 60)):
+        parts.append(
+            f'<rect x="{legend_x + dx - 4}" y="{_MT - 18}" width="8" height="8" '
+            f'fill="{_VALUE_COLORS[value]}"/>'
+        )
+        parts.append(_text(legend_x + dx + 10, _MT - 10, f"value {value}", anchor="start", size=11))
+
+    for strip, feature in enumerate(features):
+        cy = _MT + _STRIP_H * (strip + 0.5)
+        parts.append(_text(_ML - 8, cy + 4, feature, anchor="end", size=11))
+        bins: dict[int, int] = {}
+        max_off = _STRIP_H / 2 - 4
+        for shap_value, feature_value in grouped[feature]:
+            x = px(shap_value)
+            b = int(x // 4)
+            k = bins.get(b, 0)
+            bins[b] = k + 1
+            step = (k + 1) // 2 * 5.0
+            off = step if k % 2 == 1 else -step
+            off = max(-max_off, min(max_off, off + rng.uniform(-1.2, 1.2)))
+            parts.append(
+                f'<circle cx="{_f(x)}" cy="{_f(cy + off)}" r="2.4" '
+                f'fill="{_VALUE_COLORS.get(feature_value, _AXIS)}" fill-opacity="0.8"/>'
+            )
+    parts.append(
+        _text((_ML + _CURVE_W - _MR) / 2, height - 12, "SHAP value (log-odds)")
+    )
+    parts.append("</svg>")
+    return "\n".join(parts) + "\n"
+
+
+def reference_beeswarm_svg(path, seed: int) -> str:
+    """`plot --kind beeswarm` on a SHAP CSV read row by row through csv.DictReader."""
+    rows = _read_table(str(path), {"feature", "shap_value", "feature_value"})
+    if not rows:
+        raise DataFormatError("malformed input CSV: no SHAP rows")
+    by_feature: dict[str, list[tuple[float, int]]] = {}
+    for row in rows:
+        name = row["feature"]
+        if name not in FEATURE_NAMES:
+            raise DataFormatError(f"malformed input CSV: unknown feature {name!r}")
+        value = _float_cell(row, "shap_value")
+        cell = row["feature_value"]
+        if cell not in ("0", "1"):
+            raise DataFormatError(f"malformed input CSV: bad feature_value value {cell!r}")
+        by_feature.setdefault(name, []).append((value, int(cell)))
+    means = {
+        name: sum(abs(v) for v, _ in pts) / len(pts) for name, pts in by_feature.items()
+    }
+    points = [
+        (name, value, feature_value)
+        for name in rank_features(means)
+        for value, feature_value in by_feature[name]
+    ]
+    return reference_render_beeswarm_svg(points, seed=seed, title="SHAP beeswarm")
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,13 @@ from pcrboost.dataset import (
 )
 from pcrboost.gbm import load_model
 from pcrboost.metrics import ScoredLabels, auroc
-from conftest import reference_explain_matrix, reference_write_scores, reference_write_shap
+from conftest import (
+    reference_beeswarm_svg,
+    reference_explain_matrix,
+    reference_write_scores,
+    reference_write_shap,
+)
+from test_acceptance import PIPELINE
 
 SYNTH = ["synth", "--n-pos", "200", "--n-neg", "800", "--seed", "3"]
 
@@ -168,6 +174,14 @@ class TestPlots:
         assert run("plot", "--kind", "roc", "--in", pipeline / "scores.csv",
                    "--out", tmp_path / "x.svg") == 2
 
+    def test_band_only_with_roc(self, pipeline, tmp_path):
+        band = pipeline / "eval_roc_band.csv"
+        for kind, table in (("pr", "eval_thresholds.csv"), ("beeswarm", "shap.csv")):
+            out = tmp_path / f"{kind}.svg"
+            assert run("plot", "--kind", kind, "--in", pipeline / table, "--band", band,
+                       "--seed", "4", "--out", out) == 2, kind
+            assert not out.exists(), kind
+
     def test_plot_rejects_non_finite_cells(self, pipeline, tmp_path):
         # non-finite cells, rates outside [0, 1], and SHAP values whose axis span overflows
         for kind, table, column, bad in (("roc", "eval_thresholds.csv", "fpr", "inf"),
@@ -207,6 +221,13 @@ class TestEvaluateModes:
                    "--data", pipeline / "data.csv",
                    "--out-prefix", str(tmp_path / "x_"),
                    "--bootstrap", "0", "--roc-band") == 3
+        assert not list(tmp_path.glob("x_*"))
+
+    @pytest.mark.parametrize("alpha", ["7", "nan"])
+    def test_alpha_checked_without_bootstrap(self, pipeline, tmp_path, alpha):
+        assert run("evaluate", "--model", pipeline / "model.json",
+                   "--data", pipeline / "data.csv", "--out-prefix", str(tmp_path / "x_"),
+                   "--bootstrap", "0", "--alpha", alpha) == 3
         assert not list(tmp_path.glob("x_*"))
 
     def test_single_class_data_writes_nothing(self, pipeline, tmp_path):
@@ -339,6 +360,79 @@ class TestPerPatternWriters:
         reference_write_shap(tmp_path / "ref_shap.csv", ds, base, phis[inverse])
         for out, ref in (("predict.csv", "ref_scores.csv"), ("explain.csv", "ref_shap.csv")):
             assert (tmp_path / out).read_bytes() == (tmp_path / ref).read_bytes(), out
+
+
+class TestBeeswarmBytes:
+    """plot --kind beeswarm against the row-by-row reader and per-point renderer, byte for byte."""
+
+    @staticmethod
+    def assert_matches_oracle(shap, seed, tmp_path):
+        out = tmp_path / "beeswarm.svg"
+        assert run("plot", "--kind", "beeswarm", "--in", shap, "--seed", seed, "--out", out) == 0
+        assert out.read_bytes() == reference_beeswarm_svg(shap, seed).encode("utf-8")
+
+    def test_criterion_9_pipeline(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        for step in PIPELINE:
+            if step[0] in ("synth", "train", "explain"):
+                assert run(*step) == 0, step
+        (plot,) = [step for step in PIPELINE if "beeswarm" in step]
+        seed = int(plot[plot.index("--seed") + 1])
+        self.assert_matches_oracle(tmp_path / plot[plot.index("--in") + 1], seed, tmp_path)
+
+    def test_quickstart_scale(self, pipeline, tmp_path):
+        # the quick start's test set at a tenth of the survey's scale: 37,912 rows
+        data = tmp_path / "test.csv"
+        assert run("synth", "--n-pos", "362", "--n-neg", "4377", "--seed", "1002",
+                   "--out", data) == 0
+        shap = tmp_path / "shap.csv"
+        assert run("explain", "--model", pipeline / "model.json", "--data", data,
+                   "--out", shap) == 0
+        self.assert_matches_oracle(shap, 1004, tmp_path)
+
+    def test_single_pattern(self, pipeline, tmp_path):
+        data = tmp_path / "data.csv"
+        with open(data, "wb") as fh:
+            save_csv(Dataset(PATTERNS[[42] * 300], np.arange(300, dtype=np.uint8) % 2), fh)
+        shap = tmp_path / "shap.csv"
+        assert run("explain", "--model", pipeline / "model.json", "--data", data,
+                   "--out", shap) == 0
+        self.assert_matches_oracle(shap, 3, tmp_path)
+
+    def test_tie_heavy(self, tmp_path):
+        # sex_male and age_60_plus hold the same 30 values in different orders:
+        # only the per-record sum ranks age_60_plus first (a count x |v| product
+        # ties them). In the other strips nearly every point lands in one 4px bin,
+        # so the stacks reach the strip's edge.
+        near_tie = ("0.1", "0.7", "0.0003")
+        lines = ["record_index,feature,feature_value,shap_value,base_value"]
+        for r in range(30):
+            lines.append(f"{r},sex_male,{r % 2},{near_tie[r // 10]},-1.5")
+            lines.append(f"{r},age_60_plus,{r % 2},{near_tie[r % 3]},-1.5")
+        for r in range(400):
+            for f, name in enumerate(FEATURE_NAMES[2:5]):
+                value = 2.5 if r == 0 else ("-0", "0.001", "0.0015")[(r + f) % 3]
+                lines.append(f"{r},{name},{(r // 7 + f) % 2},{value},-1.5")
+        shap = tmp_path / "shap.csv"
+        shap.write_text("\n".join(lines) + "\n")
+        self.assert_matches_oracle(shap, 11, tmp_path)
+        svg = (tmp_path / "beeswarm.svg").read_text()
+        assert svg.index(">age_60_plus<") < svg.index(">sex_male<")
+
+    def test_reordered_and_extra_columns(self, pipeline, tmp_path):
+        # the middle "feature" column is junk: a repeated name reads its last column
+        with open(pipeline / "shap.csv", encoding="utf-8", newline="") as fh:
+            header, *rows = csv.reader(fh)
+        order = [3, 0, 1, 4, 2]
+        shap = tmp_path / "shap.csv"
+        with open(shap, "w", encoding="utf-8", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["note"] + [header[i] for i in order] + ["feature"])
+            for r, row in enumerate(rows):
+                cells = [f"n{r},\"q\""] + [row[i] for i in order] + [row[1]]
+                cells[3] = "x"
+                writer.writerow(cells + ["extra"] * (r % 3))
+        self.assert_matches_oracle(shap, 5, tmp_path)
 
 
 class TestSimulateBias:

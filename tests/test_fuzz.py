@@ -6,6 +6,7 @@ run replays the same inputs every time.
 
 from __future__ import annotations
 
+import argparse
 import json
 import math
 
@@ -14,11 +15,11 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from pcrboost.cli import _read_config, _read_table, main
-from pcrboost.dataset import CSV_HEADER, Dataset, load_csv
+from pcrboost.cli import _read_config, _read_table, cmd_plot, main
+from pcrboost.dataset import CSV_HEADER, FEATURE_NAMES, Dataset, load_csv
 from pcrboost.errors import PcrboostError
 from pcrboost.gbm import Model, load_model, save_model
-from conftest import random_model
+from conftest import random_model, reference_beeswarm_svg
 
 SEPARATORS = st.sampled_from(["\n", "\r\n", "\r"])
 
@@ -40,6 +41,57 @@ DATASET_TEXT = csv_text(
     st.sampled_from(["0", "1", "", "2", " 1", '"1"', "0.0", "-0", "\u0661", '"', "1,0"]),
     len(CSV_HEADER),
 )
+
+SHAP_COLUMNS = ("record_index", "feature", "feature_value", "shap_value", "base_value")
+SHAP_CELLS = {
+    "feature": st.sampled_from(FEATURE_NAMES[:3]),
+    "feature_value": st.sampled_from(["0", "1"]),
+    "shap_value": st.sampled_from(["0.5", "-0.25", "-0", "3"]) | st.floats(-3, 3).map(repr),
+}
+# quoted commas and line breaks, an unbalanced quote, bad numbers, NUL and a
+# lone surrogate that is written as the undecodable byte 0xff
+ODD_CELLS = st.sampled_from(["", "x", "nan", "-inf", "1e400", "1e308", "0.5", " 1", "2",
+                             '"a,b"', '"1\r\n0"', '"', "\x00", "\udcff", "fever "])
+
+
+@st.composite
+def shap_csv_text(draw):
+    """SHAP-CSV-shaped text: reordered, missing, repeated or extra columns, then
+    rows that are well formed (cells quoted or not), blank, short, long or hold
+    one odd cell, joined by any line separator."""
+    extra = draw(st.lists(st.sampled_from(SHAP_COLUMNS + ("", "x")), max_size=3))
+    header = draw(st.permutations(SHAP_COLUMNS + tuple(extra)))[draw(st.integers(0, 4)) // 4:]
+    rows = [list(header)]
+    for _ in range(draw(st.integers(0, 8))):
+        cell = lambda name: SHAP_CELLS.get(name, st.sampled_from(["0", "7", "-2.5"]))
+        row = [draw(cell(name) | cell(name).map(lambda c: f'"{c}"')) for name in header]
+        mode = draw(st.sampled_from(["good"] * 4 + ["odd", "short", "long", "blank"]))
+        if mode == "odd" and row:
+            row[draw(st.integers(0, len(row) - 1))] = draw(ODD_CELLS)
+        elif mode == "short":
+            row = row[:draw(st.integers(0, len(row)))]
+        elif mode == "long":
+            row += draw(st.lists(ODD_CELLS | cell("feature"), min_size=1, max_size=3))
+        elif mode == "blank":
+            row = []
+        rows.append(row)
+    sep = draw(SEPARATORS)
+    return sep.join(",".join(row) for row in rows) + draw(st.sampled_from(["", sep]))
+
+
+def plot_beeswarm(path):
+    out = path.with_name("beeswarm.svg")
+    cmd_plot(argparse.Namespace(kind="beeswarm", in_path=str(path), out=str(out), seed=1,
+                                band=None), None)
+    return out.read_bytes()
+
+
+def outcome(call, path):
+    try:
+        return call(path)
+    except PcrboostError as exc:
+        return type(exc), str(exc)
+
 
 JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers() | st.text(max_size=8)
@@ -167,3 +219,17 @@ class TestCliReaders:
         scratch.write_text(text, encoding="utf-8")
         args = ["--in", str(scratch), "--out", str(scratch.with_name("beeswarm.svg"))]
         assert main(["plot", "--kind", "beeswarm", "--seed", "1", *args]) in (0, 2)
+
+    @given(shap_csv_text())
+    @example("feature,shap_value,feature_value\r\ncough,0.5,1\r\n\r\nfever,-0.25,0\r\n")
+    @example("feature,feature_value,shap_value,feature\ncough,1,0.5\nfever,0,0.25,cough\n")
+    @example("feature,shap_value,feature_value\ncough,x,1\ncough,0.5,\x00\n")
+    @example("feature,shap_value,feature_value\ncough,x,1\ncough,0.5,\udcff\n")
+    @example("feature,shap_value,feature_value\ncough,x,1\ncough,0.5," + "1" * 140000 + "\n")
+    def test_beeswarm_reader_matches_row_by_row_oracle(self, scratch, text):
+        # the same SVG bytes, or the same error class and message: a line csv
+        # refuses (a field over its size limit) or cannot decode, anywhere in
+        # the file, wins over an earlier bad cell
+        scratch.write_bytes(text.encode("utf-8", "surrogateescape"))
+        oracle = outcome(lambda p: reference_beeswarm_svg(p, 1).encode("utf-8"), scratch)
+        assert outcome(plot_beeswarm, scratch) == oracle
