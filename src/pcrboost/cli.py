@@ -96,6 +96,16 @@ def _fractions_arg(raw: str):
     return out
 
 
+def _seed_arg(raw: str) -> int:
+    try:
+        value = int(raw)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid seed {raw!r}") from None
+    if value < 0:  # PCG64 and SeedSequence take non-negative seeds only
+        raise argparse.ArgumentTypeError(f"seed {raw!r} is negative")
+    return value
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="pcrboost",
@@ -112,7 +122,7 @@ def build_parser():
     p.add_argument("--out", help="output dataset CSV path")
     p.add_argument("--n-pos", type=int, help="number of positive records")
     p.add_argument("--n-neg", type=int, help="number of negative records")
-    p.add_argument("--seed", type=int, help="generator seed (required)")
+    p.add_argument("--seed", type=_seed_arg, help="generator seed (required)")
     p.add_argument(
         "--marginals",
         help="dataset CSV whose marginals replace the bundled survey table",
@@ -121,7 +131,7 @@ def build_parser():
     p = subparsers["train"] = sub.add_parser("train", help="fit the boosted ensemble")
     p.add_argument("--data", help="training dataset CSV")
     p.add_argument("--out-model", help="output model JSON path")
-    p.add_argument("--seed", type=int, help="config-echo seed (required)")
+    p.add_argument("--seed", type=_seed_arg, help="config-echo seed (required)")
     p.add_argument("--num-rounds", type=int, default=TrainConfig.num_rounds)
     p.add_argument("--learning-rate", type=float, default=TrainConfig.learning_rate)
     p.add_argument("--max-leaves", type=int, default=TrainConfig.max_leaves)
@@ -152,7 +162,7 @@ def build_parser():
     p.add_argument("--bootstrap", type=int, default=1000,
                    help="bootstrap resamples (0 disables CIs)")
     p.add_argument("--alpha", type=float, default=0.05)
-    p.add_argument("--seed", type=int, help="bootstrap seed (required when bootstrapping)")
+    p.add_argument("--seed", type=_seed_arg, help="bootstrap seed (required when bootstrapping)")
     p.add_argument("--roc-band", action="store_true",
                    help="also bootstrap a TPR band on a 101-point FPR grid")
 
@@ -162,7 +172,7 @@ def build_parser():
     p.add_argument("--data", help="input dataset CSV")
     p.add_argument("--fractions", type=_fractions_arg, default="0.25,0.5,0.75",
                    help="comma-separated drop fractions")
-    p.add_argument("--seed", type=int, help="drop-selection seed (required)")
+    p.add_argument("--seed", type=_seed_arg, help="drop-selection seed (required)")
     p.add_argument("--out-dir", help="output directory")
 
     p = subparsers["plot"] = sub.add_parser("plot", help="render an SVG chart")
@@ -171,7 +181,7 @@ def build_parser():
                    help="thresholds CSV (roc/pr) or SHAP CSV (beeswarm)")
     p.add_argument("--band", help="roc_band CSV for the shaded ROC band (roc only)")
     p.add_argument("--out", help="output SVG path")
-    p.add_argument("--seed", type=int, help="jitter seed (required for beeswarm)")
+    p.add_argument("--seed", type=_seed_arg, help="jitter seed (required for beeswarm)")
 
     for p in subparsers.values():
         p.add_argument("--config", help="key=value file; explicit flags win")
@@ -273,9 +283,9 @@ def cmd_train(args, parser):
         min_split_gain=args.min_split_gain,
         seed=args.seed,
     )
-    model = fit(ds, cfg)
+    text = save_model(fit(ds, cfg))  # before the file is opened, so a failure leaves none
     with open(args.out_model, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(save_model(model))
+        fh.write(text)
     return [args.data], [args.out_model], args.out_model + ".manifest.json"
 
 

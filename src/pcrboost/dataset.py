@@ -169,20 +169,34 @@ class BiasSimConfig:
             raise ContractError("drop_fraction must be in [0,1]")
 
 
+def _line_table(positions) -> dict[str, int]:
+    """Every valid body line → its cell code (2 * pattern code + label), in cell order,
+    for a file that holds schema column i at position positions[i]."""
+    cells = np.arange(2 << N_FEATURES)
+    schema_rows = np.column_stack([PATTERNS[cells >> 1], cells & 1])
+    file_rows = np.where(schema_rows[:, np.argsort(positions)] == 1, "1", "0")
+    return {",".join(row): cell for cell, row in enumerate(file_rows.tolist())}
+
+
 def load_csv(source) -> Dataset:
     """Parse a dataset from a byte stream (or bytes) of the documented CSV.
 
     The header must name all 8 schema columns plus `label`, in any order;
     columns are mapped onto schema order. Body cells must be literal 0 or 1.
     A leading UTF-8 byte-order mark is skipped.
+
+    A body line is one of 512 texts for the header's column order, so the body
+    is split on LF and each line looked up in that table. If any line misses,
+    the whole body goes through csv.reader instead, which names the first bad
+    row. The body is decoded in one piece: a byte that is not UTF-8 is reported
+    even when an earlier row is bad.
     """
     if isinstance(source, (bytes, bytearray)):
         source = io.BytesIO(source)
     text = io.TextIOWrapper(source, encoding="utf-8-sig", newline="")
     try:
-        reader = csv.reader(text)
         try:
-            header = next(reader)
+            header = next(csv.reader(text))
         except StopIteration:
             raise DataFormatError("empty CSV: missing header") from None
         except csv.Error as exc:
@@ -198,29 +212,32 @@ def load_csv(source) -> Dataset:
         missing = [name for name in CSV_HEADER if name not in seen]
         if missing:
             raise DataFormatError(f"missing column {missing[0]!r}")
-        order = [seen[name] for name in CSV_HEADER]
+        positions = [seen[name] for name in CSV_HEADER]
+        table = _line_table(positions)
 
-        rows: list[list[int]] = []
-        try:
-            for lineno, row in enumerate(reader, start=2):
-                if len(row) != len(CSV_HEADER):
-                    raise DataFormatError(f"line {lineno}: expected {len(CSV_HEADER)} cells, got {len(row)}")
-                out = []
-                for pos in order:
-                    cell = row[pos]
-                    if cell == "0":
-                        out.append(0)
-                    elif cell == "1":
-                        out.append(1)
-                    else:
-                        raise DataFormatError(f"line {lineno}: non-binary value {cell!r}")
-                rows.append(out)
-        except csv.Error as exc:
-            raise DataFormatError(f"malformed CSV: {exc}") from None
-        if not rows:
+        body = text.read()
+        lines = body.split("\n")
+        if lines[-1] == "":
+            lines.pop()
+        cells = list(map(table.get, lines))
+        if None in cells:
+            cells = []
+            try:
+                for lineno, row in enumerate(csv.reader(io.StringIO(body, newline="")), start=2):
+                    if len(row) != len(CSV_HEADER):
+                        raise DataFormatError(
+                            f"line {lineno}: expected {len(CSV_HEADER)} cells, got {len(row)}")
+                    cell = table.get(",".join(row))
+                    if cell is None:  # some cell, first in schema order, is not 0 or 1
+                        bad = next(row[pos] for pos in positions if row[pos] not in ("0", "1"))
+                        raise DataFormatError(f"line {lineno}: non-binary value {bad!r}")
+                    cells.append(cell)
+            except csv.Error as exc:
+                raise DataFormatError(f"malformed CSV: {exc}") from None
+        if not cells:
             raise DataFormatError("empty CSV body")
-        arr = np.array(rows, dtype=np.uint8)
-        return Dataset(arr[:, :N_FEATURES], arr[:, N_FEATURES], provenance="csv")
+        codes = np.array(cells, dtype=np.uint16)
+        return Dataset(PATTERNS[codes >> 1], codes & 1, provenance="csv")
     except UnicodeDecodeError:
         raise DataFormatError("malformed CSV: not UTF-8 text") from None
     finally:
@@ -229,11 +246,11 @@ def load_csv(source) -> Dataset:
 
 def save_csv(ds: Dataset, dest) -> None:
     """Write the documented CSV (LF newlines, ASCII 0/1 cells) to a binary stream."""
-    lines = [",".join(CSV_HEADER)]
-    body = np.column_stack([ds.X, ds.y])
-    for row in body:
-        lines.append(",".join("1" if v else "0" for v in row))
-    dest.write(("\n".join(lines) + "\n").encode("ascii"))
+    # the canonical column order's 512 body lines, indexed by cell code
+    lines = np.array([line + "\n" for line in _line_table(range(len(CSV_HEADER)))], dtype=object)
+    cells = 2 * pattern_codes(ds.X).astype(np.intp) + ds.y
+    dest.write((",".join(CSV_HEADER) + "\n").encode("ascii"))
+    dest.write("".join(lines[cells]).encode("ascii"))
 
 
 def marginals_from(ds: Dataset) -> MarginalTable:

@@ -60,10 +60,10 @@ class TrainConfig:
             raise ContractError("max_leaves must be >= 2")
         if self.min_samples_leaf < 1:
             raise ContractError("min_samples_leaf must be >= 1")
-        if self.l2_lambda < 0.0:
-            raise ContractError("l2_lambda must be >= 0")
-        if self.min_split_gain < 0.0:
-            raise ContractError("min_split_gain must be >= 0")
+        if not 0.0 <= self.l2_lambda < math.inf:  # false for NaN too
+            raise ContractError("l2_lambda must be finite and >= 0")
+        if not 0.0 <= self.min_split_gain < math.inf:
+            raise ContractError("min_split_gain must be finite and >= 0")
 
 
 @dataclass

@@ -58,6 +58,9 @@ def _explain_matrix(model: Model, X: np.ndarray):
     (not in it). Weights keep size-1 axes for the features off their path.
     """
     n = X.shape[0]
+    if n == 1:  # one row sums the coalitions pairwise; every batch of two or more adds them in order
+        base, phis = _explain_matrix(model, np.repeat(X, 2, axis=0))
+        return base, phis[:1]
     phis = np.zeros((n, N_FEATURES))
     base = float(model.base_score)
     # agree[f][side]: 1.0 where a row's feature f routes to `side` (0 left, 1 right)

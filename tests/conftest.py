@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import csv
+import io
 import itertools
 import math
 from dataclasses import dataclass
@@ -13,7 +15,14 @@ import pytest
 from hypothesis import HealthCheck, settings
 
 from pcrboost.cli import _float_cell, _read_table
-from pcrboost.dataset import FEATURE_NAMES, N_FEATURES, Dataset, _class_totals, reference_counts
+from pcrboost.dataset import (
+    CSV_HEADER,
+    FEATURE_NAMES,
+    N_FEATURES,
+    Dataset,
+    _class_totals,
+    reference_counts,
+)
 from pcrboost.errors import ContractError, DataFormatError
 from pcrboost.formatting import write_csv
 from pcrboost.gbm import Model, TrainConfig, TreeNode, logistic_grad_hess, tree_values
@@ -509,6 +518,73 @@ def reference_beeswarm_svg(path, seed: int) -> str:
         for value, feature_value in by_feature[name]
     ]
     return reference_render_beeswarm_svg(points, seed=seed, title="SHAP beeswarm")
+
+
+def reference_load_csv(source) -> Dataset:
+    """`dataset.load_csv` checking every cell of every row in a Python loop.
+
+    The header must name all 8 schema columns plus `label`, in any order;
+    columns are mapped onto schema order. Body cells must be literal 0 or 1.
+    A leading UTF-8 byte-order mark is skipped.
+    """
+    if isinstance(source, (bytes, bytearray)):
+        source = io.BytesIO(source)
+    text = io.TextIOWrapper(source, encoding="utf-8-sig", newline="")
+    try:
+        reader = csv.reader(text)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise DataFormatError("empty CSV: missing header") from None
+        except csv.Error as exc:
+            raise DataFormatError(f"malformed CSV: {exc}") from None
+        expected = set(CSV_HEADER)
+        seen: dict[str, int] = {}
+        for pos, name in enumerate(header):
+            if name not in expected:
+                raise DataFormatError(f"unknown column {name!r}")
+            if name in seen:
+                raise DataFormatError(f"duplicate column {name!r}")
+            seen[name] = pos
+        missing = [name for name in CSV_HEADER if name not in seen]
+        if missing:
+            raise DataFormatError(f"missing column {missing[0]!r}")
+        order = [seen[name] for name in CSV_HEADER]
+
+        rows: list[list[int]] = []
+        try:
+            for lineno, row in enumerate(reader, start=2):
+                if len(row) != len(CSV_HEADER):
+                    raise DataFormatError(f"line {lineno}: expected {len(CSV_HEADER)} cells, got {len(row)}")
+                out = []
+                for pos in order:
+                    cell = row[pos]
+                    if cell == "0":
+                        out.append(0)
+                    elif cell == "1":
+                        out.append(1)
+                    else:
+                        raise DataFormatError(f"line {lineno}: non-binary value {cell!r}")
+                rows.append(out)
+        except csv.Error as exc:
+            raise DataFormatError(f"malformed CSV: {exc}") from None
+        if not rows:
+            raise DataFormatError("empty CSV body")
+        arr = np.array(rows, dtype=np.uint8)
+        return Dataset(arr[:, :N_FEATURES], arr[:, N_FEATURES], provenance="csv")
+    except UnicodeDecodeError:
+        raise DataFormatError("malformed CSV: not UTF-8 text") from None
+    finally:
+        text.detach()
+
+
+def reference_save_csv(ds: Dataset, dest) -> None:
+    """`dataset.save_csv` joining every cell of every row."""
+    lines = [",".join(CSV_HEADER)]
+    body = np.column_stack([ds.X, ds.y])
+    for row in body:
+        lines.append(",".join("1" if v else "0" for v in row))
+    dest.write(("\n".join(lines) + "\n").encode("ascii"))
 
 
 @dataclass(frozen=True)

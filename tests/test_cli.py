@@ -326,6 +326,14 @@ class TestTrainModes:
         assert run("train", "--data", pipeline / "data.csv",
                    "--out-model", tmp_path / "no_dir" / "m.json", "--seed", "0") == 4
 
+    @pytest.mark.parametrize("value", ["inf", "nan"])
+    @pytest.mark.parametrize("flag", ["--min-split-gain", "--l2-lambda"])
+    def test_non_finite_regularisation_writes_no_model(self, pipeline, tmp_path, flag, value):
+        model = tmp_path / "m.json"
+        assert run("train", "--data", pipeline / "data.csv", "--out-model", model,
+                   "--seed", "0", "--num-rounds", "3", flag, value) == 3
+        assert list(tmp_path.iterdir()) == []
+
     def test_zero_hessian_with_zero_lambda_is_contract_error(self, tmp_path, capsys):
         X = PATTERNS[:40]
         data = tmp_path / "separable.csv"
@@ -356,7 +364,9 @@ class TestPerPatternWriters:
 
         reference_write_scores(tmp_path / "ref_scores.csv", model.predict_proba(ds.X))
         distinct, inverse = np.unique(pattern_codes(ds.X), return_inverse=True)
-        base, phis = reference_explain_matrix(model, PATTERNS[distinct])
+        # one row sums pairwise; like `explain`, the oracle takes a lone pattern twice
+        patterns = PATTERNS[distinct] if len(distinct) > 1 else PATTERNS[[distinct[0]] * 2]
+        base, phis = reference_explain_matrix(model, patterns)
         reference_write_shap(tmp_path / "ref_shap.csv", ds, base, phis[inverse])
         for out, ref in (("predict.csv", "ref_scores.csv"), ("explain.csv", "ref_shap.csv")):
             assert (tmp_path / out).read_bytes() == (tmp_path / ref).read_bytes(), out
@@ -474,6 +484,33 @@ class TestSimulateBias:
                    "--out-dir", out_dir, "--seed", "1",
                    "--fractions", "0.5,0.25,.50") == 2
         assert not out_dir.exists()
+
+
+class TestSeeds:
+    COMMANDS = {
+        "synth": lambda p, t: [*SYNTH[:-2], "--out", t / "d.csv"],
+        "train": lambda p, t: ["train", "--data", p / "data.csv", "--out-model", t / "m.json"],
+        "simulate-bias": lambda p, t: ["simulate-bias", "--data", p / "data.csv",
+                                       "--out-dir", t / "bias"],
+        "beeswarm": lambda p, t: ["plot", "--kind", "beeswarm", "--in", p / "shap.csv",
+                                  "--out", t / "b.svg"],
+        "bootstrap": lambda p, t: ["evaluate", "--model", p / "model.json", "--data",
+                                   p / "data.csv", "--out-prefix", t / "e_", "--bootstrap", "100"],
+    }
+
+    @pytest.mark.parametrize("via", ["flag", "config"])
+    @pytest.mark.parametrize("command", list(COMMANDS))
+    def test_negative_seed_is_usage_error(self, pipeline, tmp_path, command, via):
+        out = tmp_path / "out"
+        out.mkdir()
+        argv = self.COMMANDS[command](pipeline, out)
+        if via == "flag":
+            argv += ["--seed", "-1"]
+        else:
+            (tmp_path / "run.cfg").write_text("seed = -1\n")
+            argv += ["--config", tmp_path / "run.cfg"]
+        assert run(*argv) == 2
+        assert list(out.iterdir()) == []
 
 
 class TestTopLevel:

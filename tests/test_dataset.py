@@ -10,6 +10,7 @@ import pytest
 from pcrboost.dataset import (
     CSV_HEADER,
     FEATURE_NAMES,
+    PATTERNS,
     SYMPTOM_FEATURES,
     BiasSimConfig,
     Dataset,
@@ -25,7 +26,7 @@ from pcrboost.dataset import (
     synthesize,
 )
 from pcrboost.errors import ContractError, DataFormatError
-from conftest import from_class_counts, reference_dataset
+from conftest import from_class_counts, reference_dataset, reference_load_csv, reference_save_csv
 
 
 def csv_bytes(header, rows):
@@ -109,6 +110,47 @@ class TestSaveCsv:
         assert b"\r" not in blob
         assert blob.decode().splitlines()[0] == ",".join(CSV_HEADER)
         assert blob.decode().splitlines()[1] == "0,0,0,0,0,0,0,0,0"
+
+
+class TestAgainstPerCellOracles:
+    """The per-line loader and writer against the per-cell loop they replaced."""
+
+    @staticmethod
+    def saved(save, ds) -> bytes:
+        buf = io.BytesIO()
+        save(ds, buf)
+        return buf.getvalue()
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 513, 5000])
+    def test_save_csv_bytes(self, rng, n):
+        ds = Dataset(rng.integers(0, 2, size=(n, 8), dtype=np.uint8),
+                     rng.integers(0, 2, size=n, dtype=np.uint8))
+        assert self.saved(save_csv, ds) == self.saved(reference_save_csv, ds)
+
+    def test_save_csv_bytes_every_cell(self):
+        codes = np.arange(512)
+        ds = Dataset(PATTERNS[codes >> 1], codes & 1)
+        assert self.saved(save_csv, ds) == self.saved(reference_save_csv, ds)
+
+    @pytest.mark.parametrize("newline", [b"\n", b"\r\n"])
+    def test_load_csv_permuted_columns(self, rng, newline):
+        ds = Dataset(rng.integers(0, 2, size=(3000, 8), dtype=np.uint8),
+                     rng.integers(0, 2, size=3000, dtype=np.uint8))
+        perm = list(rng.permutation(9))
+        rows = np.column_stack([ds.X, ds.y])[:, perm].tolist()
+        blob = csv_bytes([CSV_HEADER[i] for i in perm], rows).replace(b"\n", newline)
+        assert load_csv(blob) == reference_load_csv(blob) == ds
+
+    def test_undecodable_byte_beyond_the_first_chunk_wins(self):
+        # the body is decoded in one piece, so an invalid byte past the first
+        # 8 KiB decode chunk is named before an earlier bad row; both exit 2
+        body = [[0] * 9] * 2000
+        body[0] = [2] + [0] * 8
+        blob = csv_bytes(CSV_HEADER, body) + b"\xff\n"
+        with pytest.raises(DataFormatError, match="not UTF-8"):
+            load_csv(blob)
+        with pytest.raises(DataFormatError, match="line 2: non-binary value '2'"):
+            reference_load_csv(blob)
 
 
 class TestMarginals:

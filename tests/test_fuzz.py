@@ -19,7 +19,7 @@ from pcrboost.cli import _read_config, _read_table, cmd_plot, main
 from pcrboost.dataset import CSV_HEADER, FEATURE_NAMES, Dataset, load_csv
 from pcrboost.errors import PcrboostError
 from pcrboost.gbm import Model, load_model, save_model
-from conftest import random_model, reference_beeswarm_svg
+from conftest import random_model, reference_beeswarm_svg, reference_load_csv
 
 SEPARATORS = st.sampled_from(["\n", "\r\n", "\r"])
 
@@ -41,6 +41,46 @@ DATASET_TEXT = csv_text(
     st.sampled_from(["0", "1", "", "2", " 1", '"1"', "0.0", "-0", "\u0661", '"', "1,0"]),
     len(CSV_HEADER),
 )
+
+# quoted cells (a comma or line break inside), bad numbers, NUL, characters
+# that str.splitlines but not csv ends a line at, and a lone surrogate that is
+# written as the undecodable byte 0xff
+ODD_DATASET_CELLS = st.sampled_from(['"0"', '"1"', "", "2", " 1", "1 ", "0.0", "-0", "\u0661",
+                                     '"', '"1,0"', '"0\n1"', '"1\r\n"', "\x00", "\x0c",
+                                     "\u2028", "\udcff"])
+
+
+@st.composite
+def dataset_csv_text(draw):
+    """Dataset-CSV-shaped text: a permuted (now and then broken) header, then mostly
+    canonical lines, some holding a quoted or odd cell, short, long or blank, each
+    line ended by LF, CRLF or CR."""
+    header = list(draw(st.permutations(CSV_HEADER)))
+    if draw(st.integers(0, 9)) == 0:
+        header[draw(st.integers(0, 8))] = draw(st.sampled_from(["", "x", "label", '"cough"']))
+    rows = [header]
+    for _ in range(draw(st.integers(0, 12))):
+        row = draw(st.lists(st.sampled_from(["0", "1"]), min_size=9, max_size=9))
+        mode = draw(st.sampled_from(["good"] * 8 + ["quoted", "odd", "short", "long", "blank"]))
+        if mode == "quoted":
+            i = draw(st.integers(0, 8))
+            row[i] = f'"{row[i]}"'
+        elif mode == "odd":
+            for i in draw(st.lists(st.integers(0, 8), min_size=1, max_size=2)):
+                row[i] = draw(ODD_DATASET_CELLS)
+        elif mode == "short":
+            row = row[:draw(st.integers(0, 8))]
+        elif mode == "long":
+            row += draw(st.lists(st.sampled_from(["0", "1", ""]), min_size=1, max_size=2))
+        elif mode == "blank":
+            row = []
+        rows.append(row)
+    ends = st.sampled_from(["\n"] * 6 + ["\r\n", "\r"])
+    text = "".join(",".join(row) + draw(ends) for row in rows)
+    if draw(st.booleans()):  # no newline after the last line
+        text = text.rstrip("\r\n")
+    return ("\ufeff" if draw(st.booleans()) else "") + text
+
 
 SHAP_COLUMNS = ("record_index", "feature", "feature_value", "shap_value", "base_value")
 SHAP_CELLS = {
@@ -158,6 +198,21 @@ class TestLoadCsv:
             return
         assert isinstance(ds, Dataset) and len(ds) > 0
         assert set(np.unique(ds.X)) <= {0, 1} and set(np.unique(ds.y)) <= {0, 1}
+
+
+class TestLoadCsvMatchesPerCellOracle:
+    @given(dataset_csv_text())
+    @example(",".join(CSV_HEADER) + "\n0,0,0,0,0,0,0,0,0\n\n")
+    @example(",".join(CSV_HEADER) + "\r\n0,0,0,0,0,0,0,0,0\r\n1,1,1,1,1,1,1,1,1")
+    @example(",".join(CSV_HEADER) + "\n" + "0,0,0,0,0,0,0,0,0\n" * 9 + '"0,0",0,0,0,0,0,0,0\n')
+    @example(",".join(CSV_HEADER) + "\n0,0,0,0,0,0,0,0,2\n0,0,0,0,0,0,0,0,0,\udcff\n")
+    @example(",".join(reversed(CSV_HEADER)) + "\n2,0,0,0,0,0,0,0,3\n")
+    @example(",".join(CSV_HEADER) + "\n0,0,0,0,0,0,0,0,\r0\n")
+    @example(",".join(CSV_HEADER) + "\n0,0,0,0,0,0,0,0,0\n0,\x0c0,0,0,0,0,0,0,0\n")
+    def test_same_dataset_or_same_error(self, text):
+        # an equal Dataset, or the same error class and message
+        blob = text.encode("utf-8", "surrogateescape")
+        assert outcome(load_csv, blob) == outcome(reference_load_csv, blob)
 
 
 class TestLoadModel:

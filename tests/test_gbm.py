@@ -159,6 +159,12 @@ class TestFit:
         with pytest.raises(ContractError):
             TrainConfig(l2_lambda=-0.5)
 
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    @pytest.mark.parametrize("name", ["l2_lambda", "min_split_gain"])
+    def test_non_finite_regularisation_rejected(self, name, value):
+        with pytest.raises(ContractError, match=f"{name} must be finite"):
+            TrainConfig(**{name: value})
+
 
 def walk(node, path=()):
     yield node, path

@@ -180,6 +180,24 @@ class TestExplainDataset:
             explain_dataset(model, ds)
 
 
+class TestOneAnswerPerPattern:
+    def test_explain_equals_the_batch_on_every_pattern(self, rng):
+        model = random_model(rng, n_trees=8)
+        base, phis = _explain_matrix(model, PATTERNS)
+        for code, x in enumerate(PATTERNS):
+            exp = explain(model, x)
+            assert exp.base_value == base
+            assert np.array_equal(exp.contributions, phis[code]), code
+
+    def test_single_pattern_dataset_equals_the_batch(self, rng):
+        model = random_model(rng, n_trees=5)
+        _, phis = _explain_matrix(model, PATTERNS)
+        ds = Dataset(PATTERNS[[77] * 4], np.zeros(4, dtype=np.uint8))
+        _, codes, single, _ = explain_patterns(model, ds)
+        assert codes.tolist() == [77]
+        assert np.array_equal(single, phis[[77]])
+
+
 class TestTopDownMatchesPerLeafReference:
     """The one-walk-per-tree grid against the per-leaf path products, bit for bit."""
 
@@ -206,7 +224,11 @@ class TestTopDownMatchesPerLeafReference:
     def test_row_subsets_and_single_row(self, rng):
         model = random_model(rng, 6)
         self.assert_identical(model, PATTERNS[rng.permutation(256)[:37]])
-        self.assert_identical(model, PATTERNS[[200]])
+        # a lone row is taken twice (one row would sum pairwise), so the oracle is fed it twice
+        base, phis = _explain_matrix(model, PATTERNS[[200]])
+        ref_base, ref_phis = reference_explain_matrix(model, PATTERNS[[200, 200]])
+        assert base == ref_base
+        assert np.array_equal(phis, ref_phis[:1])
 
     def test_feature_repeated_on_a_path(self):
         # load_model refuses this shape, but an in-memory Model can hold it
