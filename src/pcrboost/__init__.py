@@ -3,9 +3,9 @@
 Submodules:
     dataset  - CSV I/O, calibrated synthesis, reporter rates, bias simulation
     gbm      - second-order boosting, prediction, model JSON persistence
-    shap     - exact coalition-enumeration SHAP and feature ranking order
+    shap     - exact coalition-enumeration SHAP
     metrics  - auROC/auPRC, threshold panels, percentile bootstrap with ROC band
-    plots    - deterministic SVG rendering (curves, beeswarm)
+    plots    - deterministic SVG rendering (curves, beeswarm) and feature ranking order
     cli      - the `pcrboost` command-line pipeline
 """
 

@@ -18,35 +18,41 @@ import operator
 import sys
 import time
 from dataclasses import asdict, dataclass
+from importlib import import_module
 
 from . import __version__
-from .dataset import (
-    FEATURE_NAMES,
-    BiasSimConfig,
-    Dataset,
-    distinct_patterns,
-    load_csv,
-    marginals_from,
-    reference_marginals,
-    reporter_positive_rate,
-    save_csv,
-    simulate_bias,
-    synthesize,
-)
 from .errors import ContractError, DataFormatError
 from .formatting import PatternRows, write_csv
-from .gbm import TrainConfig, fit, load_model, save_model
-from .metrics import (
-    THRESHOLD_REPORT_FIELDS,
-    ScoredLabels,
-    aupr,
-    auroc,
-    bootstrap,
-    threshold_report,
-    unique_thresholds,
-)
-from .plots import render_beeswarm_svg, render_curve_svg
-from .shap import explain_dataset, rank_features
+
+
+def _deferred(module: str, name: str):
+    """pcrboost.<module>.<name>, imported when first called: a command loads only its layers."""
+    def call(*args, **kwargs):
+        return getattr(import_module(f"{__package__}.{module}"), name)(*args, **kwargs)
+
+    return call
+
+
+# layer entry points, called as module globals so that a traced run can wrap them
+Dataset = _deferred("dataset", "Dataset")
+load_csv = _deferred("dataset", "load_csv")
+marginals_from = _deferred("dataset", "marginals_from")
+reference_marginals = _deferred("dataset", "reference_marginals")
+reporter_positive_rate = _deferred("dataset", "reporter_positive_rate")
+save_csv = _deferred("dataset", "save_csv")
+simulate_bias = _deferred("dataset", "simulate_bias")
+synthesize = _deferred("dataset", "synthesize")
+fit = _deferred("gbm", "fit")
+load_model = _deferred("gbm", "load_model")
+save_model = _deferred("gbm", "save_model")
+explain_dataset = _deferred("shap", "explain_dataset")
+ScoredLabels = _deferred("metrics", "ScoredLabels")
+aupr = _deferred("metrics", "aupr")
+auroc = _deferred("metrics", "auroc")
+threshold_report = _deferred("metrics", "threshold_report")
+unique_thresholds = _deferred("metrics", "unique_thresholds")
+render_beeswarm_svg = _deferred("plots", "render_beeswarm_svg")
+render_curve_svg = _deferred("plots", "render_curve_svg")
 
 # flags that must be resolved (CLI or config) before a command can run
 _REQUIRED = {
@@ -58,6 +64,9 @@ _REQUIRED = {
     "simulate-bias": ("data", "out_dir", "seed"),
     "plot": ("kind", "in_path", "out"),
 }
+# train's tuning flags; main sets their defaults from TrainConfig when train runs
+_TRAIN_FLAGS = ("num_rounds", "learning_rate", "max_leaves", "min_samples_leaf",
+                "l2_lambda", "min_split_gain")
 
 
 @dataclass
@@ -132,12 +141,12 @@ def build_parser():
     p.add_argument("--data", help="training dataset CSV")
     p.add_argument("--out-model", help="output model JSON path")
     p.add_argument("--seed", type=_seed_arg, help="config-echo seed (required)")
-    p.add_argument("--num-rounds", type=int, default=TrainConfig.num_rounds)
-    p.add_argument("--learning-rate", type=float, default=TrainConfig.learning_rate)
-    p.add_argument("--max-leaves", type=int, default=TrainConfig.max_leaves)
-    p.add_argument("--min-samples-leaf", type=int, default=TrainConfig.min_samples_leaf)
-    p.add_argument("--l2-lambda", type=float, default=TrainConfig.l2_lambda)
-    p.add_argument("--min-split-gain", type=float, default=TrainConfig.min_split_gain)
+    p.add_argument("--num-rounds", type=int)
+    p.add_argument("--learning-rate", type=float)
+    p.add_argument("--max-leaves", type=int)
+    p.add_argument("--min-samples-leaf", type=int)
+    p.add_argument("--l2-lambda", type=float)
+    p.add_argument("--min-split-gain", type=float)
 
     p = subparsers["predict"] = sub.add_parser(
         "predict", help="write per-record probabilities"
@@ -273,16 +282,10 @@ def cmd_synth(args, parser):
 
 
 def cmd_train(args, parser):
+    from .gbm import TrainConfig
+
     ds = _load_dataset(args.data)
-    cfg = TrainConfig(
-        num_rounds=args.num_rounds,
-        learning_rate=args.learning_rate,
-        max_leaves=args.max_leaves,
-        min_samples_leaf=args.min_samples_leaf,
-        l2_lambda=args.l2_lambda,
-        min_split_gain=args.min_split_gain,
-        seed=args.seed,
-    )
+    cfg = TrainConfig(seed=args.seed, **{name: getattr(args, name) for name in _TRAIN_FLAGS})
     text = save_model(fit(ds, cfg))  # before the file is opened, so a failure leaves none
     with open(args.out_model, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(text)
@@ -290,6 +293,8 @@ def cmd_train(args, parser):
 
 
 def cmd_predict(args, parser):
+    from .dataset import distinct_patterns
+
     model = _load_model(args.model)
     ds = _load_dataset(args.data)
     scores = model.predict_proba(ds.X)
@@ -300,6 +305,8 @@ def cmd_predict(args, parser):
 
 
 def cmd_explain(args, parser):
+    from .dataset import FEATURE_NAMES, distinct_patterns
+
     model = _load_model(args.model)
     ds = _load_dataset(args.data)
     base_value, phis = explain_dataset(model, ds)
@@ -316,6 +323,8 @@ def cmd_explain(args, parser):
 
 
 def cmd_evaluate(args, parser):
+    from .metrics import THRESHOLD_REPORT_FIELDS, bootstrap
+
     if args.bootstrap and args.seed is None:
         parser.error("missing required flag --seed (needed when --bootstrap > 0)")
     if args.roc_band and not args.bootstrap:
@@ -360,6 +369,8 @@ def cmd_evaluate(args, parser):
 
 def cmd_simulate_bias(args, parser):
     import os
+
+    from .dataset import FEATURE_NAMES, BiasSimConfig
 
     ds = _load_dataset(args.data)
     os.makedirs(args.out_dir, exist_ok=True)
@@ -424,6 +435,8 @@ def _read_shap_points(path: str) -> list[tuple[str, float, int]]:
     """A SHAP CSV's (feature, shap_value, feature_value) points, in file order."""
     import csv as _csv
 
+    from .dataset import FEATURE_NAMES
+
     columns = ("feature", "shap_value", "feature_value")
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
@@ -464,6 +477,8 @@ def cmd_plot(args, parser):
     if args.kind == "beeswarm":
         if args.seed is None:
             parser.error("missing required flag --seed (needed for beeswarm)")
+        from .plots import rank_features
+
         by_feature: dict[str, list[tuple[str, float, int]]] = {}
         for point in _read_shap_points(args.in_path):
             by_feature.setdefault(point[0], []).append(point)
@@ -476,11 +491,15 @@ def cmd_plot(args, parser):
     else:
         rows = _read_table(args.in_path, {"sensitivity", "fpr", "ppv"})
         if args.kind == "roc":
+            if not rows:
+                raise DataFormatError("malformed input CSV: no threshold rows")
             points = [(0.0, 0.0)]
             points += [(_float_cell(r, "fpr"), _float_cell(r, "sensitivity")) for r in rows]
             band = None
             if args.band:
                 band_rows = _read_table(args.band, {"fpr", "tpr_lo", "tpr_hi"})
+                if not band_rows:
+                    raise DataFormatError("malformed input CSV: no ROC band rows")
                 band = (
                     [_float_cell(r, "fpr") for r in band_rows],
                     [_float_cell(r, "tpr_lo") for r in band_rows],
@@ -520,6 +539,11 @@ def main(argv=None) -> int:
     try:
         command = next((t for t in argv if t in _HANDLERS), None)
         config_path = _scan_config_path(argv)
+        if command == "train":  # before the config, which beats these defaults
+            from .gbm import TrainConfig
+
+            subparsers[command].set_defaults(
+                **{name: getattr(TrainConfig, name) for name in _TRAIN_FLAGS})
         if command is not None and config_path is not None:
             _apply_config(subparsers[command], _read_config(config_path))
         try:

@@ -2,12 +2,11 @@
 
 Documents are built from formatted strings (no plotting library) so the
 same inputs and seed always produce byte-identical files. Coordinates are
-fixed to two decimals; colors and layout are constants.
+fixed to two decimals; colors and layout are constants. Only the beeswarm
+loads NumPy, so a curve chart starts without it.
 """
 
 from __future__ import annotations
-
-import numpy as np
 
 from .errors import ContractError
 
@@ -19,6 +18,9 @@ _BAND = "#aecde3"
 _GRID = "#d9d9d9"
 _AXIS = "#333333"
 _VALUE_COLORS = {0: "#2e7bd6", 1: "#d64a2e"}
+
+# np.linspace(0, 1, 6) written out: curve charts load no NumPy
+_TICKS = (0.0, 0.2, 0.4, 0.6000000000000001, 0.8, 1.0)
 
 _AXIS_LABELS = {
     "roc": ("False positive rate", "True positive rate"),
@@ -58,7 +60,7 @@ def render_curve_svg(points, *, kind: str, title: str, band=None) -> str:
 
     parts = [_svg_open(_CURVE_W, _CURVE_H)]
     parts.append(_text(_CURVE_W / 2, 22, title, size=14))
-    for tick in np.linspace(0.0, 1.0, 6):
+    for tick in _TICKS:
         gx, gy = px(tick), py(tick)
         parts.append(
             f'<line x1="{_f(gx)}" y1="{_f(py(0))}" x2="{_f(gx)}" y2="{_f(py(1))}" '
@@ -87,8 +89,8 @@ def render_curve_svg(points, *, kind: str, title: str, band=None) -> str:
     parts.append(frame)
     parts.append(_text((px(0) + px(1)) / 2, _CURVE_H - 12, x_label))
     parts.append(_text(18, (py(0) + py(1)) / 2, y_label, rotate=True))
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+    parts += ["</svg>", ""]
+    return "\n".join(parts)
 
 
 def render_beeswarm_svg(points, *, seed: int, title: str) -> str:
@@ -98,6 +100,8 @@ def render_beeswarm_svg(points, *, seed: int, title: str) -> str:
     by feature in ranking order (mean |SHAP| descending, as `plot --kind
     beeswarm` orders the rows of a SHAP CSV).
     """
+    import numpy as np
+
     if not points:
         raise ContractError("no beeswarm points")
     # strips in order of each feature's first appearance, points in input order
@@ -154,5 +158,12 @@ def render_beeswarm_svg(points, *, seed: int, title: str) -> str:
     parts.append(
         _text((_ML + _CURVE_W - _MR) / 2, height - 12, "SHAP value (log-odds)")
     )
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+    parts += ["</svg>", ""]  # one join, no second copy of the document for its last newline
+    return "\n".join(parts)
+
+
+def rank_features(means: dict[str, float]) -> list[str]:
+    """Feature names by descending mean |SHAP|, schema order breaking ties."""
+    from .dataset import FEATURE_NAMES
+
+    return sorted(means, key=lambda name: (-means[name], FEATURE_NAMES.index(name)))

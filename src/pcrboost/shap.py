@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import FEATURE_NAMES, N_FEATURES, PATTERNS, Dataset, distinct_patterns, pattern_codes
+from .dataset import N_FEATURES, PATTERNS, Dataset, distinct_patterns, pattern_codes
 from .errors import ContractError
 from .gbm import Model
 
@@ -119,9 +119,3 @@ def explain_dataset(model: Model, ds: Dataset):
     """Attributions for every record; returns (base_value, (n,8) array)."""
     base, _, phis, inverse = explain_patterns(model, ds)
     return base, phis[inverse]
-
-
-def rank_features(means: dict[str, float]) -> list[str]:
-    """Feature names by descending mean |SHAP|, schema order breaking ties."""
-    return sorted(means, key=lambda name: (-means[name], FEATURE_NAMES.index(name)))
-

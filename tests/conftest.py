@@ -47,8 +47,9 @@ from pcrboost.plots import (
     _f,
     _svg_open,
     _text,
+    rank_features,
 )
-from pcrboost.shap import explain_dataset, rank_features
+from pcrboost.shap import explain_dataset
 
 # Property tests replay the same examples on every run (no example database),
 # and their example counts keep the whole fuzz module to a few seconds.

@@ -205,13 +205,17 @@ PIPELINE = (
 )
 
 
-def run_pipeline(workdir: Path, threads: int) -> dict[str, bytes]:
-    # The children run in workdir, where a relative PYTHONPATH inherited from
-    # the parent no longer resolves; give them the absolute source directory
+def child_env() -> dict[str, str]:
+    # Children run in other directories, where a relative PYTHONPATH inherited
+    # from the parent no longer resolves; give them the absolute source directory
     # of the package this process imported, ahead of the inherited path.
     src_dir = str(Path(pcrboost.__file__).resolve().parent.parent)
     inherited = os.environ.get("PYTHONPATH")
-    env = dict(os.environ, PYTHONPATH=src_dir + (os.pathsep + inherited if inherited else ""))
+    return dict(os.environ, PYTHONPATH=src_dir + (os.pathsep + inherited if inherited else ""))
+
+
+def run_pipeline(workdir: Path, threads: int) -> dict[str, bytes]:
+    env = child_env()
     for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
                 "NUMEXPR_NUM_THREADS"):
         env[var] = str(threads)

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import csv
 import json
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -25,7 +27,7 @@ from conftest import (
     reference_write_scores,
     reference_write_shap,
 )
-from test_acceptance import PIPELINE
+from test_acceptance import PIPELINE, child_env
 
 SYNTH = ["synth", "--n-pos", "200", "--n-neg", "800", "--seed", "3"]
 
@@ -173,6 +175,16 @@ class TestPlots:
     def test_plot_rejects_wrong_table(self, pipeline, tmp_path):
         assert run("plot", "--kind", "roc", "--in", pipeline / "scores.csv",
                    "--out", tmp_path / "x.svg") == 2
+        # a header and no rows, in the thresholds CSV (roc, pr) or the ROC band CSV
+        thresholds, band = tmp_path / "thresholds.csv", tmp_path / "band.csv"
+        for empty, table in ((thresholds, "eval_thresholds.csv"), (band, "eval_roc_band.csv")):
+            empty.write_text((pipeline / table).read_text().splitlines()[0] + "\n")
+        full = pipeline / "eval_thresholds.csv"
+        for kind, tables in (("roc", ["--in", thresholds]), ("pr", ["--in", thresholds]),
+                             ("roc", ["--in", full, "--band", band])):
+            out = tmp_path / "x.svg"
+            assert run("plot", "--kind", kind, *tables, "--out", out) == 2, (kind, tables)
+            assert not out.exists(), (kind, tables)
 
     def test_band_only_with_roc(self, pipeline, tmp_path):
         band = pipeline / "eval_roc_band.csv"
@@ -562,3 +574,75 @@ class TestTopLevel:
     def test_missing_input_file_is_io_error(self, tmp_path):
         assert run("train", "--data", tmp_path / "absent.csv",
                    "--out-model", tmp_path / "m.json", "--seed", "0") == 4
+
+
+# runs main() in a fresh interpreter and prints the pcrboost modules it imported;
+# argv[1] "no-numpy" makes any `import numpy` fail
+IMPORTS_CHILD = """
+import json, sys
+if sys.argv[1] == "no-numpy":
+    sys.modules["numpy"] = None
+from pcrboost.cli import main
+code = main(sys.argv[2:])
+print(json.dumps(sorted(m for m in sys.modules if m.startswith("pcrboost."))))
+sys.exit(code)
+"""
+
+
+def imported_layers(argv, cwd, numpy=True) -> set[str]:
+    proc = subprocess.run(
+        [sys.executable, "-c", IMPORTS_CHILD, "numpy" if numpy else "no-numpy",
+         *map(str, argv)],
+        cwd=cwd, env=child_env(), capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return {m.removeprefix("pcrboost.") for m in json.loads(proc.stdout)}
+
+
+class TestStartUp:
+    """Each command imports only the layers it runs."""
+
+    BASE = {"cli", "errors", "formatting"}
+    COMMANDS = {
+        "roc": (lambda p, t: ["plot", "--kind", "roc", "--in", p / "eval_thresholds.csv",
+                              "--band", p / "eval_roc_band.csv", "--out", t / "roc.svg"],
+                {"plots"}),
+        "pr": (lambda p, t: ["plot", "--kind", "pr", "--in", p / "eval_thresholds.csv",
+                             "--out", t / "pr.svg"],
+               {"plots"}),
+        "beeswarm": (lambda p, t: ["plot", "--kind", "beeswarm", "--in", p / "shap.csv",
+                                   "--seed", "4", "--out", t / "b.svg"],
+                     {"plots", "dataset"}),
+        # the bundled survey marginals are package data under pcrboost/data
+        "synth": (lambda p, t: [*SYNTH, "--out", t / "d.csv"], {"dataset", "data"}),
+        "simulate-bias": (lambda p, t: ["simulate-bias", "--data", p / "data.csv",
+                                        "--out-dir", t / "bias", "--seed", "1"],
+                          {"dataset"}),
+        "train": (lambda p, t: ["train", "--data", p / "data.csv", "--out-model", t / "m.json",
+                                "--seed", "0", "--num-rounds", "2"],
+                  {"dataset", "gbm"}),
+        "predict": (lambda p, t: ["predict", "--model", p / "model.json",
+                                  "--data", p / "data.csv", "--out", t / "s.csv"],
+                    {"dataset", "gbm"}),
+        "explain": (lambda p, t: ["explain", "--model", p / "model.json",
+                                  "--data", p / "data.csv", "--out", t / "shap.csv"],
+                    {"dataset", "gbm", "shap"}),
+        "evaluate": (lambda p, t: ["evaluate", "--model", p / "model.json", "--data",
+                                   p / "data.csv", "--out-prefix", t / "e_", "--bootstrap", "0"],
+                     {"dataset", "gbm", "metrics"}),
+    }
+
+    @pytest.mark.parametrize("command", list(COMMANDS))
+    def test_command_imports_only_its_layers(self, pipeline, tmp_path, command):
+        argv, layers = self.COMMANDS[command]
+        assert imported_layers(argv(pipeline, tmp_path), tmp_path) == self.BASE | layers
+
+    @pytest.mark.parametrize("kind", ["roc", "pr"])
+    def test_curves_render_without_numpy(self, pipeline, tmp_path, kind):
+        argv, _ = self.COMMANDS[kind]
+        with_numpy, without = tmp_path / "with", tmp_path / "without"
+        for out, numpy in ((with_numpy, True), (without, False)):
+            out.mkdir()
+            imported_layers(argv(pipeline, out), out, numpy=numpy)
+        svg = f"{kind}.svg"
+        assert (without / svg).read_bytes() == (with_numpy / svg).read_bytes()

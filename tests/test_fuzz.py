@@ -7,8 +7,11 @@ run replays the same inputs every time.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
 import json
 import math
+import tempfile
 
 import numpy as np
 import pytest
@@ -16,10 +19,10 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from pcrboost.cli import _read_config, _read_table, cmd_plot, main
-from pcrboost.dataset import CSV_HEADER, FEATURE_NAMES, Dataset, load_csv
+from pcrboost.dataset import CSV_HEADER, FEATURE_NAMES, Dataset, load_csv, save_csv
 from pcrboost.errors import PcrboostError
 from pcrboost.gbm import Model, load_model, save_model
-from conftest import random_model, reference_beeswarm_svg, reference_load_csv
+from conftest import make_dataset, random_model, reference_beeswarm_svg, reference_load_csv
 
 SEPARATORS = st.sampled_from(["\n", "\r\n", "\r"])
 
@@ -288,3 +291,69 @@ class TestCliReaders:
         scratch.write_bytes(text.encode("utf-8", "surrogateescape"))
         oracle = outcome(lambda p: reference_beeswarm_svg(p, 1).encode("utf-8"), scratch)
         assert outcome(plot_beeswarm, scratch) == oracle
+
+
+def exit_and_errors(argv):
+    """main(argv)'s exit code and the lines of its stderr that report a pcrboost error."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main([str(a) for a in argv])
+    return code, [line for line in err.getvalue().splitlines()
+                  if line.startswith("pcrboost") and "error" in line]
+
+
+FRACTION_TOKENS = st.sampled_from(["0", "1", ".5", "0.25", "-0", "1e0", "1e-1", "0_5", " 0.5",
+                                   "\u0661", "nan", "inf", "2", "-0.1", "x", "", "0.5.5"])
+FRACTIONS_TEXT = st.lists(FRACTION_TOKENS | st.text(max_size=4), max_size=5).map(",".join) | (
+    st.text(max_size=20))
+
+# a config value cannot hold a line break: the reader splits lines at every one
+CONFIG_VALUES = st.sampled_from(["0", "1", "-1", "7", "true", "False", "yes", "roc", "beeswarm",
+                                 "0.5", "1e400", "-inf", "nan", "1_0", "0x10", "", "\u0661"]) | (
+    st.text(max_size=12).map(lambda t: "".join(t.splitlines())))
+# one key of each kind _apply_config converts, and a command line that runs once
+# the value is accepted and then fails on its missing input file (exit 4)
+CONFIG_KEYS = {
+    "int": ("num_rounds", ["train", "--data", "{dir}/absent.csv", "--out-model", "{dir}/m.json",
+                           "--seed", "0"]),
+    "float": ("learning_rate", ["train", "--data", "{dir}/absent.csv",
+                                "--out-model", "{dir}/m.json", "--seed", "0"]),
+    "seed": ("seed", ["train", "--data", "{dir}/absent.csv", "--out-model", "{dir}/m.json"]),
+    "choice": ("kind", ["plot", "--in", "{dir}/absent.csv", "--out", "{dir}/x.svg",
+                        "--seed", "1"]),
+    "store-true": ("roc_band", ["evaluate", "--model", "{dir}/absent.json",
+                                "--data", "{dir}/absent.csv", "--out-prefix", "{dir}/e_",
+                                "--seed", "1"]),
+}
+
+
+@pytest.fixture(scope="module")
+def small_dataset(tmp_path_factory):
+    path = tmp_path_factory.mktemp("fuzz_data") / "data.csv"
+    with open(path, "wb") as fh:
+        save_csv(make_dataset(np.random.default_rng(2), 40), fh)
+    return path
+
+
+class TestCliFlags:
+    """Flag and config values either parse or exit 2 with one error line, never 1."""
+
+    @given(FRACTIONS_TEXT)
+    @example("0.5,0.25,.50")
+    @example("1,0_0,\u0661")
+    def test_fractions_text(self, small_dataset, text):
+        with tempfile.TemporaryDirectory() as out_dir:
+            code, errors = exit_and_errors(["simulate-bias", "--data", small_dataset,
+                                            "--out-dir", out_dir, "--seed", "1",
+                                            f"--fractions={text}"])
+        assert (code, len(errors)) in ((0, 0), (2, 1)), (code, errors)
+
+    @pytest.mark.parametrize("kind", list(CONFIG_KEYS))
+    @given(value=CONFIG_VALUES)
+    def test_config_value_of_each_kind(self, scratch, kind, value):
+        key, argv = CONFIG_KEYS[kind]
+        config = scratch.with_name("run.cfg")
+        config.write_text(f"{key} = {value}\n", encoding="utf-8")
+        argv = [a.format(dir=scratch.parent) for a in argv]
+        code, errors = exit_and_errors([*argv, "--config", config])
+        assert (code, len(errors)) in ((2, 1), (4, 1)), (code, errors)
