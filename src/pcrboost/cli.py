@@ -1,7 +1,7 @@
 """Command-line pipeline: synth, train, predict, explain, evaluate, simulate-bias, plot.
 
 Exit codes: 0 success, 2 parse/format errors, 3 contract violations,
-4 I/O failures. Every successful run writes a RunManifest JSON alongside
+4 I/O failures. Every successful run writes a JSON manifest alongside
 its outputs. Randomized commands require an explicit --seed; nothing
 defaults to wall-clock entropy.
 
@@ -17,7 +17,6 @@ import math
 import operator
 import sys
 import time
-from dataclasses import asdict, dataclass
 from importlib import import_module
 
 from . import __version__
@@ -34,7 +33,6 @@ def _deferred(module: str, name: str):
 
 
 # layer entry points, called as module globals so that a traced run can wrap them
-Dataset = _deferred("dataset", "Dataset")
 load_csv = _deferred("dataset", "load_csv")
 marginals_from = _deferred("dataset", "marginals_from")
 reference_marginals = _deferred("dataset", "reference_marginals")
@@ -67,24 +65,6 @@ _REQUIRED = {
 # train's tuning flags; main sets their defaults from TrainConfig when train runs
 _TRAIN_FLAGS = ("num_rounds", "learning_rate", "max_leaves", "min_samples_leaf",
                 "l2_lambda", "min_split_gain")
-
-
-@dataclass
-class RunManifest:
-    """Provenance of one CLI run, written alongside the command's outputs."""
-
-    command: str
-    tool_version: str
-    parameters: dict
-    inputs: list
-    outputs: list
-    seed: int | None
-    duration_seconds: float
-
-    def write(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            json.dump(asdict(self), fh, indent=2, default=str)
-            fh.write("\n")
 
 
 def _fractions_arg(raw: str):
@@ -257,10 +237,9 @@ def _require(parser, args, names) -> None:
             parser.error(f"missing required flag --{name.replace('_', '-')}")
 
 
-def _load_dataset(path: str) -> Dataset:
+def _load_dataset(path: str):
     with open(path, "rb") as fh:
-        ds = load_csv(fh)
-    return Dataset(ds.X, ds.y, provenance=f"csv:{path}")
+        return load_csv(fh)
 
 
 def _load_model(path: str):
@@ -293,27 +272,26 @@ def cmd_train(args, parser):
 
 
 def cmd_predict(args, parser):
-    from .dataset import distinct_patterns
+    import numpy as np
 
     model = _load_model(args.model)
     ds = _load_dataset(args.data)
-    scores = model.predict_proba(ds.X)
-    _, first, inverse = distinct_patterns(ds.X)
-    rows = PatternRows([[(float(scores[i]),)] for i in first], inverse)
+    # records with equal scores have equal rows
+    scores, inverse = np.unique(model.predict_proba(ds.X), return_inverse=True)
+    rows = PatternRows([[(float(score),)] for score in scores], inverse)
     write_csv(args.out, ["record_index", "score"], rows)
     return [args.model, args.data], [args.out], args.out + ".manifest.json"
 
 
 def cmd_explain(args, parser):
-    from .dataset import FEATURE_NAMES, distinct_patterns
+    from .dataset import FEATURE_NAMES, PATTERNS
 
     model = _load_model(args.model)
     ds = _load_dataset(args.data)
-    base_value, phis = explain_dataset(model, ds)
-    # each pattern's rows come from its first record; the others repeat them
-    _, first, inverse = distinct_patterns(ds.X)
-    rows = PatternRows([[(name, int(ds.X[i, f]), float(phis[i, f]), base_value)
-                         for f, name in enumerate(FEATURE_NAMES)] for i in first], inverse)
+    base_value, codes, phis, inverse = explain_dataset(model, ds)
+    rows = PatternRows([[(name, int(x[f]), float(phi[f]), base_value)
+                         for f, name in enumerate(FEATURE_NAMES)]
+                        for x, phi in zip(PATTERNS[codes], phis)], inverse)
     write_csv(
         args.out,
         ["record_index", "feature", "feature_value", "shap_value", "base_value"],
@@ -384,7 +362,7 @@ def cmd_simulate_bias(args, parser):
         outputs.append(path)
         variants.append((token, out))
 
-    def rate_or_none(d: Dataset, feature: str):
+    def rate_or_none(d, feature: str):
         try:
             return reporter_positive_rate(d, feature)
         except ContractError:
@@ -403,71 +381,43 @@ def cmd_simulate_bias(args, parser):
     return [args.data], outputs, manifest_path
 
 
-def _read_table(path: str, required: set[str]) -> list[dict]:
+def _read_rows(path: str, columns: tuple[str, ...]) -> list[tuple]:
+    """The named cells of each row of a plot CSV, in file order; equal rows are one tuple.
+
+    As in csv.DictReader: blank rows are skipped, a repeated name reads its
+    last column and a short row's missing cells are None.
+    """
     import csv as _csv
 
-    try:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
-            reader = _csv.DictReader(fh)
-            if reader.fieldnames is None or not required.issubset(reader.fieldnames):
-                raise DataFormatError(f"malformed input CSV: need columns {sorted(required)}")
-            return list(reader)
-    except _csv.Error as exc:
-        raise DataFormatError(f"malformed input CSV: {exc}") from None
-    except UnicodeDecodeError:
-        raise DataFormatError("malformed input CSV: not UTF-8 text") from None
-
-
-def _float_cell(row: dict, key: str) -> float:
-    try:
-        value = float(row[key])
-    except (TypeError, ValueError):
-        value = math.nan
-    # rates lie in [0, 1]; SHAP values must stay far enough inside the
-    # float range for the beeswarm's axis span to be finite
-    lo, hi = (-1e300, 1e300) if key == "shap_value" else (0.0, 1.0)
-    if not lo <= value <= hi:  # false for NaN too
-        raise DataFormatError(f"malformed input CSV: bad {key} value {row[key]!r}")
-    return value
-
-
-def _read_shap_points(path: str) -> list[tuple[str, float, int]]:
-    """A SHAP CSV's (feature, shap_value, feature_value) points, in file order."""
-    import csv as _csv
-
-    from .dataset import FEATURE_NAMES
-
-    columns = ("feature", "shap_value", "feature_value")
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
             reader = _csv.reader(fh)
             header = next(reader, None)
             if header is None or not set(columns).issubset(header):
                 raise DataFormatError(f"malformed input CSV: need columns {sorted(columns)}")
-            # as in csv.DictReader: blank rows are skipped, a repeated name reads
-            # its last column and a short row's missing cells are None
             cells = operator.itemgetter(*({name: i for i, name in enumerate(header)}[c]
                                           for c in columns))
             pad = [None] * len(header)
             distinct: dict[tuple, tuple] = {}
-            keys = [distinct.setdefault(key, key)
-                    for key in (cells(row + pad) for row in reader if row)]
+            return [distinct.setdefault(row, row)
+                    for row in (cells(row + pad) for row in reader if row)]
     except _csv.Error as exc:
         raise DataFormatError(f"malformed input CSV: {exc}") from None
     except UnicodeDecodeError:
         raise DataFormatError("malformed input CSV: not UTF-8 text") from None
-    if not keys:
-        raise DataFormatError("malformed input CSV: no SHAP rows")
-    # checked after every line parsed (a bad line wins), in file order (the first bad row is named)
-    for key in distinct:
-        name, value, cell = key
-        if name not in FEATURE_NAMES:
-            raise DataFormatError(f"malformed input CSV: unknown feature {name!r}")
-        value = _float_cell({"shap_value": value}, "shap_value")
-        if cell not in ("0", "1"):  # literal cells, as in a dataset CSV
-            raise DataFormatError(f"malformed input CSV: bad feature_value value {cell!r}")
-        distinct[key] = (name, value, int(cell))
-    return list(map(distinct.__getitem__, keys))
+
+
+def _real(text, name: str) -> float:
+    try:
+        value = float(text)
+    except (TypeError, ValueError):
+        value = math.nan
+    # rates lie in [0, 1]; SHAP values must stay far enough inside the
+    # float range for the beeswarm's axis span to be finite
+    lo, hi = (-1e300, 1e300) if name == "shap_value" else (0.0, 1.0)
+    if not lo <= value <= hi:  # false for NaN too
+        raise DataFormatError(f"malformed input CSV: bad {name} value {text!r}")
+    return value
 
 
 def cmd_plot(args, parser):
@@ -477,10 +427,24 @@ def cmd_plot(args, parser):
     if args.kind == "beeswarm":
         if args.seed is None:
             parser.error("missing required flag --seed (needed for beeswarm)")
+        from .dataset import FEATURE_NAMES
         from .plots import rank_features
 
+        rows = _read_rows(args.in_path, ("feature", "shap_value", "feature_value"))
+        if not rows:
+            raise DataFormatError("malformed input CSV: no SHAP rows")
+        # each distinct row checked once, in file order (the first bad row is named)
+        distinct = dict.fromkeys(rows)
+        for row in distinct:
+            name, value, cell = row
+            if name not in FEATURE_NAMES:
+                raise DataFormatError(f"malformed input CSV: unknown feature {name!r}")
+            value = _real(value, "shap_value")
+            if cell not in ("0", "1"):  # literal cells, as in a dataset CSV
+                raise DataFormatError(f"malformed input CSV: bad feature_value value {cell!r}")
+            distinct[row] = (name, value, int(cell))
         by_feature: dict[str, list[tuple[str, float, int]]] = {}
-        for point in _read_shap_points(args.in_path):
+        for point in map(distinct.__getitem__, rows):
             by_feature.setdefault(point[0], []).append(point)
         # the builtin sum over each feature's records in file order; a count x |v|
         # product per distinct cell rounds differently and can flip a near-tie
@@ -489,30 +453,25 @@ def cmd_plot(args, parser):
         points = [point for name in rank_features(means) for point in by_feature[name]]
         svg = render_beeswarm_svg(points, seed=args.seed, title="SHAP beeswarm")
     else:
-        rows = _read_table(args.in_path, {"sensitivity", "fpr", "ppv"})
+        rows = _read_rows(args.in_path, ("fpr", "sensitivity", "ppv"))
         if args.kind == "roc":
             if not rows:
                 raise DataFormatError("malformed input CSV: no threshold rows")
             points = [(0.0, 0.0)]
-            points += [(_float_cell(r, "fpr"), _float_cell(r, "sensitivity")) for r in rows]
+            points += [(_real(fpr, "fpr"), _real(tpr, "sensitivity")) for fpr, tpr, _ in rows]
             band = None
             if args.band:
-                band_rows = _read_table(args.band, {"fpr", "tpr_lo", "tpr_hi"})
+                columns = ("fpr", "tpr_lo", "tpr_hi")
+                band_rows = _read_rows(args.band, columns)
                 if not band_rows:
                     raise DataFormatError("malformed input CSV: no ROC band rows")
-                band = (
-                    [_float_cell(r, "fpr") for r in band_rows],
-                    [_float_cell(r, "tpr_lo") for r in band_rows],
-                    [_float_cell(r, "tpr_hi") for r in band_rows],
-                )
+                band = tuple([_real(row[i], name) for row in band_rows]
+                             for i, name in enumerate(columns))
                 inputs.append(args.band)
             svg = render_curve_svg(points, kind="roc", title="ROC curve", band=band)
         else:
-            points = []
-            for r in rows:
-                if r["ppv"] == "":
-                    continue
-                points.append((_float_cell(r, "sensitivity"), _float_cell(r, "ppv")))
+            points = [(_real(tpr, "sensitivity"), _real(ppv, "ppv"))
+                      for _, tpr, ppv in rows if ppv != ""]
             if not points:
                 raise DataFormatError("malformed input CSV: no defined precision values")
             svg = render_curve_svg(points, kind="pr", title="Precision-recall curve")
@@ -562,16 +521,18 @@ def main(argv=None) -> int:
         parameters = {
             k: v for k, v in vars(args).items() if k not in ("command", "config")
         }
-        manifest = RunManifest(
-            command=args.command,
-            tool_version=__version__,
-            parameters=parameters,
-            inputs=inputs,
-            outputs=outputs,
-            seed=getattr(args, "seed", None),
-            duration_seconds=time.perf_counter() - started,
-        )
-        manifest.write(manifest_path)
+        manifest = {
+            "command": args.command,
+            "tool_version": __version__,
+            "parameters": parameters,
+            "inputs": inputs,
+            "outputs": outputs,
+            "seed": getattr(args, "seed", None),
+            "duration_seconds": time.perf_counter() - started,
+        }
+        with open(manifest_path, "w", encoding="utf-8", newline="\n") as fh:
+            json.dump(manifest, fh, indent=2, default=str)
+            fh.write("\n")
         return 0
     except DataFormatError as exc:
         print(f"pcrboost: error: {exc}", file=sys.stderr)

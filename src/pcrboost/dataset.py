@@ -14,6 +14,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import sys
 from dataclasses import dataclass
 from importlib import resources
 
@@ -61,12 +62,6 @@ def pattern_codes(X) -> np.ndarray:
     return np.packbits(X.astype(np.uint8, copy=False), axis=1, bitorder="little")[:, 0]
 
 
-def distinct_patterns(X) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(distinct pattern codes of X's rows, ascending; each one's first row; each row's index
-    into them)."""
-    return np.unique(pattern_codes(X), return_index=True, return_inverse=True)
-
-
 def _rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(seed))
 
@@ -78,12 +73,10 @@ class Dataset:
     Attributes:
         X: uint8 array of shape (n_records, 8), feature values in schema order.
         y: uint8 array of shape (n_records,), 1 = positive RT-PCR.
-        provenance: free-text origin tag (e.g. "csv:path", "synth:seed=7").
     """
 
     X: np.ndarray
     y: np.ndarray
-    provenance: str = ""
 
     def __post_init__(self):
         X = np.array(self.X, dtype=np.uint8, copy=True)
@@ -105,7 +98,7 @@ class Dataset:
         return self.X.shape[0]
 
     def __eq__(self, other) -> bool:
-        """Record equality: same features and labels (provenance excluded)."""
+        """Record equality: same features and labels."""
         if not isinstance(other, Dataset):
             return NotImplemented
         return np.array_equal(self.X, other.X) and np.array_equal(self.y, other.y)
@@ -118,13 +111,9 @@ class Dataset:
     def n_negative(self) -> int:
         return int(np.sum(self.y == 0))
 
-    def take(self, indices: np.ndarray, provenance: str | None = None) -> "Dataset":
+    def take(self, indices: np.ndarray) -> "Dataset":
         """Sub-dataset at the given record indices, in the given order."""
-        return Dataset(
-            self.X[indices],
-            self.y[indices],
-            self.provenance if provenance is None else provenance,
-        )
+        return Dataset(self.X[indices], self.y[indices])
 
 
 @dataclass(frozen=True)
@@ -237,7 +226,7 @@ def load_csv(source) -> Dataset:
         if not cells:
             raise DataFormatError("empty CSV body")
         codes = np.array(cells, dtype=np.uint16)
-        return Dataset(PATTERNS[codes >> 1], codes & 1, provenance="csv")
+        return Dataset(PATTERNS[codes >> 1], codes & 1)
     except UnicodeDecodeError:
         raise DataFormatError("malformed CSV: not UTF-8 text") from None
     finally:
@@ -276,6 +265,8 @@ def synthesize(m: MarginalTable, n_pos: int, n_neg: int, seed: int) -> Dataset:
     n = n_pos + n_neg
     if n < 1:
         raise ContractError("need at least one record")
+    if n > sys.maxsize // N_FEATURES:  # NumPy cannot size the (n, 8) feature matrix
+        raise ContractError(f"too many records: {n} > {sys.maxsize // N_FEATURES}")
     rng = _rng(seed)
     y = np.concatenate([np.ones(n_pos, dtype=np.uint8), np.zeros(n_neg, dtype=np.uint8)])
     rng.shuffle(y)
@@ -283,7 +274,7 @@ def synthesize(m: MarginalTable, n_pos: int, n_neg: int, seed: int) -> Dataset:
         (y == 1)[:, None], m.rate_given_positive[None, :], m.rate_given_negative[None, :]
     )
     X = (rng.random((n, N_FEATURES)) < rates).astype(np.uint8)
-    return Dataset(X, y, provenance=f"synth:seed={seed}")
+    return Dataset(X, y)
 
 
 def reporter_positive_rate(ds: Dataset, feature: str) -> float:
@@ -318,10 +309,7 @@ def simulate_bias(ds: Dataset, cfg: BiasSimConfig) -> Dataset:
     if n_drop:
         dropped = _rng(cfg.seed).choice(candidates, size=n_drop, replace=False)
         keep[dropped] = False
-    return ds.take(
-        np.flatnonzero(keep),
-        provenance=f"{ds.provenance}|bias:drop={cfg.drop_fraction},seed={cfg.seed}",
-    )
+    return ds.take(np.flatnonzero(keep))
 
 
 def reference_counts() -> dict:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 
 import numpy as np
@@ -24,22 +24,12 @@ from .formatting import fmt_real
 
 FORMAT_VERSION = 1
 
-_CONFIG_FIELDS = (
-    "num_rounds",
-    "learning_rate",
-    "max_leaves",
-    "min_samples_leaf",
-    "l2_lambda",
-    "min_split_gain",
-    "seed",
-)
-
 
 @dataclass(frozen=True)
 class TrainConfig:
     """Boosting hyperparameters.
 
-    The seed is carried for provenance and config echo; with no row or
+    The seed is carried for the config echo; with no row or
     column subsampling the trainer itself consumes no randomness.
     """
 
@@ -64,6 +54,10 @@ class TrainConfig:
             raise ContractError("l2_lambda must be finite and >= 0")
         if not 0.0 <= self.min_split_gain < math.inf:
             raise ContractError("min_split_gain must be finite and >= 0")
+
+
+# the model document's config keys, in declaration order
+_CONFIG_FIELDS = tuple(f.name for f in fields(TrainConfig))
 
 
 @dataclass

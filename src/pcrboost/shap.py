@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import N_FEATURES, PATTERNS, Dataset, distinct_patterns, pattern_codes
+from .dataset import N_FEATURES, PATTERNS, Dataset, pattern_codes
 from .errors import ContractError
 from .gbm import Model
 
@@ -106,16 +106,10 @@ def explain(model: Model, record) -> ShapExplanation:
     )
 
 
-def explain_patterns(model: Model, ds: Dataset):
+def explain_dataset(model: Model, ds: Dataset):
     """(base_value, distinct pattern codes ascending, their (p,8) phis, each record's index)."""
     if len(ds) == 0:
         raise ContractError("empty dataset")
-    codes, _, inverse = distinct_patterns(ds.X)
+    codes, inverse = np.unique(pattern_codes(ds.X), return_inverse=True)
     base, phis = _explain_matrix(model, PATTERNS[codes])
     return base, codes, phis, inverse
-
-
-def explain_dataset(model: Model, ds: Dataset):
-    """Attributions for every record; returns (base_value, (n,8) array)."""
-    base, _, phis, inverse = explain_patterns(model, ds)
-    return base, phis[inverse]

@@ -14,7 +14,6 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
-from pcrboost.cli import _float_cell, _read_table
 from pcrboost.dataset import (
     CSV_HEADER,
     FEATURE_NAMES,
@@ -48,6 +47,7 @@ from pcrboost.plots import (
     _svg_open,
     _text,
     rank_features,
+    render_curve_svg,
 )
 from pcrboost.shap import explain_dataset
 
@@ -74,7 +74,7 @@ def make_dataset(rng: np.random.Generator, n: int, p_pos: float = 0.3) -> Datase
     # training needs both classes; nudge degenerate draws
     if y.min() == y.max():
         y[0] = 1 - y[0]
-    return Dataset(X, y, provenance="test:random")
+    return Dataset(X, y)
 
 
 def from_class_counts(
@@ -99,7 +99,7 @@ def from_class_counts(
     y = np.concatenate(
         [np.ones(n_positive, dtype=np.uint8), np.zeros(n_negative, dtype=np.uint8)]
     )
-    return Dataset(X, y, provenance="counts:exact")
+    return Dataset(X, y)
 
 
 def reference_dataset() -> Dataset:
@@ -395,9 +395,15 @@ def _mean_abs(phis: np.ndarray) -> dict[str, float]:
     return {name: float(means[i]) for i, name in enumerate(FEATURE_NAMES)}
 
 
+def explain_records(model: Model, ds: Dataset):
+    """`explain_dataset`'s per-pattern result broadcast to records: (base_value, (n,8) phis)."""
+    base, _, phis, inverse = explain_dataset(model, ds)
+    return base, phis[inverse]
+
+
 def mean_abs_shap(model: Model, ds: Dataset) -> list[RankedFeature]:
     """Per-feature mean |phi| over the dataset, descending; schema-index ties."""
-    _, phis = explain_dataset(model, ds)
+    _, phis = explain_records(model, ds)
     means = _mean_abs(phis)
     return [RankedFeature(name, means[name]) for name in rank_features(means)]
 
@@ -408,7 +414,7 @@ def beeswarm_points(model: Model, ds: Dataset) -> list[BeeswarmPoint]:
     Triples are grouped by feature in mean-abs-SHAP ranking order, records
     in dataset order within each group; consumed by the beeswarm plot.
     """
-    _, phis = explain_dataset(model, ds)
+    _, phis = explain_records(model, ds)
     points = []
     for name in rank_features(_mean_abs(phis)):
         i = FEATURE_NAMES.index(name)
@@ -495,6 +501,64 @@ def reference_render_beeswarm_svg(points, *, seed: int, title: str) -> str:
     return "\n".join(parts) + "\n"
 
 
+def _read_table(path: str, required: set[str]) -> list[dict]:
+    import csv as _csv
+
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            reader = _csv.DictReader(fh)
+            if reader.fieldnames is None or not required.issubset(reader.fieldnames):
+                raise DataFormatError(f"malformed input CSV: need columns {sorted(required)}")
+            return list(reader)
+    except _csv.Error as exc:
+        raise DataFormatError(f"malformed input CSV: {exc}") from None
+    except UnicodeDecodeError:
+        raise DataFormatError("malformed input CSV: not UTF-8 text") from None
+
+
+def _float_cell(row: dict, key: str) -> float:
+    try:
+        value = float(row[key])
+    except (TypeError, ValueError):
+        value = math.nan
+    # rates lie in [0, 1]; SHAP values must stay far enough inside the
+    # float range for the beeswarm's axis span to be finite
+    lo, hi = (-1e300, 1e300) if key == "shap_value" else (0.0, 1.0)
+    if not lo <= value <= hi:  # false for NaN too
+        raise DataFormatError(f"malformed input CSV: bad {key} value {row[key]!r}")
+    return value
+
+
+def reference_curve_svg(path, kind: str, band_path=None) -> str:
+    """`plot --kind roc|pr` on a thresholds CSV (and a ROC band CSV) read row by row
+    through csv.DictReader."""
+    rows = _read_table(str(path), {"sensitivity", "fpr", "ppv"})
+    if kind == "roc":
+        if not rows:
+            raise DataFormatError("malformed input CSV: no threshold rows")
+        points = [(0.0, 0.0)]
+        points += [(_float_cell(r, "fpr"), _float_cell(r, "sensitivity")) for r in rows]
+        band = None
+        if band_path:
+            band_rows = _read_table(str(band_path), {"fpr", "tpr_lo", "tpr_hi"})
+            if not band_rows:
+                raise DataFormatError("malformed input CSV: no ROC band rows")
+            band = (
+                [_float_cell(r, "fpr") for r in band_rows],
+                [_float_cell(r, "tpr_lo") for r in band_rows],
+                [_float_cell(r, "tpr_hi") for r in band_rows],
+            )
+        return render_curve_svg(points, kind="roc", title="ROC curve", band=band)
+    points = []
+    for r in rows:
+        if r["ppv"] == "":
+            continue
+        points.append((_float_cell(r, "sensitivity"), _float_cell(r, "ppv")))
+    if not points:
+        raise DataFormatError("malformed input CSV: no defined precision values")
+    return render_curve_svg(points, kind="pr", title="Precision-recall curve")
+
+
 def reference_beeswarm_svg(path, seed: int) -> str:
     """`plot --kind beeswarm` on a SHAP CSV read row by row through csv.DictReader."""
     rows = _read_table(str(path), {"feature", "shap_value", "feature_value"})
@@ -572,7 +636,7 @@ def reference_load_csv(source) -> Dataset:
         if not rows:
             raise DataFormatError("empty CSV body")
         arr = np.array(rows, dtype=np.uint8)
-        return Dataset(arr[:, :N_FEATURES], arr[:, N_FEATURES], provenance="csv")
+        return Dataset(arr[:, :N_FEATURES], arr[:, N_FEATURES])
     except UnicodeDecodeError:
         raise DataFormatError("malformed CSV: not UTF-8 text") from None
     finally:

@@ -33,8 +33,9 @@ from pcrboost.metrics import (
     auroc,
     bootstrap,
 )
-from pcrboost.shap import explain, explain_dataset
+from pcrboost.shap import explain
 from conftest import (
+    explain_records,
     mean_abs_shap,
     pair_count_auroc,
     random_model,
@@ -106,7 +107,7 @@ def test_criterion_02_local_accuracy(desk_scale):
             assert abs(total - model.predict_raw(x)) <= 1e-9
     # trained model at scale, vectorized over 2000 test records
     subset = desk_scale.test.take(np.arange(2000))
-    base, phis = explain_dataset(desk_scale.model, subset)
+    base, phis = explain_records(desk_scale.model, subset)
     raw = desk_scale.model.predict_raw(subset.X)
     assert np.max(np.abs(base + phis.sum(axis=1) - raw)) <= 1e-9
 

@@ -290,6 +290,16 @@ class TestSynthModes:
         assert run(*SYNTH, "--out", b) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    @pytest.mark.parametrize("n_pos", ["1" + "0" * 30, str(1 << 62)])
+    def test_record_count_numpy_cannot_size_is_contract_error(self, tmp_path, capsys, n_pos):
+        # refused before anything is allocated: NumPy cannot size the first and
+        # would fail to allocate 4 EiB for the second
+        assert run("synth", "--n-pos", n_pos, "--n-neg", "0", "--seed", "1",
+                   "--out", tmp_path / "d.csv") == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "too many records" in err[0], err
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestTrainModes:
     def test_training_is_byte_deterministic(self, pipeline, tmp_path):
@@ -576,7 +586,7 @@ class TestTopLevel:
                    "--out-model", tmp_path / "m.json", "--seed", "0") == 4
 
 
-# runs main() in a fresh interpreter and prints the pcrboost modules it imported;
+# runs main() in a fresh interpreter and prints the modules it imported;
 # argv[1] "no-numpy" makes any `import numpy` fail
 IMPORTS_CHILD = """
 import json, sys
@@ -584,19 +594,19 @@ if sys.argv[1] == "no-numpy":
     sys.modules["numpy"] = None
 from pcrboost.cli import main
 code = main(sys.argv[2:])
-print(json.dumps(sorted(m for m in sys.modules if m.startswith("pcrboost."))))
+print(json.dumps(sorted(m for m, module in sys.modules.items() if module is not None)))
 sys.exit(code)
 """
 
 
-def imported_layers(argv, cwd, numpy=True) -> set[str]:
+def imported_modules(argv, cwd, numpy=True) -> set[str]:
     proc = subprocess.run(
         [sys.executable, "-c", IMPORTS_CHILD, "numpy" if numpy else "no-numpy",
          *map(str, argv)],
         cwd=cwd, env=child_env(), capture_output=True, text=True,
     )
     assert proc.returncode == 0, proc.stderr
-    return {m.removeprefix("pcrboost.") for m in json.loads(proc.stdout)}
+    return set(json.loads(proc.stdout))
 
 
 class TestStartUp:
@@ -632,10 +642,18 @@ class TestStartUp:
                      {"dataset", "gbm", "metrics"}),
     }
 
+    # the curve charts format a few hundred numbers: no NumPy, and no dataclasses
+    # (whose import loads inspect)
+    CURVES = {"roc", "pr"}
+
     @pytest.mark.parametrize("command", list(COMMANDS))
     def test_command_imports_only_its_layers(self, pipeline, tmp_path, command):
-        argv, layers = self.COMMANDS[command]
-        assert imported_layers(argv(pipeline, tmp_path), tmp_path) == self.BASE | layers
+        argv, expected = self.COMMANDS[command]
+        modules = imported_modules(argv(pipeline, tmp_path), tmp_path)
+        layers = {m.removeprefix("pcrboost.") for m in modules if m.startswith("pcrboost.")}
+        assert layers == self.BASE | expected
+        if command in self.CURVES:
+            assert not {"numpy", "dataclasses"} & modules
 
     @pytest.mark.parametrize("kind", ["roc", "pr"])
     def test_curves_render_without_numpy(self, pipeline, tmp_path, kind):
@@ -643,6 +661,6 @@ class TestStartUp:
         with_numpy, without = tmp_path / "with", tmp_path / "without"
         for out, numpy in ((with_numpy, True), (without, False)):
             out.mkdir()
-            imported_layers(argv(pipeline, out), out, numpy=numpy)
+            imported_modules(argv(pipeline, out), out, numpy=numpy)
         svg = f"{kind}.svg"
         assert (without / svg).read_bytes() == (with_numpy / svg).read_bytes()

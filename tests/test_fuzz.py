@@ -18,13 +18,20 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from pcrboost.cli import _read_config, _read_table, cmd_plot, main
+from pcrboost.cli import _read_config, _read_rows, cmd_plot, main
 from pcrboost.dataset import CSV_HEADER, FEATURE_NAMES, Dataset, load_csv, save_csv
 from pcrboost.errors import PcrboostError
 from pcrboost.gbm import Model, load_model, save_model
-from conftest import make_dataset, random_model, reference_beeswarm_svg, reference_load_csv
+from conftest import (
+    make_dataset,
+    random_model,
+    reference_beeswarm_svg,
+    reference_curve_svg,
+    reference_load_csv,
+)
 
 SEPARATORS = st.sampled_from(["\n", "\r\n", "\r"])
+RATE_CELLS = st.sampled_from(["0", "0.5", "1", "", "nan", "-inf", "1e400", "a", '"'])
 
 
 def csv_text(header, cells, width):
@@ -126,6 +133,13 @@ def plot_beeswarm(path):
     out = path.with_name("beeswarm.svg")
     cmd_plot(argparse.Namespace(kind="beeswarm", in_path=str(path), out=str(out), seed=1,
                                 band=None), None)
+    return out.read_bytes()
+
+
+def plot_curve(path, kind, band_path):
+    out = path.with_name("curve.svg")
+    cmd_plot(argparse.Namespace(kind=kind, in_path=str(path), out=str(out), seed=None,
+                                band=band_path and str(band_path)), None)
     return out.read_bytes()
 
 
@@ -259,16 +273,28 @@ class TestCliReaders:
     @example(b"fpr,sensitivity,ppv\n\xff,1,1\n")
     def test_table_bytes(self, scratch, blob):
         scratch.write_bytes(blob)
-        must_parse_or_refuse(_read_table, str(scratch), {"fpr", "sensitivity", "ppv"})
+        must_parse_or_refuse(_read_rows, str(scratch), ("fpr", "sensitivity", "ppv"))
 
-    @given(csv_text(("fpr", "sensitivity", "ppv"),
-                    st.sampled_from(["0", "0.5", "1", "", "nan", "-inf", "1e400", "a", '"']), 3))
-    def test_plot_from_table_text(self, scratch, text):
-        # the reader and the cell parsing together: exit 0 or a format error
+    @given(csv_text(("fpr", "sensitivity", "ppv"), RATE_CELLS, 3),
+           csv_text(("fpr", "tpr_lo", "tpr_hi"), RATE_CELLS, 3))
+    @example("fpr,sensitivity,ppv,fpr\n0.5,0.25,,x\n\n0.5,1\n", "fpr,tpr_lo,tpr_hi\n0,0,0\n")
+    @example("ppv,sensitivity,fpr\n0.5,1,0\n0.5,1,0\n", "fpr,tpr_lo,tpr_hi\n0,a,2\n1,1\n")
+    @example("fpr,sensitivity,ppv\n", "fpr,tpr_lo,tpr_hi\n")
+    @example("fpr,sensitivity,ppv\n0.5,0.5,0.5\n", "fpr,tpr_lo,tpr_hi\n0,0,2\nx,0,0\n")
+    @example("fpr,sensitivity,ppv\n0,0,\n", "tpr_lo,fpr,tpr_hi,tpr_lo\r\n0.5,0.5,1,0\r\n")
+    def test_plot_from_table_text(self, scratch, text, band_text):
+        # the reader and the cell parsing together: exit 0 or a format error,
+        # with the SVG bytes or the error of the row-by-row DictReader oracle
+        band = scratch.with_name("band.csv")
         scratch.write_text(text, encoding="utf-8")
+        band.write_text(band_text, encoding="utf-8")
         args = ["--in", str(scratch), "--out", str(scratch.with_name("plot.svg"))]
         for kind in ("roc", "pr"):
             assert main(["plot", "--kind", kind, *args]) in (0, 2)
+        for kind, band_path in (("roc", None), ("roc", band), ("pr", None)):
+            oracle = outcome(lambda p: reference_curve_svg(p, kind, band_path).encode("utf-8"),
+                             scratch)
+            assert outcome(lambda p: plot_curve(p, kind, band_path), scratch) == oracle
 
     @given(csv_text(("feature", "shap_value", "feature_value"),
                     st.sampled_from(["cough", "fever", "x", "0", "1", "-0.5", "", "nan", "1e308",

@@ -15,11 +15,12 @@ from pcrboost.dataset import (
 )
 from pcrboost.errors import ContractError
 from pcrboost.gbm import Model, TrainConfig, TreeNode, fit
-from pcrboost.shap import _explain_matrix, explain, explain_dataset, explain_patterns
+from pcrboost.shap import _explain_matrix, explain, explain_dataset
 from conftest import (
     BeeswarmPoint,
     assert_local_accuracy,
     beeswarm_points,
+    explain_records,
     make_dataset,
     mean_abs_shap,
     random_model,
@@ -158,7 +159,7 @@ class TestExplainDataset:
         X = rng.integers(0, 2, size=(60, 8), dtype=np.uint8)
         y = rng.integers(0, 2, size=60, dtype=np.uint8)
         ds = Dataset(X, y)
-        base, phis = explain_dataset(model, ds)
+        base, phis = explain_records(model, ds)
         for r in range(60):
             exp = explain(model, X[r])
             assert abs(base - exp.base_value) <= 1e-12
@@ -169,7 +170,7 @@ class TestExplainDataset:
         row = rng.integers(0, 2, size=8, dtype=np.uint8)
         X = np.tile(row, (5, 1))
         ds = Dataset(X, np.array([0, 1, 0, 1, 0], dtype=np.uint8))
-        _, phis = explain_dataset(model, ds)
+        _, phis = explain_records(model, ds)
         for r in range(1, 5):
             assert np.array_equal(phis[r], phis[0])
 
@@ -193,7 +194,7 @@ class TestOneAnswerPerPattern:
         model = random_model(rng, n_trees=5)
         _, phis = _explain_matrix(model, PATTERNS)
         ds = Dataset(PATTERNS[[77] * 4], np.zeros(4, dtype=np.uint8))
-        _, codes, single, _ = explain_patterns(model, ds)
+        _, codes, single, _ = explain_dataset(model, ds)
         assert codes.tolist() == [77]
         assert np.array_equal(single, phis[[77]])
 
@@ -243,19 +244,14 @@ class TestExplainPatterns:
         model = random_model(rng, n_trees=3)
         X = PATTERNS[rng.choice([3, 77, 140, 255], size=50)]
         ds = Dataset(X, rng.integers(0, 2, size=50, dtype=np.uint8))
-        base, codes, phis, inverse = explain_patterns(model, ds)
+        base, codes, phis, inverse = explain_dataset(model, ds)
         assert codes.tolist() == [3, 77, 140, 255]
         assert np.array_equal(codes[inverse], pattern_codes(X))
         ref_base, ref_phis = reference_explain_matrix(model, PATTERNS[codes])
         assert base == ref_base and np.array_equal(phis, ref_phis)
-        record_base, record_phis = explain_dataset(model, ds)
+        record_base, record_phis = explain_records(model, ds)
         assert record_base == base
         assert np.array_equal(record_phis, phis[inverse])
-
-    def test_empty_dataset_rejected(self, rng):
-        ds = Dataset(np.zeros((0, 8), dtype=np.uint8), np.zeros(0, dtype=np.uint8))
-        with pytest.raises(ContractError, match="empty dataset"):
-            explain_patterns(random_model(rng, n_trees=1), ds)
 
 
 class TestMeanAbsShap:
@@ -307,7 +303,7 @@ class TestBeeswarmPoints:
                 seen.append(p.feature)
         assert seen == ranking
 
-        _, phis = explain_dataset(model, ds)
+        _, phis = explain_records(model, ds)
         for gi, feature in enumerate(ranking):
             fi = FEATURE_NAMES.index(feature)
             group = points[gi * len(ds):(gi + 1) * len(ds)]
