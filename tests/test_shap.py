@@ -253,6 +253,11 @@ class TestExplainPatterns:
         assert record_base == base
         assert np.array_equal(record_phis, phis[inverse])
 
+    def test_empty_dataset_rejected(self, rng):
+        ds = Dataset(np.zeros((0, 8), dtype=np.uint8), np.zeros(0, dtype=np.uint8))
+        with pytest.raises(ContractError, match="empty dataset"):
+            explain_dataset(random_model(rng, n_trees=1), ds)
+
 
 class TestMeanAbsShap:
     def test_empty_model_ranks_schema_order(self, rng):
