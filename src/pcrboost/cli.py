@@ -540,6 +540,11 @@ def main(argv=None) -> int:
     except ContractError as exc:
         print(f"pcrboost: error: {exc}", file=sys.stderr)
         return 3
+    except (MemoryError, RecursionError) as exc:  # a run too large for this process
+        detail = " ".join(str(exc).split())  # one line; a MemoryError may have none
+        message = f"{type(exc).__name__}: {detail}" if detail else type(exc).__name__
+        print(f"pcrboost: error: {message}", file=sys.stderr)
+        return 3
     except OSError as exc:
         print(f"pcrboost: I/O error: {exc}", file=sys.stderr)
         return 4

@@ -1,12 +1,13 @@
 """Gradient-boosted decision trees on binary logistic loss.
 
 Second-order (Newton) boosting with leaf-wise tree growth over the 8
-binary features, plus the JSON model document read/write path. Training
-runs on the (pattern, label) count table and is bitwise deterministic:
-split sums are plain masked reductions over cells (no BLAS), ties break on
-the lower feature index and the earlier-created leaf, and the model
-document serializes reals at 17 significant digits. Prediction is a
-lookup in a 256-entry raw-score table.
+binary features, plus the JSON model document read/write path. Every tree
+node is a partial assignment of the features, so training reads each
+node's gradient, hessian and record sums from a per-round table over the
+3^8 of them and is bitwise deterministic: the sums are fixed-order array
+additions (no BLAS), ties break on the lower feature index and the
+earlier-created leaf, and the model document serializes reals at 17
+significant digits. Prediction is a lookup in a 256-entry raw-score table.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .dataset import FEATURE_NAMES, N_FEATURES, PATTERNS, Dataset, pattern_codes
+from .dataset import FEATURE_NAMES, N_FEATURES, PATTERNS, Dataset, lattice_sums, pattern_codes
 from .errors import ContractError, DataFormatError
 from .formatting import fmt_real
 
@@ -151,94 +152,68 @@ def tree_values(root: TreeNode, X: np.ndarray) -> np.ndarray:
     return out
 
 
-class _GrowNode:
-    """Mutable node state during leaf-wise growth over (pattern, label) cells."""
-
-    __slots__ = ("idx", "banned", "G", "H", "best_gain", "best_feature",
-                 "feature", "left", "right")
-
-    def __init__(self, idx, banned, g, h, count, Xb, cfg):
-        self.idx = idx
-        self.banned = banned
-        self.feature = None
-        self.left = None
-        self.right = None
-        gi = g[idx]
-        hi = h[idx]
-        ci = count[idx]
-        self.G = float(np.sum(gi))
-        self.H = float(np.sum(hi))
-        self.best_gain = None
-        self.best_feature = None
-        lam = cfg.l2_lambda
-        parent_term = self.G * self.G / (self.H + lam)
-        n_records = int(np.sum(ci))
-        for f in range(N_FEATURES):
-            if f in self.banned:
-                continue
-            mask = Xb[idx, f]
-            n_right = int(np.sum(ci[mask]))
-            n_left = n_records - n_right
-            if n_right < cfg.min_samples_leaf or n_left < cfg.min_samples_leaf:
-                continue
-            G_r = float(np.sum(gi[mask]))
-            H_r = float(np.sum(hi[mask]))
-            G_l = float(np.sum(gi[~mask]))
-            H_l = float(np.sum(hi[~mask]))
-            gain = 0.5 * (
-                G_l * G_l / (H_l + lam) + G_r * G_r / (H_r + lam) - parent_term
-            ) - cfg.min_split_gain
-            # ascending f with a strict > keeps the lower index on ties
-            if self.best_gain is None or gain > self.best_gain:
-                self.best_gain = gain
-                self.best_feature = f
-
-    def splittable(self) -> bool:
-        return self.best_gain is not None and self.best_gain > 0.0
+# lattice index of the root (every feature free), and each feature's index step
+_ROOT = 3 ** N_FEATURES - 1
+_STEPS = tuple(3 ** f for f in range(N_FEATURES))
 
 
-def _grow_tree(Xb, g, h, count, cfg: TrainConfig) -> TreeNode:
-    """One leaf-wise tree over the cells; g, h are per-cell sums, count records."""
-    root = _GrowNode(np.arange(Xb.shape[0]), frozenset(), g, h, count, Xb, cfg)
-    leaves = [root]
+def _best_split(i, G, H, N, cfg: TrainConfig):
+    """(gain, feature) of lattice node i's best split if its gain is > 0, else (0.0, None).
+
+    A free feature f splits i into i - 2 * 3**f (f = 0) and i - 3**f (f = 1);
+    G, H and N are the lattice sums of the gradients, hessians and records.
+    """
+    lam = cfg.l2_lambda
+    parent_term = G[i] * G[i] / (H[i] + lam)
+    best_gain, best_feature = 0.0, None
+    for f, step in enumerate(_STEPS):
+        left, right = i - 2 * step, i - step
+        if i // step % 3 != 2 or min(N[left], N[right]) < cfg.min_samples_leaf:
+            continue
+        gain = 0.5 * (
+            G[left] * G[left] / (H[left] + lam) + G[right] * G[right] / (H[right] + lam)
+            - parent_term
+        ) - cfg.min_split_gain
+        # ascending f with a strict > keeps the lower index on ties
+        if gain > best_gain:
+            best_gain, best_feature = gain, f
+    return best_gain, best_feature
+
+
+def _grow_tree(G, H, N, cfg: TrainConfig) -> TreeNode:
+    """One leaf-wise tree over the lattice sums of one round."""
+    splits = {}  # lattice index of each internal node -> its feature
+    leaves = [(_ROOT, *_best_split(_ROOT, G, H, N, cfg))]  # (index, gain, feature)
     while len(leaves) < cfg.max_leaves:
-        best = None
-        for leaf in leaves:  # creation order; strict > keeps the earlier leaf on ties
-            if leaf.splittable() and (best is None or leaf.best_gain > best.best_gain):
-                best = leaf
-        if best is None:
+        # leaves are in creation order, and max keeps the earlier leaf on ties
+        k = max(range(len(leaves)), key=lambda k: leaves[k][1])
+        i, _, f = leaves.pop(k)
+        if f is None:
             break
-        f = best.best_feature
-        mask = Xb[best.idx, f]
-        banned = best.banned | {f}
-        left = _GrowNode(best.idx[~mask], banned, g, h, count, Xb, cfg)
-        right = _GrowNode(best.idx[mask], banned, g, h, count, Xb, cfg)
-        best.feature = f
-        best.left = left
-        best.right = right
-        # removal plus in-order appends keep `leaves` in creation order
-        leaves.remove(best)
-        leaves.append(left)
-        leaves.append(right)
+        splits[i] = f
+        for child in (i - 2 * _STEPS[f], i - _STEPS[f]):
+            leaves.append((child, *_best_split(child, G, H, N, cfg)))
 
-    def finalize(node: _GrowNode) -> TreeNode:
-        if node.feature is None:
-            value = -cfg.learning_rate * node.G / (node.H + cfg.l2_lambda)
-            return TreeNode(cover=node.H, value=value)
-        left = finalize(node.left)
-        right = finalize(node.right)
-        return TreeNode(cover=left.cover + right.cover, feature=node.feature,
-                        left=left, right=right)
+    def finalize(i) -> TreeNode:
+        f = splits.get(i)
+        if f is None:
+            value = -cfg.learning_rate * G[i] / (H[i] + cfg.l2_lambda)
+            return TreeNode(cover=H[i], value=value)
+        left = finalize(i - 2 * _STEPS[f])
+        right = finalize(i - _STEPS[f])
+        return TreeNode(cover=left.cover + right.cover, feature=f, left=left, right=right)
 
-    return finalize(root)
+    return finalize(_ROOT)
 
 
 def fit(ds: Dataset, cfg: TrainConfig) -> Model:
     """Train the boosted ensemble.
 
     base_score is the prevalence log-odds; each round fits one leaf-wise
-    tree to the current gradients/hessians, summed per (pattern, label)
-    cell. Deterministic for fixed inputs, independent of thread count.
+    tree to the current gradients/hessians, read from their sums over the
+    3^8 partial assignments of the features (`lattice_sums`), so every
+    node's G, H and record count is a lookup. Deterministic for fixed
+    inputs, independent of thread count.
     """
     if len(ds) == 0:
         raise ContractError("empty dataset")
@@ -248,20 +223,23 @@ def fit(ds: Dataset, cfg: TrainConfig) -> Model:
     p_bar = n_pos / len(ds)
     base_score = math.log(p_bar / (1.0 - p_bar))
     # cell 2 * code + label of the (pattern, label) count table; only present cells train
-    table = np.bincount(2 * pattern_codes(ds.X).astype(np.intp) + ds.y)
+    table = np.bincount(2 * pattern_codes(ds.X).astype(np.intp) + ds.y, minlength=2 << N_FEATURES)
+    N = lattice_sums(table[0::2] + table[1::2]).tolist()
     cells = np.flatnonzero(table)
     count = table[cells]
-    Xb = PATTERNS[cells >> 1] == 1
+    codes = cells >> 1
     yf = (cells & 1).astype(np.float64)
-    raw = np.full(len(cells), base_score, dtype=np.float64)
+    raw = np.full(len(PATTERNS), base_score, dtype=np.float64)  # per pattern
     trees = []
     for _ in range(cfg.num_rounds):
-        g, h = logistic_grad_hess(raw, yf)
+        g, h = logistic_grad_hess(raw[codes], yf)
+        G = lattice_sums(np.bincount(codes, count * g, len(PATTERNS))).tolist()
+        H = lattice_sums(np.bincount(codes, count * h, len(PATTERNS))).tolist()
         try:
-            root = _grow_tree(Xb, count * g, count * h, count, cfg)
+            root = _grow_tree(G, H, N, cfg)
         except ZeroDivisionError:  # the tree's only divisor is a node's H + l2_lambda
             raise ContractError("zero hessian sum in a tree node: use --l2-lambda > 0") from None
-        raw += tree_values(root, Xb)
+        raw += tree_values(root, PATTERNS)
         trees.append(root)
     return Model(base_score=base_score, trees=tuple(trees), config=cfg)
 

@@ -10,6 +10,7 @@ import sys
 import numpy as np
 import pytest
 
+from pcrboost import cli
 from pcrboost.cli import main
 from pcrboost.dataset import (
     FEATURE_NAMES,
@@ -538,6 +539,17 @@ class TestSeeds:
 class TestTopLevel:
     def test_no_command_is_usage_error(self, capsys):
         assert run() == 2
+
+    @pytest.mark.parametrize("error", [MemoryError(), RecursionError("maximum recursion depth")])
+    def test_out_of_memory_or_stack_is_contract_error(self, error, monkeypatch, capsys, tmp_path):
+        def handler(args, parser):
+            raise error
+
+        monkeypatch.setitem(cli._HANDLERS, "synth", handler)
+        assert run(*SYNTH, "--out", tmp_path / "x.csv") == 3
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("pcrboost: error: ")
+        assert type(error).__name__ in err and "Traceback" not in err
 
     def test_unknown_flag(self, tmp_path):
         assert run("synth", "--n-pos", "1", "--n-neg", "1", "--seed", "0",

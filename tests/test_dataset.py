@@ -16,6 +16,7 @@ from pcrboost.dataset import (
     Dataset,
     MarginalTable,
     asymptomatic_negative_indices,
+    lattice_sums,
     load_csv,
     marginals_from,
     reference_counts,
@@ -110,6 +111,42 @@ class TestSaveCsv:
         assert b"\r" not in blob
         assert blob.decode().splitlines()[0] == ",".join(CSV_HEADER)
         assert blob.decode().splitlines()[1] == "0,0,0,0,0,0,0,0,0"
+
+
+# digit f of each of the 3^8 lattice indices: 0 or 1 fixes feature f, 2 leaves it free
+LATTICE_DIGITS = np.arange(3 ** 8)[:, None] // 3 ** np.arange(8) % 3
+
+
+class TestLatticeSums:
+    """Every partial assignment's sum against summing its matching patterns."""
+
+    def brute_force(self, values):
+        matches = (LATTICE_DIGITS[:, None, :] == 2) | (LATTICE_DIGITS[:, None, :] == PATTERNS)
+        return np.where(matches.all(axis=2), values, 0).sum(axis=1)
+
+    def test_integer_counts_exact(self, rng):
+        counts = rng.integers(0, 1000, size=256)
+        lattice = lattice_sums(counts)
+        assert lattice.shape == (3 ** 8,) and lattice.dtype == np.int64
+        assert np.array_equal(lattice, self.brute_force(counts))
+
+    def test_random_floats_close(self, rng):
+        values = rng.random(256)
+        assert np.allclose(lattice_sums(values), self.brute_force(values), rtol=1e-12, atol=0.0)
+
+    def test_all_free_entry_is_the_total(self, rng):
+        counts = rng.integers(0, 1000, size=256)
+        assert lattice_sums(counts)[3 ** 8 - 1] == counts.sum()
+        unit = lattice_sums(np.ones(256, dtype=np.int64))
+        assert np.array_equal(unit, 2 ** np.sum(LATTICE_DIGITS == 2, axis=1))
+
+    def test_fixing_a_free_feature_partitions_its_node(self, rng):
+        lattice = lattice_sums(rng.integers(0, 1000, size=256))
+        for f in range(8):
+            free = np.flatnonzero(LATTICE_DIGITS[:, f] == 2)
+            assert len(free) == 3 ** 7
+            fixed_0, fixed_1 = lattice[free - 2 * 3 ** f], lattice[free - 3 ** f]
+            assert np.array_equal(lattice[free], fixed_0 + fixed_1)
 
 
 class TestAgainstPerCellOracles:

@@ -8,7 +8,7 @@ import math
 import numpy as np
 import pytest
 
-from pcrboost.dataset import FEATURE_NAMES, PATTERNS, Dataset
+from pcrboost.dataset import FEATURE_NAMES, PATTERNS, Dataset, reference_marginals, synthesize
 from pcrboost.errors import ContractError, DataFormatError
 from pcrboost.gbm import (
     Model,
@@ -366,6 +366,11 @@ class TestCountTableTrainer:
         _, gaps = reference_fit(ds, cfg)
         assert min(gaps) < 1e-9  # the near tie is really there
         compare_with_per_record_oracle(ds, cfg)
+
+    def test_matches_per_record_oracle_at_benchmark_shape(self):
+        # the quickstart benchmark's training set: 5,182 records, default config
+        ds = synthesize(reference_marginals(), 476, 4706, seed=1001)
+        assert compare_with_per_record_oracle(ds, TrainConfig()) is None
 
 
 class TestTrainingDynamics:
