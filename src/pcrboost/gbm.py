@@ -127,6 +127,13 @@ class Model:
             table += tree_values(tree, PATTERNS)
         return table
 
+    @cached_property
+    def _shap_table(self) -> tuple[float, np.ndarray]:
+        # (base, (256, 8) phis) of every pattern; only `shap.explain` reads it,
+        # so train and predict never load the shap layer
+        from .shap import _explain_matrix
+        return _explain_matrix(self, PATTERNS)
+
     def predict_raw(self, features):
         """Base score plus the routed leaf value of every tree (log-odds)."""
         raw = self._raw_table[pattern_codes(np.atleast_2d(features))]
@@ -241,7 +248,10 @@ def fit(ds: Dataset, cfg: TrainConfig) -> Model:
             raise ContractError("zero hessian sum in a tree node: use --l2-lambda > 0") from None
         raw += tree_values(root, PATTERNS)
         trees.append(root)
-    return Model(base_score=base_score, trees=tuple(trees), config=cfg)
+    model = Model(base_score=base_score, trees=tuple(trees), config=cfg)
+    # raw is base_score plus every tree's values in tree order: `_raw_table` bit for bit
+    model.__dict__["_raw_table"] = raw
+    return model
 
 
 def _emit_json(obj) -> str:

@@ -5,9 +5,13 @@ coalition follows the record's branch; a feature outside it descends both
 children weighted by their cover proportions. With the schema fixed at 8
 features the Shapley sum is computed exactly over all 2^8 coalitions.
 
-Contributions are in raw log-odds space. Attributions are computed once
-per distinct pattern: each tree is walked top-down, carrying path weights
-over the full coalition grid from parent to child.
+Contributions are in raw log-odds space. A coalition's value for a pattern
+depends only on the pattern's bits inside the coalition: one of the 3^8
+partial assignments that training also runs on (`dataset.lattice_sums`).
+So each tree is walked once into a value table over that lattice, whatever
+the rows; each feature's Shapley terms are a table on it, from which one
+gather per feature reads every distinct pattern's terms. `explain` reads a
+record's row of the model's 256-pattern table, built once per `Model`.
 """
 
 from __future__ import annotations
@@ -23,7 +27,6 @@ from .gbm import Model
 
 _N_SUBSETS = 1 << N_FEATURES
 _MASKS = np.arange(_N_SUBSETS, dtype=np.int64)
-_POP = np.array([bin(m).count("1") for m in range(_N_SUBSETS)], dtype=np.int64)
 # Shapley weight for adding a feature to a coalition of size k
 _WEIGHT = np.array(
     [
@@ -31,9 +34,14 @@ _WEIGHT = np.array(
         for k in range(N_FEATURES)
     ]
 )
-_WITHOUT = [np.flatnonzero((_MASKS >> f) & 1 == 0) for f in range(N_FEATURES)]
-_WITH = [_WITHOUT[f] | (1 << f) for f in range(N_FEATURES)]
-_COEF = [_WEIGHT[_POP[_WITHOUT[f]]] for f in range(N_FEATURES)]
+# the coalitions holding feature f, ascending
+_WITH = np.array([np.flatnonzero(_MASKS >> f & 1) for f in range(N_FEATURES)])
+# lattice index sum(a_f * 3**f) with a_f = 2 meaning free, as in `dataset.lattice_sums`;
+# axis N_FEATURES - 1 - f of its (3,)*8 view holds a_f
+_STEPS = 3 ** np.arange(N_FEATURES)
+_DIGITS = np.arange(3 ** N_FEATURES)[:, None] // _STEPS % 3
+# weight of a lattice entry's term: the coalition it fixes, less the feature being added
+_COEF = _WEIGHT[np.maximum((_DIGITS != 2).sum(axis=1) - 1, 0)]
 
 
 @dataclass(frozen=True)
@@ -50,12 +58,15 @@ class ShapExplanation:
 
 
 def _explain_matrix(model: Model, X: np.ndarray):
-    """Coalition-grid attributions for distinct rows X; returns (base, (n,8) phis).
+    """Lattice attributions for distinct rows X; returns (base, (n,8) phis).
 
-    One walk per tree, right child first: a child's path weight is its
-    parent's times, per coalition and row, the row's agreement with the
-    branch (split feature in the coalition) or the branch's cover share
-    (not in it). Weights keep size-1 axes for the features off their path.
+    One walk per tree, right child first, into a value table V over the 3^8
+    partial assignments: a child's weight is its parent's times, along its
+    split feature's axis, 1 or 0 where the feature is fixed (agreement with
+    the branch) and the branch's cover share where it is free. Then feature
+    f's term for assignment a with f fixed is coef * (V[a] - V[a, f freed]),
+    and a row's phi_f sums, in mask order, the terms at its assignment over
+    each coalition holding f.
     """
     n = X.shape[0]
     if n == 1:  # one row sums the coalitions pairwise; every batch of two or more adds them in order
@@ -63,45 +74,50 @@ def _explain_matrix(model: Model, X: np.ndarray):
         return base, phis[:1]
     phis = np.zeros((n, N_FEATURES))
     base = float(model.base_score)
-    # agree[f][side]: 1.0 where a row's feature f routes to `side` (0 left, 1 right)
-    agree = [[(X[:, f] == side).astype(np.float64) for side in (0, 1)]
-             for f in range(N_FEATURES)]
+    # lattice index of each (coalition, row): the row's bits inside the coalition, free outside
+    in_coalition = (_MASKS[:, None] >> np.arange(N_FEATURES) & 1).astype(bool)
+    index = (np.where(in_coalition[:, None], X, 2) * _STEPS).sum(axis=2)
+    gather = index[_WITH]  # (8, 128, n): per feature, the coalitions holding it
     for tree in model.trees:
-        v = np.zeros((_N_SUBSETS, n))
-        grid = v.reshape((2,) * N_FEATURES + (n,))  # axis 7 - f holds bit f of the mask
-        stack = [(tree, np.ones((1,) * N_FEATURES + (n,)))]
+        V = np.zeros((3,) * N_FEATURES)
+        stack = [(tree, np.ones((1,) * N_FEATURES))]
         while stack:
             node, w = stack.pop()
             if node.is_leaf:
-                grid += float(node.value) * w
+                V += float(node.value) * w
                 continue
             if not node.cover > 0.0:
                 raise ContractError("degenerate tree cover: zero cover at an internal node")
-            f, axis = node.feature, N_FEATURES - 1 - node.feature
-            shape = w.shape[:axis] + (2,) + w.shape[axis + 1:]
-            # the coalitions without / with feature f
-            off, on = np.split(np.broadcast_to(w, shape), 2, axis=axis)
+            shape = [1] * N_FEATURES
+            shape[N_FEATURES - 1 - node.feature] = 3
             for side, child in enumerate((node.left, node.right)):
-                share = child.cover / node.cover
-                stack.append((child, np.concatenate([off * share, on * agree[f][side]], axis)))
-        for f in range(N_FEATURES):
-            delta = v[_WITH[f]] - v[_WITHOUT[f]]
-            # elementwise multiply + sum, not `@`: BLAS reductions may vary
+                factor = np.array([1.0 - side, float(side), child.cover / node.cover])
+                stack.append((child, w * factor.reshape(shape)))
+        V = V.reshape(-1)
+        for f, step in enumerate(_STEPS):
+            v = V.reshape(-1, 3, step)
+            term = (_COEF.reshape(v.shape) * (v - v[:, 2:])).reshape(-1)
+            # elementwise gather + sum, not `@`: BLAS reductions may vary
             # with thread count and outputs must be bit-identical
-            phis[:, f] += (_COEF[f][:, None] * delta).sum(axis=0)
-        base += float(v[0, 0])
+            phis[:, f] += term[gather[f]].sum(axis=0)
+        base += float(V[-1])
     return base, phis
 
 
 def explain(model: Model, record) -> ShapExplanation:
-    """Exact Shapley attribution of one record's raw prediction."""
+    """Exact Shapley attribution of one record's raw prediction.
+
+    Reads the record's row of the model's 256-pattern table, built on the
+    first call; a row does not depend on the batch it is computed in.
+    """
     x = np.asarray(record)
     if x.ndim != 1:
         raise ContractError(f"feature vector length must be {N_FEATURES}")
-    base, phis = _explain_matrix(model, PATTERNS[pattern_codes(x[None, :])])
+    code = pattern_codes(x[None, :])[0]
+    base, phis = model._shap_table
     return ShapExplanation(
         base_value=base,
-        contributions=phis[0],
+        contributions=phis[code].copy(),
         record_echo=tuple(int(v) for v in x),
     )
 

@@ -358,8 +358,10 @@ def reference_explain_matrix(model: Model, X: np.ndarray):
     """Per-leaf coalition-grid attributions for distinct rows X: (base, (n,8) phis).
 
     Every leaf multiplies its whole root-to-leaf path over the (coalitions x
-    rows) grid from a weight of ones; the per-tree Shapley combination is
-    the production one, so results must agree bit for bit.
+    rows) grid from a weight of ones, and each tree's Shapley combination
+    sums the weighted differences of grid cells in mask order. Production
+    reads the same cells from its 3^8 value lattice and takes the same
+    differences, weights and sums, so results must agree bit for bit.
     """
     n = X.shape[0]
     phis = np.zeros((n, N_FEATURES))

@@ -229,6 +229,16 @@ class TestPrediction:
                 for i in range(100):
                     assert vec[i] == tree_value_scalar(tree, X[i])
 
+    def test_fit_hands_over_the_raw_table_it_trained_on(self, rng):
+        small = make_dataset(rng, 600, p_pos=0.3)
+        bench = synthesize(reference_marginals(), 476, 4706, seed=1001)
+        for ds, cfg in ((small, TrainConfig(num_rounds=0)), (small, TrainConfig(num_rounds=12)),
+                        (bench, TrainConfig())):
+            m = fit(ds, cfg)
+            assert "_raw_table" in vars(m)  # handed over, not built on first use
+            rebuilt = Model(m.base_score, m.trees, m.config)
+            assert m._raw_table.tobytes() == rebuilt._raw_table.tobytes()
+
     def test_predict_raw_is_base_plus_tree_sum(self, rng):
         model = random_model(rng, n_trees=5)
         X = rng.integers(0, 2, size=(64, 8), dtype=np.uint8)
@@ -371,6 +381,26 @@ class TestCountTableTrainer:
         # the quickstart benchmark's training set: 5,182 records, default config
         ds = synthesize(reference_marginals(), 476, 4706, seed=1001)
         assert compare_with_per_record_oracle(ds, TrainConfig()) is None
+
+    def test_equal_gains_in_two_leaves_split_the_earlier_leaf(self, rng):
+        # the feature-0 = 1 half mirrors the feature-0 = 0 half with every label
+        # flipped: the base score is 0, so its gradients are the exact negatives
+        # of the other half's, and the two children of the feature-0 root have
+        # the same best gain bit for bit
+        n = 400
+        X = (rng.random((n, 8)) < 0.4).astype(np.uint8)
+        X[:, 0] = 0
+        y = (rng.random(n) < 0.1 + 0.5 * X[:, 2]).astype(np.uint8)
+        mirror = X.copy()
+        mirror[:, 0] = 1
+        ds = Dataset(np.vstack([X, mirror]), np.concatenate([y, 1 - y]))
+        cfg = TrainConfig(num_rounds=1, max_leaves=3)
+        _, gaps = reference_fit(ds, cfg)
+        assert gaps == [0.0]  # the tie is exact
+        assert compare_with_per_record_oracle(ds, cfg) is None
+        root = fit(ds, cfg).trees[0]
+        assert root.feature == 0
+        assert not root.left.is_leaf and root.right.is_leaf
 
 
 class TestTrainingDynamics:

@@ -1,4 +1,4 @@
-"""Exact SHAP attribution: production grid path vs independent oracles."""
+"""Exact SHAP attribution: production lattice path vs independent oracles."""
 
 from __future__ import annotations
 
@@ -200,7 +200,12 @@ class TestOneAnswerPerPattern:
 
 
 class TestTopDownMatchesPerLeafReference:
-    """The one-walk-per-tree grid against the per-leaf path products, bit for bit."""
+    """The 3^8 value lattice and its term-table gathers against the per-leaf grid, bit for bit.
+
+    Each tree is still walked top-down once, now into the partial-assignment
+    lattice; the oracle multiplies every leaf's path over the (coalition x
+    row) grid and combines the grid directly.
+    """
 
     def assert_identical(self, model, X=PATTERNS):
         base, phis = _explain_matrix(model, X)
@@ -237,6 +242,32 @@ class TestTopDownMatchesPerLeafReference:
                          right=TreeNode(cover=2.0, value=-1.0))
         root = TreeNode(cover=5.0, feature=2, left=inner, right=TreeNode(cover=2.0, value=2.0))
         self.assert_identical(Model(0.0, (root,), TrainConfig()))
+
+
+class TestRowsDoNotDependOnTheirBatch:
+    """A pattern's phis are the same bits in every batch: `explain`'s per-model table relies on it."""
+
+    def test_subsets_equal_the_pattern_table(self, rng):
+        # the training set and the model of the seed-1 benchmark set-ups
+        model = fit(synthesize(reference_marginals(), 476, 4706, seed=1001), TrainConfig(seed=1))
+        base, table = _explain_matrix(model, PATTERNS)
+        for size in (1, 2, 3, 121, 217):
+            chosen = rng.permutation(256)[:size]
+            ds = Dataset(PATTERNS[chosen], np.zeros(size, dtype=np.uint8))
+            got_base, codes, phis, _ = explain_dataset(model, ds)
+            assert got_base == base
+            assert codes.tolist() == sorted(chosen.tolist())
+            assert phis.tobytes() == table[codes].tobytes(), size
+
+    def test_explain_reads_one_table_per_model(self, rng):
+        model = random_model(rng, n_trees=4)
+        first = explain(model, PATTERNS[9])
+        base, table = model._shap_table
+        first.contributions[:] = np.nan  # a caller's copy, not the table's row
+        again = explain(model, PATTERNS[9])
+        assert model._shap_table[1] is table
+        assert again.base_value == base
+        assert again.contributions.tobytes() == table[9].tobytes()
 
 
 class TestExplainPatterns:
