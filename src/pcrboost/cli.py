@@ -49,8 +49,11 @@ aupr = _deferred("metrics", "aupr")
 auroc = _deferred("metrics", "auroc")
 threshold_report = _deferred("metrics", "threshold_report")
 unique_thresholds = _deferred("metrics", "unique_thresholds")
-render_beeswarm_svg = _deferred("plots", "render_beeswarm_svg")
+beeswarm_svg_parts = _deferred("plots", "beeswarm_svg_parts")
 render_curve_svg = _deferred("plots", "render_curve_svg")
+
+# SVG parts joined and written per write() call
+_SVG_CHUNK_PARTS = 4096
 
 # flags that must be resolved (CLI or config) before a command can run
 _REQUIRED = {
@@ -451,7 +454,7 @@ def cmd_plot(args, parser):
         means = {name: sum(abs(v) for _, v, _ in pts) / len(pts)
                  for name, pts in by_feature.items()}
         points = [point for name in rank_features(means) for point in by_feature[name]]
-        svg = render_beeswarm_svg(points, seed=args.seed, title="SHAP beeswarm")
+        parts = beeswarm_svg_parts(points, seed=args.seed, title="SHAP beeswarm")
     else:
         rows = _read_rows(args.in_path, ("fpr", "sensitivity", "ppv"))
         if args.kind == "roc":
@@ -468,15 +471,18 @@ def cmd_plot(args, parser):
                 band = tuple([_real(row[i], name) for row in band_rows]
                              for i, name in enumerate(columns))
                 inputs.append(args.band)
-            svg = render_curve_svg(points, kind="roc", title="ROC curve", band=band)
+            parts = [render_curve_svg(points, kind="roc", title="ROC curve", band=band)]
         else:
             points = [(_real(tpr, "sensitivity"), _real(ppv, "ppv"))
                       for _, tpr, ppv in rows if ppv != ""]
             if not points:
                 raise DataFormatError("malformed input CSV: no defined precision values")
-            svg = render_curve_svg(points, kind="pr", title="Precision-recall curve")
+            parts = [render_curve_svg(points, kind="pr", title="Precision-recall curve")]
+    # the "\n"-join of the parts, written _SVG_CHUNK_PARTS at a time: the beeswarm's
+    # joined document (2.9 MB at the quickstart scale) and its encoding are never held
     with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(svg)
+        for start in range(0, len(parts), _SVG_CHUNK_PARTS):
+            fh.write(("\n" if start else "") + "\n".join(parts[start:start + _SVG_CHUNK_PARTS]))
     return inputs, [args.out], args.out + ".manifest.json"
 
 

@@ -24,6 +24,8 @@ from .errors import ContractError
 _MAX_DRAWS = 100
 # points of the FPR grid the bootstrap ROC band is reported on
 _BAND_POINTS = 101
+# bootstrap children spawned, drawn and summarized together
+_BLOCK = 128
 
 
 @dataclass(frozen=True)
@@ -128,36 +130,74 @@ def _cell_counts(codes: np.ndarray, n_cells: int) -> np.ndarray:
 
 
 def _cumulate(counts: np.ndarray):
-    """Cumulative (tp, fp) over cells in descending score order, each led by a 0."""
-    tp = np.concatenate([[0], np.cumsum(counts[:, 1])])
-    fp = np.concatenate([[0], np.cumsum(counts[:, 0])])
-    return tp, fp
+    """Cumulative (tp, fp) over the cells of (..., cells, 2) counts, each led by a 0.
+
+    Cells run in descending score order; the leading axes, if any, index
+    resamples.
+    """
+    cum = np.zeros(counts.shape[:-2] + (counts.shape[-2] + 1, 2), dtype=counts.dtype)
+    np.cumsum(counts, axis=-2, out=cum[..., 1:, :])
+    return cum[..., 1], cum[..., 0]
 
 
-def _auroc(tp: np.ndarray, fp: np.ndarray) -> float:
-    """Mann-Whitney auROC from cumulative counts.
+def _auroc(tp: np.ndarray, fp: np.ndarray) -> np.ndarray:
+    """Mann-Whitney auROC from cumulative counts, along the last axis.
 
     A positive beats every negative scored below it and ties with those at
     its score. Twice the credit is an integer, so the result equals O(n^2)
-    pair counting exactly, not merely within rounding.
+    pair counting exactly, not merely within rounding. An empty cell adds
+    no credit.
     """
-    n_pos, n_neg = int(tp[-1]), int(fp[-1])
-    twice_credit = int(np.sum(np.diff(tp) * (2 * (n_neg - fp[1:]) + np.diff(fp))))
-    return (twice_credit / 2) / (n_pos * n_neg)
+    n_pos, n_neg = tp[..., -1], fp[..., -1]
+    credit = np.diff(tp) * (2 * (n_neg[..., None] - fp[..., 1:]) + np.diff(fp))
+    return np.sum(credit, axis=-1) / 2 / (n_pos * n_neg)
 
 
-def _average_precision(tp: np.ndarray, fp: np.ndarray) -> float:
-    """Sum of (delta recall x precision) over the descending distinct scores."""
-    tp, pp = tp[1:], tp[1:] + fp[1:]
-    precision = tp / pp
-    recall = tp / tp[-1]
-    prev = np.concatenate([[0.0], recall[:-1]])
-    return float(np.sum((recall - prev) * precision))
+def _average_precision(tp: np.ndarray, fp: np.ndarray) -> list[float]:
+    """Sum of (delta recall x precision) over the non-empty cells of each row.
+
+    tp and fp are (resamples, cells + 1) cumulative counts. Each row is
+    summed by its own np.sum over its non-empty cells only, so an empty cell
+    - where precision is 0/0 before the first record - changes neither the
+    terms nor NumPy's pairwise summation order.
+    """
+    pp = tp + fp
+    filled = np.diff(pp) > 0
+    with np.errstate(invalid="ignore"):
+        precision = tp[:, 1:] / pp[:, 1:]
+    recall = tp / tp[:, -1:]
+    terms = np.diff(recall) * precision
+    return [float(np.sum(row[kept])) for row, kept in zip(terms, filled)]
 
 
 def _roc_points(tp: np.ndarray, fp: np.ndarray):
-    """(fpr, tpr) arrays from (0, 0) through every descending distinct score."""
-    return fp / fp[-1], tp / tp[-1]
+    """(fpr, tpr) from (0, 0) through every descending cell, along the last axis."""
+    return fp / fp[..., -1:], tp / tp[..., -1:]
+
+
+def _percentiles(values: np.ndarray, quantiles) -> list:
+    """NumPy's default ("linear") quantiles of values along axis 0.
+
+    As np.quantile does: the virtual index (n - 1) * q, clamped to the last
+    element, then a lerp between its neighbours that for t >= 0.5 counts
+    back from the upper one. The result equals np.quantile(values, q,
+    axis=0) bit for bit, except that where -0.0 and +0.0 tie either may be
+    returned; bootstrap statistics are never -0.0. Kept here because
+    np.quantile imports numpy.ma.
+    """
+    ordered = np.sort(values, axis=0)
+    last = len(ordered) - 1
+    out = []
+    for q in quantiles:
+        virtual = last * q
+        i = math.floor(virtual)
+        if i >= last:
+            out.append(ordered[last])
+            continue
+        lo, hi, t = ordered[i], ordered[i + 1], virtual - i
+        step = hi - lo
+        out.append(hi - step * (1 - t) if t >= 0.5 else lo + step * t)
+    return out
 
 
 def _require_both_classes(sl: ScoredLabels) -> None:
@@ -173,13 +213,13 @@ def _require_positive(sl: ScoredLabels) -> None:
 def auroc(sl: ScoredLabels) -> float:
     """Mann-Whitney auROC: mean pair credit (1 win, 0.5 tie), exact."""
     _require_both_classes(sl)
-    return _auroc(sl._tp, sl._fp)
+    return float(_auroc(sl._tp, sl._fp))
 
 
 def aupr(sl: ScoredLabels) -> float:
     """Average precision: sum of (delta recall x precision) over unique thresholds."""
     _require_positive(sl)
-    return _average_precision(sl._tp, sl._fp)
+    return _average_precision(sl._tp[None], sl._fp[None])[0]
 
 
 def _ratio(num: int, den: int) -> float:
@@ -226,13 +266,19 @@ def bootstrap(
 ) -> BootstrapResult:
     """Percentile bootstrap of auROC, auPRC and the ROC curve over paired resamples.
 
-    Each resample has its own child seed, spawned from a SeedSequence of
-    `seed`, so results are deterministic regardless of evaluation order. Each child draws n
-    record indices up to 100 times: auPRC takes its first draw with a
-    positive, auROC and the band their first draw with both classes; a
-    child with no such draw is excluded from that statistic. A draw is
-    counted into the (score, label) cells of the count table, so the
-    statistics cost O(distinct scores) per resample.
+    Resample i draws from its own generator, seeded by child i of
+    SeedSequence(seed), so results are deterministic regardless of evaluation
+    order. Each child draws n record indices up to 100 times: auPRC takes its
+    first draw with a positive, auROC and the band their first draw with both
+    classes; a child with no such draw is excluded from that statistic.
+
+    Children are spawned, drawn and dropped _BLOCK at a time. A round counts
+    every pending child's draw into the (score, label) cells of the count
+    table, one row per child, and computes the block's statistics with array
+    operations over the rows; the children whose draw lacked a class draw
+    again in the next round. The statistics cost O(distinct scores) per
+    resample, and the generators and count tables held at once grow with the
+    block, not with n_resamples.
     """
     if n_resamples < 100:
         raise ContractError("n_resamples must be >= 100")
@@ -245,35 +291,44 @@ def bootstrap(
     n, n_cells = len(sl), len(sl._thresholds)
     codes = 2 * sl._cells + sl.labels
     grid = np.linspace(0.0, 1.0, _BAND_POINTS)
-    roc_values, pr_values, curves = [], [], []
-    for child in np.random.SeedSequence(seed).spawn(n_resamples):
-        rng = np.random.Generator(np.random.PCG64(child))
-        pr_found = False
+    parent = np.random.SeedSequence(seed)
+    roc_values, pr_values = [], []
+    curves = np.empty((n_resamples, _BAND_POINTS))
+    for start in range(0, n_resamples, _BLOCK):
+        rngs = [np.random.Generator(np.random.PCG64(child))
+                for child in parent.spawn(min(_BLOCK, n_resamples - start))]
+        pr_open = np.ones(len(rngs), dtype=bool)  # children still owing an auPRC value
         for _ in range(_MAX_DRAWS):
-            counts = _cell_counts(codes[rng.integers(0, n, size=n)], n_cells)
-            tp, fp = _cumulate(counts[counts.any(axis=1)])
-            if tp[-1] and not pr_found:
-                pr_values.append(_average_precision(tp, fp))
-                pr_found = True
-            if tp[-1] and fp[-1]:
-                roc_values.append(_auroc(tp, fp))
-                curves.append(np.interp(grid, *_roc_points(tp, fp)))
+            counts = np.stack([_cell_counts(codes[rng.integers(0, n, size=n)], n_cells)
+                               for rng in rngs])
+            tp, fp = _cumulate(counts)
+            has_pos, has_neg = tp[:, -1] > 0, fp[:, -1] > 0
+            pr_rows = pr_open & has_pos
+            pr_values += _average_precision(tp[pr_rows], fp[pr_rows])
+            done = has_pos & has_neg
+            tp, fp = tp[done], fp[done]
+            # an empty cell repeats the previous point, which moves no interpolated value
+            for row, (fpr, tpr) in enumerate(zip(*_roc_points(tp, fp)), len(roc_values)):
+                curves[row] = np.interp(grid, fpr, tpr)
+            roc_values += _auroc(tp, fp).tolist()
+            rngs = [rng for rng, finished in zip(rngs, done.tolist()) if not finished]
+            pr_open = (pr_open & ~has_pos)[~done]
+            if not rngs:
                 break
     if not roc_values:
         raise ContractError("metric undefined on every resample")
     quantiles = [alpha / 2.0, 1.0 - alpha / 2.0]
 
     def interval(point: float, values: list[float]) -> BootstrapCI:
-        lo, hi = np.quantile(values, quantiles)
+        lo, hi = _percentiles(np.array(values), quantiles)
         return BootstrapCI(
             point=point, lo=float(lo), hi=float(hi), n_resamples=n_resamples,
             alpha=alpha, seed=seed,
         )
 
-    tpr_lo, tpr_hi = np.quantile(np.vstack(curves), quantiles, axis=0)
+    tpr_lo, tpr_hi = _percentiles(curves[:len(roc_values)], quantiles)
     return BootstrapResult(
-        auroc=interval(_auroc(sl._tp, sl._fp), roc_values),
-        aupr=interval(_average_precision(sl._tp, sl._fp), pr_values),
+        auroc=interval(auroc(sl), roc_values),
+        aupr=interval(aupr(sl), pr_values),
         roc_band=(grid, tpr_lo, tpr_hi),
     )
-

@@ -100,6 +100,15 @@ def render_beeswarm_svg(points, *, seed: int, title: str) -> str:
     by feature in ranking order (mean |SHAP| descending, as `plot --kind
     beeswarm` orders the rows of a SHAP CSV).
     """
+    return "\n".join(beeswarm_svg_parts(points, seed=seed, title=title))
+
+
+def beeswarm_svg_parts(points, *, seed: int, title: str) -> list[str]:
+    """The beeswarm document as parts whose "\n"-join is `render_beeswarm_svg`'s text.
+
+    One part per element, so a writer can emit them in chunks without
+    holding the joined document.
+    """
     import numpy as np
 
     if not points:
@@ -158,8 +167,8 @@ def render_beeswarm_svg(points, *, seed: int, title: str) -> str:
     parts.append(
         _text((_ML + _CURVE_W - _MR) / 2, height - 12, "SHAP value (log-odds)")
     )
-    parts += ["</svg>", ""]  # one join, no second copy of the document for its last newline
-    return "\n".join(parts)
+    parts += ["</svg>", ""]  # the join ends with a newline, no second copy for it
+    return parts
 
 
 def rank_features(means: dict[str, float]) -> list[str]:

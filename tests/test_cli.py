@@ -667,6 +667,19 @@ class TestStartUp:
         if command in self.CURVES:
             assert not {"numpy", "dataclasses"} & modules
 
+    def test_bootstrap_loads_numpy_ma_only_with_numpy(self, pipeline, tmp_path):
+        # np.quantile imports numpy.ma (12-19 ms cold); NumPy 1.x imports it with
+        # numpy itself, so only a child that adds the import is a failure
+        argv = ["evaluate", "--model", pipeline / "model.json", "--data", pipeline / "data.csv",
+                "--out-prefix", tmp_path / "e_", "--bootstrap", "100", "--seed", "5",
+                "--roc-band"]
+        modules = imported_modules(argv, tmp_path)
+        bare = subprocess.run(
+            [sys.executable, "-c", "import sys, numpy; print('numpy.ma' in sys.modules)"],
+            env=child_env(), capture_output=True, text=True, check=True,
+        )
+        assert "numpy.ma" not in modules or bare.stdout.strip() == "True"
+
     @pytest.mark.parametrize("kind", ["roc", "pr"])
     def test_curves_render_without_numpy(self, pipeline, tmp_path, kind):
         argv, _ = self.COMMANDS[kind]

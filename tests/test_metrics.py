@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -320,6 +321,52 @@ class TestBootstrapMatchesPerRecordReference:
             sl = tie_heavy(rng, int(rng.integers(2, 150)))
             self.assert_matches(sl, n_resamples=150, seed=seed, alpha=0.1)
 
+    @pytest.mark.parametrize("extra", [0, 1, 2])
+    def test_resample_counts_around_the_block(self, rng, extra):
+        # 100, one block and one more child, two blocks and three more
+        n_resamples = (100, metrics._BLOCK + 1, 2 * metrics._BLOCK + 3)[extra]
+        sl = tie_heavy(rng, 90)
+        want = self.assert_matches(sl, n_resamples=n_resamples, seed=extra)
+        assert want.used == {"auroc": n_resamples, "aupr": n_resamples}
+
+    @staticmethod
+    def first_draws(sl, n_resamples, seed):
+        """(has a positive, has a negative) of each child's first draw."""
+        n, out = len(sl), []
+        for child in np.random.SeedSequence(seed).spawn(n_resamples):
+            labels = sl.labels[np.random.Generator(np.random.PCG64(child)).integers(0, n, size=n)]
+            out.append((bool(labels.any()), not labels.all()))
+        return out
+
+    def test_all_positive_first_draws(self):
+        # 12 positives and one negative: about a third of the first draws hold
+        # no negative, so auPRC comes from draw 1 and auROC and the band later
+        sl = ScoredLabels(np.arange(13) / 13, [1] * 6 + [0] + [1] * 6)
+        n_resamples = 2 * metrics._BLOCK + 3
+        want = self.assert_matches(sl, n_resamples=n_resamples, seed=5)
+        assert want.used == {"auroc": n_resamples, "aupr": n_resamples}
+        first = self.first_draws(sl, n_resamples, seed=5)
+        assert all(pos for pos, _ in first)
+        assert sum(not neg for _, neg in first) >= n_resamples // 5
+
+    def test_all_negative_first_draws(self):
+        # one positive and 12 negatives: about a third of the first draws hold
+        # no positive, so every statistic of those children comes from a later round
+        sl = ScoredLabels(np.arange(13) / 13, [0] * 6 + [1] + [0] * 6)
+        n_resamples = 2 * metrics._BLOCK + 3
+        want = self.assert_matches(sl, n_resamples=n_resamples, seed=6)
+        assert want.used == {"auroc": n_resamples, "aupr": n_resamples}
+        first = self.first_draws(sl, n_resamples, seed=6)
+        assert all(neg for _, neg in first)
+        assert sum(not pos for pos, _ in first) >= n_resamples // 5
+
+    @pytest.mark.parametrize("alpha", [1e-6, 0.999])
+    def test_extreme_alpha(self, rng, alpha):
+        # 1e-6 takes the two ends of the sorted values, 0.999 two points straddling
+        # the median; between them the lerp runs both of its branches
+        sl = tie_heavy(rng, 70)
+        self.assert_matches(sl, n_resamples=150, seed=2, alpha=alpha)
+
     def test_tiny_input_redraws_single_class_resamples(self):
         # an eighth of the draws of four records hold one class only
         sl = ScoredLabels([0.9, 0.4, 0.4, 0.1], [1, 0, 1, 0])
@@ -343,3 +390,36 @@ class TestBootstrapMatchesPerRecordReference:
                 moved.add("roc_band")
         # the exclusions move every statistic on some seed, so matching is not vacuous
         assert moved == {"auroc", "aupr", "roc_band"}
+
+
+class TestPercentiles:
+    """metrics._percentiles against np.quantile's default (linear) method."""
+
+    def test_equals_numpy_bit_for_bit(self, rng):
+        for _ in range(300):
+            shape = (int(rng.integers(1, 400)),) + tuple(rng.integers(1, 4, size=rng.integers(0, 3)))
+            values = rng.random(shape) * 10.0 ** rng.integers(-3, 4)
+            if rng.random() < 0.5:  # ties, and zeros
+                values = np.round(values, int(rng.integers(0, 3)))
+            alpha = float(rng.random())
+            quantiles = [alpha / 2.0, 1.0 - alpha / 2.0]
+            got = metrics._percentiles(values, quantiles)
+            want = np.quantile(values, quantiles, axis=0)
+            for g, w in zip(got, want):
+                assert np.asarray(g).tobytes() == w.tobytes(), (shape, alpha)
+
+    def test_ends_and_both_lerp_branches(self):
+        values = np.array([0.0, 0.1, 0.25, 0.7, 1.0])
+        quantiles = [0.0, 1e-9, 0.1, 0.2, 0.2125, 0.5, 0.8, 0.9, 1.0 - 1e-16, 1.0]
+        got = metrics._percentiles(values, quantiles)
+        assert np.array(got).tobytes() == np.quantile(values, quantiles).tobytes()
+
+
+class TestBootstrapWarnings:
+    def test_no_runtime_warning(self):
+        # 40 distinct scores over 40 records: most resamples leave cells empty,
+        # among them the leading cells where precision is 0/0
+        sl = ScoredLabels(np.arange(40) / 40, np.arange(40) % 3 == 0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            bootstrap(sl, n_resamples=300, seed=4)
