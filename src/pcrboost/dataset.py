@@ -16,6 +16,7 @@ import io
 import json
 import sys
 from dataclasses import dataclass
+from functools import cached_property
 from importlib import resources
 
 import numpy as np
@@ -78,46 +79,53 @@ def pattern_codes(X) -> np.ndarray:
     return np.packbits(X.astype(np.uint8, copy=False), axis=1, bitorder="little")[:, 0]
 
 
-def _rng(seed: int) -> np.random.Generator:
-    return np.random.Generator(np.random.PCG64(seed))
-
-
 @dataclass(frozen=True, eq=False)
 class Dataset:
     """Ordered records of 8 binary features plus a binary label.
 
     Attributes:
-        X: uint8 array of shape (n_records, 8), feature values in schema order.
+        codes: uint8 array of shape (n_records,), each record's pattern code (bit f =
+            feature f, as in PATTERNS); from an (n, 8) 0/1 matrix X, `pattern_codes(X)`.
         y: uint8 array of shape (n_records,), 1 = positive RT-PCR.
     """
 
-    X: np.ndarray
+    codes: np.ndarray
     y: np.ndarray
 
     def __post_init__(self):
-        X = np.array(self.X, dtype=np.uint8, copy=True)
-        y = np.array(self.y, dtype=np.uint8, copy=True)
-        if X.ndim != 2 or X.shape[1] != N_FEATURES:
-            raise ContractError(f"feature matrix must be (n, {N_FEATURES}), got {X.shape}")
-        if y.shape != (X.shape[0],):
-            raise ContractError("label vector length must match record count")
-        if X.size and X.max() > 1:
-            raise ContractError("non-binary value in features")
-        if y.size and y.max() > 1:
+        codes, y = np.asarray(self.codes), np.asarray(self.y)
+        if codes.ndim != 1 or y.shape != codes.shape:
+            raise ContractError(f"codes and labels must be equal-length vectors, "
+                                f"got shapes {codes.shape} and {y.shape}")
+        if not np.isin(codes, np.arange(len(PATTERNS))).all():
+            raise ContractError("pattern code outside 0..255")
+        if not np.isin(y, (0, 1)).all():  # before the cast, which would make 0.5 a 0
             raise ContractError("non-binary value in labels")
+        for name, value in (("codes", codes), ("y", y)):
+            value = value.astype(np.uint8)
+            value.flags.writeable = False
+            object.__setattr__(self, name, value)
+
+    @cached_property
+    def X(self) -> np.ndarray:
+        """(n_records, 8) uint8 feature matrix in schema order, derived from codes."""
+        X = PATTERNS[self.codes]
         X.flags.writeable = False
-        y.flags.writeable = False
-        object.__setattr__(self, "X", X)
-        object.__setattr__(self, "y", y)
+        return X
+
+    @property
+    def cells(self) -> np.ndarray:
+        """Each record's cell 2 * code + label of the 512-cell (pattern, label) table."""
+        return 2 * self.codes.astype(np.intp) + self.y
 
     def __len__(self) -> int:
-        return self.X.shape[0]
+        return self.codes.shape[0]
 
     def __eq__(self, other) -> bool:
-        """Record equality: same features and labels."""
+        """Record equality: same patterns and labels."""
         if not isinstance(other, Dataset):
             return NotImplemented
-        return np.array_equal(self.X, other.X) and np.array_equal(self.y, other.y)
+        return np.array_equal(self.codes, other.codes) and np.array_equal(self.y, other.y)
 
     @property
     def n_positive(self) -> int:
@@ -129,7 +137,7 @@ class Dataset:
 
     def take(self, indices: np.ndarray) -> "Dataset":
         """Sub-dataset at the given record indices, in the given order."""
-        return Dataset(self.X[indices], self.y[indices])
+        return Dataset(self.codes[indices], self.y[indices])
 
 
 @dataclass(frozen=True)
@@ -142,19 +150,16 @@ class MarginalTable:
     n_negative: int
 
     def __post_init__(self):
-        rp = np.array(self.rate_given_positive, dtype=np.float64, copy=True)
-        rn = np.array(self.rate_given_negative, dtype=np.float64, copy=True)
-        if rp.shape != (N_FEATURES,) or rn.shape != (N_FEATURES,):
-            raise ContractError(f"rates must have shape ({N_FEATURES},)")
-        for rates in (rp, rn):
-            if not np.all((rates >= 0.0) & (rates <= 1.0)):
-                raise ContractError("rates outside [0,1]")
         if self.n_positive < 0 or self.n_negative < 0:
             raise ContractError("class counts must be nonnegative")
-        rp.flags.writeable = False
-        rn.flags.writeable = False
-        object.__setattr__(self, "rate_given_positive", rp)
-        object.__setattr__(self, "rate_given_negative", rn)
+        for name in ("rate_given_positive", "rate_given_negative"):
+            rates = np.array(getattr(self, name), dtype=np.float64, copy=True)
+            if rates.shape != (N_FEATURES,):
+                raise ContractError(f"rates must have shape ({N_FEATURES},)")
+            if not np.all((rates >= 0.0) & (rates <= 1.0)):
+                raise ContractError("rates outside [0,1]")
+            rates.flags.writeable = False
+            object.__setattr__(self, name, rates)
 
     def rate(self, feature: str, label: int) -> float:
         i = FEATURE_NAMES.index(feature)
@@ -241,8 +246,8 @@ def load_csv(source) -> Dataset:
                 raise DataFormatError(f"malformed CSV: {exc}") from None
         if not cells:
             raise DataFormatError("empty CSV body")
-        codes = np.array(cells, dtype=np.uint16)
-        return Dataset(PATTERNS[codes >> 1], codes & 1)
+        cells = np.array(cells, dtype=np.uint16)
+        return Dataset(cells >> 1, cells & 1)
     except UnicodeDecodeError:
         raise DataFormatError("malformed CSV: not UTF-8 text") from None
     finally:
@@ -253,20 +258,18 @@ def save_csv(ds: Dataset, dest) -> None:
     """Write the documented CSV (LF newlines, ASCII 0/1 cells) to a binary stream."""
     # the canonical column order's 512 body lines, indexed by cell code
     lines = np.array([line + "\n" for line in _line_table(range(len(CSV_HEADER)))], dtype=object)
-    cells = 2 * pattern_codes(ds.X).astype(np.intp) + ds.y
     dest.write((",".join(CSV_HEADER) + "\n").encode("ascii"))
-    dest.write("".join(lines[cells]).encode("ascii"))
+    dest.write("".join(lines[ds.cells]).encode("ascii"))
 
 
 def marginals_from(ds: Dataset) -> MarginalTable:
     """Class-conditional feature rates: count(feature=1 and class) / count(class)."""
-    n_pos = ds.n_positive
-    n_neg = ds.n_negative
+    counts = np.bincount(ds.cells, minlength=2 << N_FEATURES).reshape(-1, 2)  # code, label
+    n_neg, n_pos = counts.sum(axis=0).tolist()
     if n_pos == 0 or n_neg == 0:
         raise ContractError("degenerate class balance: one class absent")
-    pos_counts = ds.X[ds.y == 1].sum(axis=0, dtype=np.int64)
-    neg_counts = ds.X[ds.y == 0].sum(axis=0, dtype=np.int64)
-    return MarginalTable(pos_counts / n_pos, neg_counts / n_neg, n_pos, n_neg)
+    true_counts = PATTERNS.T @ counts  # (8, 2): feature = 1, by label
+    return MarginalTable(true_counts[:, 1] / n_pos, true_counts[:, 0] / n_neg, n_pos, n_neg)
 
 
 def synthesize(m: MarginalTable, n_pos: int, n_neg: int, seed: int) -> Dataset:
@@ -281,34 +284,31 @@ def synthesize(m: MarginalTable, n_pos: int, n_neg: int, seed: int) -> Dataset:
     n = n_pos + n_neg
     if n < 1:
         raise ContractError("need at least one record")
-    if n > sys.maxsize // N_FEATURES:  # NumPy cannot size the (n, 8) feature matrix
+    if n > sys.maxsize // N_FEATURES:  # beyond any (n, 8) array NumPy can size
         raise ContractError(f"too many records: {n} > {sys.maxsize // N_FEATURES}")
-    rng = _rng(seed)
+    rng = np.random.Generator(np.random.PCG64(seed))
     y = np.concatenate([np.ones(n_pos, dtype=np.uint8), np.zeros(n_neg, dtype=np.uint8)])
     rng.shuffle(y)
     rates = np.where(
         (y == 1)[:, None], m.rate_given_positive[None, :], m.rate_given_negative[None, :]
     )
-    X = (rng.random((n, N_FEATURES)) < rates).astype(np.uint8)
-    return Dataset(X, y)
+    return Dataset(pattern_codes(rng.random((n, N_FEATURES)) < rates), y)
 
 
 def reporter_positive_rate(ds: Dataset, feature: str) -> float:
     """Among records reporting the feature, the fraction with a positive label."""
-    i = FEATURE_NAMES.index(feature)
-    reporters = ds.X[:, i] == 1
-    n_reporters = int(np.sum(reporters))
+    reporters = PATTERNS[:, FEATURE_NAMES.index(feature)] == 1
+    counts = np.bincount(ds.cells, minlength=2 << N_FEATURES).reshape(-1, 2)[reporters]
+    n_reporters = int(counts.sum())
     if n_reporters == 0:
         raise ContractError(f"feature never reported: {feature}")
-    n_pos = int(np.sum(ds.y[reporters] == 1))
-    return n_pos / n_reporters
+    return int(counts[:, 1].sum()) / n_reporters
 
 
 def asymptomatic_negative_indices(ds: Dataset) -> np.ndarray:
     """Indices of negative-labeled records reporting none of the five symptoms."""
-    cols = [FEATURE_NAMES.index(f) for f in SYMPTOM_FEATURES]
-    no_symptoms = ~np.any(ds.X[:, cols] == 1, axis=1)
-    return np.flatnonzero((ds.y == 0) & no_symptoms)
+    symptoms = sum(1 << FEATURE_NAMES.index(f) for f in SYMPTOM_FEATURES)
+    return np.flatnonzero((ds.y == 0) & (ds.codes & symptoms == 0))
 
 
 def simulate_bias(ds: Dataset, cfg: BiasSimConfig) -> Dataset:
@@ -323,7 +323,8 @@ def simulate_bias(ds: Dataset, cfg: BiasSimConfig) -> Dataset:
     n_drop = int(len(candidates) * cfg.drop_fraction + 0.5)
     keep = np.ones(len(ds), dtype=bool)
     if n_drop:
-        dropped = _rng(cfg.seed).choice(candidates, size=n_drop, replace=False)
+        rng = np.random.Generator(np.random.PCG64(cfg.seed))
+        dropped = rng.choice(candidates, size=n_drop, replace=False)
         keep[dropped] = False
     return ds.take(np.flatnonzero(keep))
 
@@ -347,11 +348,7 @@ def reference_marginals() -> MarginalTable:
     """MarginalTable from the bundled survey counts (the default generator source)."""
     counts = reference_counts()
     n_pos, n_neg = _class_totals(counts)
-    rate_pos = np.empty(N_FEATURES)
-    rate_neg = np.empty(N_FEATURES)
-    for i, name in enumerate(FEATURE_NAMES):
-        row = counts["features"][name]["true"]
-        rate_pos[i] = row["positive_n"] / n_pos
-        rate_neg[i] = row["negative_n"] / n_neg
-    return MarginalTable(rate_pos, rate_neg, n_pos, n_neg)
+    rows = [counts["features"][name]["true"] for name in FEATURE_NAMES]
+    return MarginalTable([row["positive_n"] / n_pos for row in rows],
+                         [row["negative_n"] / n_neg for row in rows], n_pos, n_neg)
 

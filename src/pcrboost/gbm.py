@@ -230,7 +230,7 @@ def fit(ds: Dataset, cfg: TrainConfig) -> Model:
     p_bar = n_pos / len(ds)
     base_score = math.log(p_bar / (1.0 - p_bar))
     # cell 2 * code + label of the (pattern, label) count table; only present cells train
-    table = np.bincount(2 * pattern_codes(ds.X).astype(np.intp) + ds.y, minlength=2 << N_FEATURES)
+    table = np.bincount(ds.cells, minlength=2 << N_FEATURES)
     N = lattice_sums(table[0::2] + table[1::2]).tolist()
     cells = np.flatnonzero(table)
     count = table[cells]

@@ -13,6 +13,7 @@ distinct scores. Undefined ratios (0/0) are NaN throughout - the
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field, fields
 from typing import NamedTuple
 
@@ -47,13 +48,14 @@ class ScoredLabels:
 
     def __post_init__(self):
         scores = np.array(self.scores, dtype=np.float64, copy=True)
-        labels = np.array(self.labels, dtype=np.uint8, copy=True)
+        labels = np.asarray(self.labels)
         if scores.ndim != 1 or scores.shape != labels.shape:
             raise ContractError("scores and labels must be equal-length vectors")
         if scores.shape[0] < 1:
             raise ContractError("need at least one record")
-        if labels.max() > 1:
+        if not np.isin(labels, (0, 1)).all():  # before the cast, which would make 0.5 a 0
             raise ContractError("non-binary label")
+        labels = labels.astype(np.uint8)
         if not np.all(np.isfinite(scores)):
             raise ContractError("non-finite score")
         ascending, inverse = np.unique(scores, return_inverse=True)
@@ -280,8 +282,9 @@ def bootstrap(
     resample, and the generators and count tables held at once grow with the
     block, not with n_resamples.
     """
-    if n_resamples < 100:
-        raise ContractError("n_resamples must be >= 100")
+    limit = sys.maxsize // (8 * _BAND_POINTS)  # NumPy cannot size a larger band table
+    if not 100 <= n_resamples <= limit:
+        raise ContractError(f"n_resamples must be in [100, {limit}]")
     if not 0.0 < alpha < 1.0:
         raise ContractError("alpha must be in (0, 1)")
     try:

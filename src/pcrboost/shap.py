@@ -126,6 +126,6 @@ def explain_dataset(model: Model, ds: Dataset):
     """(base_value, distinct pattern codes ascending, their (p,8) phis, each record's index)."""
     if len(ds) == 0:
         raise ContractError("empty dataset")
-    codes, inverse = np.unique(pattern_codes(ds.X), return_inverse=True)
+    codes, inverse = np.unique(ds.codes, return_inverse=True)
     base, phis = _explain_matrix(model, PATTERNS[codes])
     return base, codes, phis, inverse

@@ -18,8 +18,11 @@ from pcrboost.dataset import (
     CSV_HEADER,
     FEATURE_NAMES,
     N_FEATURES,
+    SYMPTOM_FEATURES,
     Dataset,
+    MarginalTable,
     _class_totals,
+    pattern_codes,
     reference_counts,
 )
 from pcrboost.errors import ContractError, DataFormatError
@@ -74,7 +77,7 @@ def make_dataset(rng: np.random.Generator, n: int, p_pos: float = 0.3) -> Datase
     # training needs both classes; nudge degenerate draws
     if y.min() == y.max():
         y[0] = 1 - y[0]
-    return Dataset(X, y)
+    return Dataset(pattern_codes(X), y)
 
 
 def from_class_counts(
@@ -99,7 +102,7 @@ def from_class_counts(
     y = np.concatenate(
         [np.ones(n_positive, dtype=np.uint8), np.zeros(n_negative, dtype=np.uint8)]
     )
-    return Dataset(X, y)
+    return Dataset(pattern_codes(X), y)
 
 
 def reference_dataset() -> Dataset:
@@ -638,7 +641,7 @@ def reference_load_csv(source) -> Dataset:
         if not rows:
             raise DataFormatError("empty CSV body")
         arr = np.array(rows, dtype=np.uint8)
-        return Dataset(arr[:, :N_FEATURES], arr[:, N_FEATURES])
+        return Dataset(pattern_codes(arr[:, :N_FEATURES]), arr[:, N_FEATURES])
     except UnicodeDecodeError:
         raise DataFormatError("malformed CSV: not UTF-8 text") from None
     finally:
@@ -652,6 +655,35 @@ def reference_save_csv(ds: Dataset, dest) -> None:
     for row in body:
         lines.append(",".join("1" if v else "0" for v in row))
     dest.write(("\n".join(lines) + "\n").encode("ascii"))
+
+
+def reference_marginals_from(ds: Dataset) -> MarginalTable:
+    """`dataset.marginals_from` summing each class's rows of the feature matrix."""
+    n_pos = ds.n_positive
+    n_neg = ds.n_negative
+    if n_pos == 0 or n_neg == 0:
+        raise ContractError("degenerate class balance: one class absent")
+    pos_counts = ds.X[ds.y == 1].sum(axis=0, dtype=np.int64)
+    neg_counts = ds.X[ds.y == 0].sum(axis=0, dtype=np.int64)
+    return MarginalTable(pos_counts / n_pos, neg_counts / n_neg, n_pos, n_neg)
+
+
+def reference_reporter_positive_rate(ds: Dataset, feature: str) -> float:
+    """`dataset.reporter_positive_rate` scanning the feature's column record by record."""
+    i = FEATURE_NAMES.index(feature)
+    reporters = ds.X[:, i] == 1
+    n_reporters = int(np.sum(reporters))
+    if n_reporters == 0:
+        raise ContractError(f"feature never reported: {feature}")
+    n_pos = int(np.sum(ds.y[reporters] == 1))
+    return n_pos / n_reporters
+
+
+def reference_asymptomatic_negative_indices(ds: Dataset) -> np.ndarray:
+    """`dataset.asymptomatic_negative_indices` scanning the five symptom columns."""
+    cols = [FEATURE_NAMES.index(f) for f in SYMPTOM_FEATURES]
+    no_symptoms = ~np.any(ds.X[:, cols] == 1, axis=1)
+    return np.flatnonzero((ds.y == 0) & no_symptoms)
 
 
 @dataclass(frozen=True)

@@ -22,6 +22,7 @@ from pcrboost.dataset import (
     FEATURE_NAMES,
     Dataset,
     load_csv,
+    pattern_codes,
     reference_marginals,
     reporter_positive_rate,
     save_csv,
@@ -263,7 +264,7 @@ def test_criterion_10_format_round_trips(desk_scale, tmp_path):
     assert np.max(np.abs(desk_scale.model.predict_raw(X)
                          - clone.predict_raw(X))) <= 1e-12
 
-    ds = Dataset(X, rng.integers(0, 2, size=1000, dtype=np.uint8))
+    ds = Dataset(pattern_codes(X), rng.integers(0, 2, size=1000, dtype=np.uint8))
     path = tmp_path / "round_trip.csv"
     with open(path, "wb") as fh:
         save_csv(ds, fh)

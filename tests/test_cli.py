@@ -243,6 +243,16 @@ class TestEvaluateModes:
                    "--bootstrap", "0", "--alpha", alpha) == 3
         assert not list(tmp_path.glob("x_*"))
 
+    @pytest.mark.parametrize("count", ["100000000000000000000", str(sys.maxsize)])
+    def test_resample_count_numpy_cannot_size(self, pipeline, tmp_path, capsys, count):
+        # refused before any allocation, so this test allocates nothing
+        assert run("evaluate", "--model", pipeline / "model.json",
+                   "--data", pipeline / "data.csv", "--out-prefix", str(tmp_path / "x_"),
+                   "--bootstrap", count, "--seed", "1", "--roc-band") == 3
+        assert not list(tmp_path.glob("x_*"))
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "n_resamples must be in [100, " in err
+
     def test_single_class_data_writes_nothing(self, pipeline, tmp_path):
         data = tmp_path / "neg.csv"
         assert run("synth", "--n-pos", "0", "--n-neg", "50", "--seed", "2", "--out", data) == 0
@@ -361,7 +371,7 @@ class TestTrainModes:
         X = PATTERNS[:40]
         data = tmp_path / "separable.csv"
         with open(data, "wb") as fh:
-            save_csv(Dataset(X, X[:, 1]), fh)
+            save_csv(Dataset(pattern_codes(X), X[:, 1]), fh)
         assert run("train", "--data", data, "--out-model", tmp_path / "m.json",
                    "--seed", "0", "--l2-lambda", "0", "--learning-rate", "1",
                    "--min-samples-leaf", "1") == 3
@@ -376,7 +386,7 @@ class TestPerPatternWriters:
     def test_outputs_match_per_record_writers(self, pipeline, tmp_path, codes):
         rng = np.random.default_rng(len(codes))
         X = PATTERNS[rng.choice(codes, size=700)]
-        ds = Dataset(X, rng.integers(0, 2, size=700, dtype=np.uint8))
+        ds = Dataset(pattern_codes(X), rng.integers(0, 2, size=700, dtype=np.uint8))
         data = tmp_path / "data.csv"
         with open(data, "wb") as fh:
             save_csv(ds, fh)
@@ -426,7 +436,8 @@ class TestBeeswarmBytes:
     def test_single_pattern(self, pipeline, tmp_path):
         data = tmp_path / "data.csv"
         with open(data, "wb") as fh:
-            save_csv(Dataset(PATTERNS[[42] * 300], np.arange(300, dtype=np.uint8) % 2), fh)
+            save_csv(Dataset(pattern_codes(PATTERNS[[42] * 300]),
+                             np.arange(300, dtype=np.uint8) % 2), fh)
         shap = tmp_path / "shap.csv"
         assert run("explain", "--model", pipeline / "model.json", "--data", data,
                    "--out", shap) == 0

@@ -19,6 +19,7 @@ from pcrboost.dataset import (
     lattice_sums,
     load_csv,
     marginals_from,
+    pattern_codes,
     reference_counts,
     reference_marginals,
     reporter_positive_rate,
@@ -27,7 +28,15 @@ from pcrboost.dataset import (
     synthesize,
 )
 from pcrboost.errors import ContractError, DataFormatError
-from conftest import from_class_counts, reference_dataset, reference_load_csv, reference_save_csv
+from conftest import (
+    from_class_counts,
+    reference_asymptomatic_negative_indices,
+    reference_dataset,
+    reference_load_csv,
+    reference_marginals_from,
+    reference_reporter_positive_rate,
+    reference_save_csv,
+)
 
 
 def csv_bytes(header, rows):
@@ -98,13 +107,13 @@ class TestSaveCsv:
     def test_round_trip_identity(self, rng):
         X = rng.integers(0, 2, size=(25, 8), dtype=np.uint8)
         y = rng.integers(0, 2, size=25, dtype=np.uint8)
-        ds = Dataset(X, y)
+        ds = Dataset(pattern_codes(X), y)
         buf = io.BytesIO()
         save_csv(ds, buf)
         assert load_csv(buf.getvalue()) == ds
 
     def test_lf_newlines_and_header(self):
-        ds = Dataset(np.zeros((1, 8), dtype=np.uint8), np.zeros(1, dtype=np.uint8))
+        ds = Dataset(pattern_codes(np.zeros((1, 8), dtype=np.uint8)), np.zeros(1, dtype=np.uint8))
         buf = io.BytesIO()
         save_csv(ds, buf)
         blob = buf.getvalue()
@@ -149,6 +158,125 @@ class TestLatticeSums:
             assert np.array_equal(lattice[free], fixed_0 + fixed_1)
 
 
+class TestDatasetRecord:
+    """A Dataset holds pattern codes and labels; X is derived from the codes."""
+
+    @pytest.mark.parametrize("n", [0, 1, 7, 600])
+    def test_x_is_the_matrix_the_codes_were_packed_from(self, rng, n):
+        X = rng.integers(0, 2, size=(n, 8), dtype=np.uint8)
+        ds = Dataset(pattern_codes(X), rng.integers(0, 2, size=n, dtype=np.uint8))
+        assert ds.codes.dtype == ds.y.dtype == ds.X.dtype == np.uint8
+        assert ds.X.shape == (n, 8) and np.array_equal(ds.X, X)
+        assert not ds.X.flags.writeable
+
+    def test_every_pattern_code(self):
+        ds = Dataset(np.arange(256), np.zeros(256, dtype=np.uint8))
+        assert np.array_equal(ds.X, PATTERNS)
+        assert np.array_equal(pattern_codes(ds.X), ds.codes)
+
+    @pytest.mark.parametrize("bad", [0.5, -1, 2])
+    def test_label_not_zero_or_one_refused(self, bad):
+        for labels in ([bad, 1], [0, bad]):
+            with pytest.raises(ContractError, match="non-binary value in labels"):
+                Dataset(np.array([3, 200]), np.array(labels))
+
+    @pytest.mark.parametrize("bad", [0.5, -1, 256])
+    def test_code_outside_the_patterns_refused(self, bad):
+        with pytest.raises(ContractError, match="pattern code outside"):
+            Dataset(np.array([3, bad]), np.array([0, 1]))
+
+    def test_feature_matrix_is_not_a_code_vector(self):
+        # an (n, 8) matrix goes through pattern_codes, which refuses 0.5 features
+        with pytest.raises(ContractError, match="equal-length vectors"):
+            Dataset(np.zeros((2, 8), dtype=np.uint8), np.array([0, 1]))
+        with pytest.raises(ContractError, match="non-binary value in features"):
+            Dataset(pattern_codes(np.full((2, 8), 0.5)), np.array([0, 1]))
+
+    def test_label_length_must_match(self):
+        with pytest.raises(ContractError, match="equal-length vectors"):
+            Dataset(np.array([3, 4]), np.array([0, 1, 1]))
+
+    def test_line_table_and_csv_reader_fallback_agree(self, rng):
+        ds = Dataset(rng.integers(0, 256, size=900), rng.integers(0, 2, size=900))
+        buf = io.BytesIO()
+        save_csv(ds, buf)
+        lf = buf.getvalue()
+        crlf = lf.replace(b"\n", b"\r\n")  # no line is in the table: csv.reader reads it all
+        by_table, by_reader = load_csv(lf), load_csv(crlf)
+        assert by_table == by_reader == ds
+        for loaded in (by_table, by_reader):
+            assert loaded.codes.dtype == loaded.y.dtype == np.uint8
+
+
+def column_scan_case(name: str, rng) -> Dataset:
+    """Random datasets for the code-bit and count-table readers."""
+    n, p_one, p_pos = {"one": (1, 0.5, 0.5), "small": (60, 0.5, 0.3),
+                       "sparse": (800, 0.1, 0.5), "rare_positive": (3000, 0.6, 0.02),
+                       "unreported_cough": (500, 0.5, 0.4), "all_negative": (500, 0.5, 0.0),
+                       "all_positive": (40, 0.5, 1.0)}[name]
+    X = (rng.random((n, 8)) < p_one).astype(np.uint8)
+    if name == "unreported_cough":
+        X[:, FEATURE_NAMES.index("cough")] = 0
+    return Dataset(pattern_codes(X), (rng.random(n) < p_pos).astype(np.uint8))
+
+
+def outcome(fn, *args):
+    """fn's result, or the message of the ContractError it raises."""
+    try:
+        return fn(*args)
+    except ContractError as exc:
+        return f"ContractError: {exc}"
+
+
+COLUMN_SCAN_CASES = ["one", "small", "sparse", "rare_positive", "unreported_cough",
+                     "all_negative", "all_positive"]
+
+
+class TestAgainstColumnScanOracles:
+    """Readers of code bits and the 512-cell count table against the column scans they replaced."""
+
+    @pytest.mark.parametrize("name", COLUMN_SCAN_CASES)
+    def test_marginals_from(self, rng, name):
+        ds = column_scan_case(name, rng)
+        got = outcome(marginals_from, ds)
+        want = outcome(reference_marginals_from, ds)
+        if isinstance(want, str):
+            assert got == want
+            return
+        assert (got.n_positive, got.n_negative) == (want.n_positive, want.n_negative)
+        assert type(got.n_positive) is type(got.n_negative) is int
+        assert np.array_equal(got.rate_given_positive, want.rate_given_positive)
+        assert np.array_equal(got.rate_given_negative, want.rate_given_negative)
+
+    @pytest.mark.parametrize("name", COLUMN_SCAN_CASES)
+    def test_reporter_positive_rate(self, rng, name):
+        ds = column_scan_case(name, rng)
+        for feature in FEATURE_NAMES:
+            want = outcome(reference_reporter_positive_rate, ds, feature)
+            assert outcome(reporter_positive_rate, ds, feature) == want
+        if name == "unreported_cough":
+            assert outcome(reporter_positive_rate, ds, "cough") == (
+                "ContractError: feature never reported: cough")
+
+    @pytest.mark.parametrize("name", COLUMN_SCAN_CASES)
+    def test_asymptomatic_negative_indices(self, rng, name):
+        ds = column_scan_case(name, rng)
+        got = asymptomatic_negative_indices(ds)
+        assert got.dtype == np.intp
+        assert np.array_equal(got, reference_asymptomatic_negative_indices(ds))
+
+    def test_every_cell(self):
+        cells = np.arange(512)
+        ds = Dataset(cells >> 1, cells & 1)
+        assert np.array_equal(asymptomatic_negative_indices(ds),
+                              reference_asymptomatic_negative_indices(ds))
+        assert np.array_equal(marginals_from(ds).rate_given_positive,
+                              reference_marginals_from(ds).rate_given_positive)
+        for feature in FEATURE_NAMES:
+            assert (reporter_positive_rate(ds, feature)
+                    == reference_reporter_positive_rate(ds, feature) == 0.5)
+
+
 class TestAgainstPerCellOracles:
     """The per-line loader and writer against the per-cell loop they replaced."""
 
@@ -160,18 +288,18 @@ class TestAgainstPerCellOracles:
 
     @pytest.mark.parametrize("n", [0, 1, 2, 513, 5000])
     def test_save_csv_bytes(self, rng, n):
-        ds = Dataset(rng.integers(0, 2, size=(n, 8), dtype=np.uint8),
+        ds = Dataset(pattern_codes(rng.integers(0, 2, size=(n, 8), dtype=np.uint8)),
                      rng.integers(0, 2, size=n, dtype=np.uint8))
         assert self.saved(save_csv, ds) == self.saved(reference_save_csv, ds)
 
     def test_save_csv_bytes_every_cell(self):
         codes = np.arange(512)
-        ds = Dataset(PATTERNS[codes >> 1], codes & 1)
+        ds = Dataset(pattern_codes(PATTERNS[codes >> 1]), codes & 1)
         assert self.saved(save_csv, ds) == self.saved(reference_save_csv, ds)
 
     @pytest.mark.parametrize("newline", [b"\n", b"\r\n"])
     def test_load_csv_permuted_columns(self, rng, newline):
-        ds = Dataset(rng.integers(0, 2, size=(3000, 8), dtype=np.uint8),
+        ds = Dataset(pattern_codes(rng.integers(0, 2, size=(3000, 8), dtype=np.uint8)),
                      rng.integers(0, 2, size=3000, dtype=np.uint8))
         perm = list(rng.permutation(9))
         rows = np.column_stack([ds.X, ds.y])[:, perm].tolist()
@@ -202,13 +330,13 @@ class TestMarginals:
         assert m.rate("cough", 0) == 10715 / 90839
 
     def test_all_positive_single_record_errors(self):
-        ds = Dataset(np.ones((1, 8), dtype=np.uint8), np.ones(1, dtype=np.uint8))
+        ds = Dataset(pattern_codes(np.ones((1, 8), dtype=np.uint8)), np.ones(1, dtype=np.uint8))
         with pytest.raises(ContractError, match="degenerate class balance"):
             marginals_from(ds)
 
     def test_matches_counting_oracle(self, rng):
         ds = Dataset(
-            rng.integers(0, 2, size=(100, 8), dtype=np.uint8),
+            pattern_codes(rng.integers(0, 2, size=(100, 8), dtype=np.uint8)),
             np.array([1] * 37 + [0] * 63, dtype=np.uint8),
         )
         m = marginals_from(ds)
@@ -259,7 +387,7 @@ class TestSynthesize:
 
     def test_round_trip_concentration(self, rng):
         ds = Dataset(
-            (rng.random((400, 8)) < 0.35).astype(np.uint8),
+            pattern_codes((rng.random((400, 8)) < 0.35).astype(np.uint8)),
             np.array([1] * 150 + [0] * 250, dtype=np.uint8),
         )
         m = marginals_from(ds)
@@ -277,7 +405,8 @@ class TestReporterPositiveRate:
         assert reporter_positive_rate(ds, "shortness_of_breath") == 859 / 930
 
     def test_feature_never_reported(self):
-        ds = Dataset(np.zeros((3, 8), dtype=np.uint8), np.array([1, 0, 1], dtype=np.uint8))
+        ds = Dataset(pattern_codes(np.zeros((3, 8), dtype=np.uint8)),
+                     np.array([1, 0, 1], dtype=np.uint8))
         with pytest.raises(ContractError, match="never reported"):
             reporter_positive_rate(ds, "cough")
 
@@ -297,7 +426,7 @@ def bias_fixture_dataset(n_asym: int = 1000):
     blocks.append((pos, np.ones(40, dtype=np.uint8)))
     X = np.concatenate([b for b, _ in blocks])
     y = np.concatenate([lbl for _, lbl in blocks])
-    return Dataset(X, y)
+    return Dataset(pattern_codes(X), y)
 
 
 class TestSimulateBias:
@@ -326,7 +455,7 @@ class TestSimulateBias:
     def test_output_is_multiset_subset(self, rng):
         X = rng.integers(0, 2, size=(300, 8), dtype=np.uint8)
         y = rng.integers(0, 2, size=300, dtype=np.uint8)
-        ds = Dataset(X, y)
+        ds = Dataset(pattern_codes(X), y)
         out = simulate_bias(ds, BiasSimConfig(0.75, seed=8))
         rows_in = [tuple(r) for r in np.column_stack([ds.X, ds.y]).tolist()]
         rows_out = [tuple(r) for r in np.column_stack([out.X, out.y]).tolist()]

@@ -8,7 +8,14 @@ import math
 import numpy as np
 import pytest
 
-from pcrboost.dataset import FEATURE_NAMES, PATTERNS, Dataset, reference_marginals, synthesize
+from pcrboost.dataset import (
+    FEATURE_NAMES,
+    PATTERNS,
+    Dataset,
+    pattern_codes,
+    reference_marginals,
+    synthesize,
+)
 from pcrboost.errors import ContractError, DataFormatError
 from pcrboost.gbm import (
     Model,
@@ -88,7 +95,7 @@ def stump_dataset():
     y = np.zeros(n, dtype=np.uint8)
     y[:36] = 1  # 90% of cough=1
     y[40:46] = 1  # 10% of cough=0
-    return Dataset(X, y), ci
+    return Dataset(pattern_codes(X), y), ci
 
 
 class TestFit:
@@ -126,16 +133,17 @@ class TestFit:
     def test_balanced_classes_zero_base_score(self, rng):
         X = rng.integers(0, 2, size=(50, 8), dtype=np.uint8)
         y = np.array([1] * 25 + [0] * 25, dtype=np.uint8)
-        model = fit(Dataset(X, y), TrainConfig(num_rounds=0))
+        model = fit(Dataset(pattern_codes(X), y), TrainConfig(num_rounds=0))
         assert model.base_score == 0.0
 
     def test_single_class_rejected(self):
-        ds = Dataset(np.zeros((10, 8), dtype=np.uint8), np.zeros(10, dtype=np.uint8))
+        ds = Dataset(pattern_codes(np.zeros((10, 8), dtype=np.uint8)),
+                     np.zeros(10, dtype=np.uint8))
         with pytest.raises(ContractError, match="single-class"):
             fit(ds, TrainConfig())
 
     def test_empty_dataset_rejected(self):
-        ds = Dataset(np.zeros((0, 8), dtype=np.uint8), np.zeros(0, dtype=np.uint8))
+        ds = Dataset(pattern_codes(np.zeros((0, 8), dtype=np.uint8)), np.zeros(0, dtype=np.uint8))
         with pytest.raises(ContractError):
             fit(ds, TrainConfig())
 
@@ -143,7 +151,7 @@ class TestFit:
         # the label equals age_60_plus, so at learning rate 1 the raw scores run
         # off until p(1-p) underflows to 0 in whole nodes
         X = PATTERNS[:40]
-        ds = Dataset(X, X[:, 1])
+        ds = Dataset(pattern_codes(X), X[:, 1])
         cfg = dict(learning_rate=1.0, min_samples_leaf=1, l2_lambda=0.0)
         assert len(fit(ds, TrainConfig(num_rounds=5, **cfg)).trees) == 5
         with pytest.raises(ContractError, match="zero hessian sum.*l2-lambda > 0"):
@@ -338,7 +346,7 @@ class TestCountTableTrainer:
         X[20:39, 4] = 1
         y = (rng.random(n) < 0.1).astype(np.uint8)
         y[:39] = 1
-        ds = Dataset(X, y)
+        ds = Dataset(pattern_codes(X), y)
         cfg = TrainConfig(num_rounds=5, max_leaves=8, min_samples_leaf=20)
         assert compare_with_per_record_oracle(ds, cfg) is None
         model = fit(ds, cfg)
@@ -349,7 +357,7 @@ class TestCountTableTrainer:
         ds = make_dataset(rng, 800, p_pos=0.3)
         X = ds.X.copy()
         X[:, 5] = X[:, 2]  # cough duplicated: every split on it is an exact tie
-        ds = Dataset(X, ds.y)
+        ds = Dataset(pattern_codes(X), ds.y)
         cfg = TrainConfig(num_rounds=10, max_leaves=8, min_samples_leaf=10)
         assert compare_with_per_record_oracle(ds, cfg) is None
         model = fit(ds, cfg)
@@ -371,7 +379,7 @@ class TestCountTableTrainer:
         X = np.vstack([X, swapped])
         y = np.concatenate([y, y[mirror]])
         perm = rng.permutation(len(y))
-        ds = Dataset(X[perm], y[perm])
+        ds = Dataset(pattern_codes(X[perm]), y[perm])
         cfg = TrainConfig(num_rounds=10, max_leaves=4, min_samples_leaf=5)
         _, gaps = reference_fit(ds, cfg)
         assert min(gaps) < 1e-9  # the near tie is really there
@@ -393,7 +401,7 @@ class TestCountTableTrainer:
         y = (rng.random(n) < 0.1 + 0.5 * X[:, 2]).astype(np.uint8)
         mirror = X.copy()
         mirror[:, 0] = 1
-        ds = Dataset(np.vstack([X, mirror]), np.concatenate([y, 1 - y]))
+        ds = Dataset(pattern_codes(np.vstack([X, mirror])), np.concatenate([y, 1 - y]))
         cfg = TrainConfig(num_rounds=1, max_leaves=3)
         _, gaps = reference_fit(ds, cfg)
         assert gaps == [0.0]  # the tie is exact

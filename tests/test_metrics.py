@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -58,6 +59,13 @@ class TestScoredLabels:
     def test_non_binary_label(self):
         with pytest.raises(ContractError):
             ScoredLabels(np.zeros(2), np.array([0, 2], dtype=np.uint8))
+
+    @pytest.mark.parametrize("bad", [0.5, -1, 2])
+    def test_label_not_zero_or_one_refused(self, bad):
+        # checked before the uint8 cast, which would count 0.5 as a negative
+        for labels in ([bad, 1], [0, bad]):
+            with pytest.raises(ContractError, match="non-binary label"):
+                ScoredLabels([0.1, 0.9], labels)
 
     def test_non_finite_score(self):
         for bad in (math.nan, math.inf, -math.inf):
@@ -251,6 +259,10 @@ class TestBootstrapCI:
         sl = tie_heavy(rng, 40)
         with pytest.raises(ContractError, match="n_resamples"):
             bootstrap(sl, n_resamples=99, seed=0)
+        # counts NumPy cannot size are refused before anything is allocated
+        for n in (sys.maxsize // (8 * metrics._BAND_POINTS) + 1, sys.maxsize, 10**20):
+            with pytest.raises(ContractError, match="n_resamples"):
+                bootstrap(sl, n_resamples=n, seed=0)
         with pytest.raises(ContractError, match="alpha"):
             bootstrap(sl, alpha=0.0, seed=0)
         with pytest.raises(ContractError, match="alpha"):

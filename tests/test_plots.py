@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from pcrboost.dataset import FEATURE_NAMES, Dataset
+from pcrboost.dataset import FEATURE_NAMES, Dataset, pattern_codes
 from pcrboost.errors import ContractError
 from pcrboost.gbm import TrainConfig, fit
 from pcrboost.plots import render_beeswarm_svg, render_curve_svg
@@ -68,7 +68,7 @@ class TestCurveSvg:
 def small_points():
     r = np.random.default_rng(5)
     X = r.integers(0, 2, size=(3, 8), dtype=np.uint8)
-    ds = Dataset(X, np.array([1, 0, 1], dtype=np.uint8))
+    ds = Dataset(pattern_codes(X), np.array([1, 0, 1], dtype=np.uint8))
     model = fit(make_dataset(r, 300), TrainConfig(num_rounds=2))
     return beeswarm_points(model, ds)
 

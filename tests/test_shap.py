@@ -158,7 +158,7 @@ class TestExplainDataset:
         model = random_model(rng, n_trees=3)
         X = rng.integers(0, 2, size=(60, 8), dtype=np.uint8)
         y = rng.integers(0, 2, size=60, dtype=np.uint8)
-        ds = Dataset(X, y)
+        ds = Dataset(pattern_codes(X), y)
         base, phis = explain_records(model, ds)
         for r in range(60):
             exp = explain(model, X[r])
@@ -169,14 +169,14 @@ class TestExplainDataset:
         model = random_model(rng, n_trees=2)
         row = rng.integers(0, 2, size=8, dtype=np.uint8)
         X = np.tile(row, (5, 1))
-        ds = Dataset(X, np.array([0, 1, 0, 1, 0], dtype=np.uint8))
+        ds = Dataset(pattern_codes(X), np.array([0, 1, 0, 1, 0], dtype=np.uint8))
         _, phis = explain_records(model, ds)
         for r in range(1, 5):
             assert np.array_equal(phis[r], phis[0])
 
     def test_empty_dataset_rejected(self, rng):
         model = random_model(rng, n_trees=1)
-        ds = Dataset(np.zeros((0, 8), dtype=np.uint8), np.zeros(0, dtype=np.uint8))
+        ds = Dataset(pattern_codes(np.zeros((0, 8), dtype=np.uint8)), np.zeros(0, dtype=np.uint8))
         with pytest.raises(ContractError, match="empty dataset"):
             explain_dataset(model, ds)
 
@@ -193,7 +193,7 @@ class TestOneAnswerPerPattern:
     def test_single_pattern_dataset_equals_the_batch(self, rng):
         model = random_model(rng, n_trees=5)
         _, phis = _explain_matrix(model, PATTERNS)
-        ds = Dataset(PATTERNS[[77] * 4], np.zeros(4, dtype=np.uint8))
+        ds = Dataset(pattern_codes(PATTERNS[[77] * 4]), np.zeros(4, dtype=np.uint8))
         _, codes, single, _ = explain_dataset(model, ds)
         assert codes.tolist() == [77]
         assert np.array_equal(single, phis[[77]])
@@ -253,7 +253,7 @@ class TestRowsDoNotDependOnTheirBatch:
         base, table = _explain_matrix(model, PATTERNS)
         for size in (1, 2, 3, 121, 217):
             chosen = rng.permutation(256)[:size]
-            ds = Dataset(PATTERNS[chosen], np.zeros(size, dtype=np.uint8))
+            ds = Dataset(pattern_codes(PATTERNS[chosen]), np.zeros(size, dtype=np.uint8))
             got_base, codes, phis, _ = explain_dataset(model, ds)
             assert got_base == base
             assert codes.tolist() == sorted(chosen.tolist())
@@ -274,7 +274,7 @@ class TestExplainPatterns:
     def test_per_pattern_results_broadcast_to_records(self, rng):
         model = random_model(rng, n_trees=3)
         X = PATTERNS[rng.choice([3, 77, 140, 255], size=50)]
-        ds = Dataset(X, rng.integers(0, 2, size=50, dtype=np.uint8))
+        ds = Dataset(pattern_codes(X), rng.integers(0, 2, size=50, dtype=np.uint8))
         base, codes, phis, inverse = explain_dataset(model, ds)
         assert codes.tolist() == [3, 77, 140, 255]
         assert np.array_equal(codes[inverse], pattern_codes(X))
@@ -285,7 +285,7 @@ class TestExplainPatterns:
         assert np.array_equal(record_phis, phis[inverse])
 
     def test_empty_dataset_rejected(self, rng):
-        ds = Dataset(np.zeros((0, 8), dtype=np.uint8), np.zeros(0, dtype=np.uint8))
+        ds = Dataset(pattern_codes(np.zeros((0, 8), dtype=np.uint8)), np.zeros(0, dtype=np.uint8))
         with pytest.raises(ContractError, match="empty dataset"):
             explain_dataset(random_model(rng, n_trees=1), ds)
 
@@ -323,7 +323,7 @@ class TestBeeswarmPoints:
     def test_one_triple_per_record_feature_pair(self, rng):
         model = random_model(rng, n_trees=2)
         X = rng.integers(0, 2, size=(3, 8), dtype=np.uint8)
-        ds = Dataset(X, np.array([0, 1, 0], dtype=np.uint8))
+        ds = Dataset(pattern_codes(X), np.array([0, 1, 0], dtype=np.uint8))
         points = beeswarm_points(model, ds)
         assert len(points) == 24
         assert all(isinstance(p, BeeswarmPoint) for p in points)
