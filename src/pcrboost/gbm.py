@@ -87,19 +87,10 @@ class TreeNode:
 
 
 def sigmoid(raw):
-    if np.ndim(raw) == 0:
-        raw = float(raw)
-        if raw >= 0:
-            return 1.0 / (1.0 + math.exp(-raw))
-        e = math.exp(raw)
-        return e / (1.0 + e)
+    """Elementwise logistic; scalars and arrays share one path, so equal inputs give equal bits."""
     raw = np.asarray(raw, dtype=np.float64)
-    out = np.empty_like(raw)
-    pos = raw >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-raw[pos]))
-    e = np.exp(raw[~pos])
-    out[~pos] = e / (1.0 + e)
-    return out
+    e = np.exp(-np.abs(raw))
+    return np.where(raw >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def logistic_grad_hess(raw, label):
@@ -123,25 +114,37 @@ class Model:
     def _raw_table(self) -> np.ndarray:
         # the raw score of every pattern, summed in tree order
         table = np.full(len(PATTERNS), self.base_score, dtype=np.float64)
-        for tree in self.trees:
-            table += tree_values(tree, PATTERNS)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for tree in self.trees:
+                table += tree_values(tree, PATTERNS)
+        require_finite("raw score", table)
         return table
 
     @cached_property
     def _shap_table(self) -> tuple[float, np.ndarray]:
-        # (base, (256, 8) phis) of every pattern; only `shap.explain` reads it,
-        # so train and predict never load the shap layer
-        from .shap import _explain_matrix
-        return _explain_matrix(self, PATTERNS)
+        # (base, (256, 8) phis) of every pattern; only the shap layer reads it,
+        # so train and predict never load it
+        from .shap import _phi_table
+        return _phi_table(self)
+
+    def _read(self, table: np.ndarray, features):
+        """Each record's entry of a 256-pattern table; a float for one record."""
+        values = table[pattern_codes(np.atleast_2d(features))]
+        return values if np.ndim(features) == 2 else float(values[0])
 
     def predict_raw(self, features):
         """Base score plus the routed leaf value of every tree (log-odds)."""
-        raw = self._raw_table[pattern_codes(np.atleast_2d(features))]
-        return raw if np.ndim(features) == 2 else float(raw[0])
+        return self._read(self._raw_table, features)
 
     def predict_proba(self, features):
         """Sigmoid of predict_raw, in the open interval (0, 1)."""
-        return sigmoid(self.predict_raw(features))
+        return self._read(sigmoid(self._raw_table), features)
+
+
+def require_finite(what: str, *tables) -> None:
+    """Refuse a model table holding NaN or inf, so none reaches an output."""
+    if not all(np.isfinite(t).all() for t in tables):
+        raise ContractError(f"non-finite {what} table: the model's reals overflow")
 
 
 def tree_values(root: TreeNode, X: np.ndarray) -> np.ndarray:
@@ -248,10 +251,7 @@ def fit(ds: Dataset, cfg: TrainConfig) -> Model:
             raise ContractError("zero hessian sum in a tree node: use --l2-lambda > 0") from None
         raw += tree_values(root, PATTERNS)
         trees.append(root)
-    model = Model(base_score=base_score, trees=tuple(trees), config=cfg)
-    # raw is base_score plus every tree's values in tree order: `_raw_table` bit for bit
-    model.__dict__["_raw_table"] = raw
-    return model
+    return Model(base_score=base_score, trees=tuple(trees), config=cfg)
 
 
 def _emit_json(obj) -> str:

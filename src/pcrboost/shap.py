@@ -10,8 +10,8 @@ depends only on the pattern's bits inside the coalition: one of the 3^8
 partial assignments that training also runs on (`dataset.lattice_sums`).
 So each tree is walked once into a value table over that lattice, whatever
 the rows; each feature's Shapley terms are a table on it, from which one
-gather per feature reads every distinct pattern's terms. `explain` reads a
-record's row of the model's 256-pattern table, built once per `Model`.
+gather per feature fills the model's 256-pattern table, built once per
+`Model`; `explain` and `explain_dataset` read its rows.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ import numpy as np
 
 from .dataset import N_FEATURES, PATTERNS, Dataset, pattern_codes
 from .errors import ContractError
-from .gbm import Model
+from .gbm import Model, require_finite
 
 _N_SUBSETS = 1 << N_FEATURES
 _MASKS = np.arange(_N_SUBSETS, dtype=np.int64)
@@ -42,6 +42,10 @@ _STEPS = 3 ** np.arange(N_FEATURES)
 _DIGITS = np.arange(3 ** N_FEATURES)[:, None] // _STEPS % 3
 # weight of a lattice entry's term: the coalition it fixes, less the feature being added
 _COEF = _WEIGHT[np.maximum((_DIGITS != 2).sum(axis=1) - 1, 0)]
+# per feature, the lattice index of each (coalition m holding it, pattern p): p's bits inside m,
+# 2 (free) outside; with _T[c] = sum of 3**f over the bits f of c, that is _T[m & p] + 2 * _T[~m]
+_T = (PATTERNS * _STEPS).sum(axis=1)
+_GATHER = (_T[_MASKS[:, None] & _MASKS] + 2 * (_T[-1] - _T[:, None]))[_WITH]
 
 
 @dataclass(frozen=True)
@@ -57,27 +61,20 @@ class ShapExplanation:
     record_echo: tuple[int, ...]
 
 
-def _explain_matrix(model: Model, X: np.ndarray):
-    """Lattice attributions for distinct rows X; returns (base, (n,8) phis).
+@np.errstate(over="ignore", invalid="ignore")
+def _phi_table(model: Model):
+    """Lattice attributions of the 256 patterns; returns (base, (256,8) phis).
 
     One walk per tree, right child first, into a value table V over the 3^8
     partial assignments: a child's weight is its parent's times, along its
     split feature's axis, 1 or 0 where the feature is fixed (agreement with
     the branch) and the branch's cover share where it is free. Then feature
     f's term for assignment a with f fixed is coef * (V[a] - V[a, f freed]),
-    and a row's phi_f sums, in mask order, the terms at its assignment over
-    each coalition holding f.
+    and a pattern's phi_f sums, in mask order, the terms at its assignment
+    over each coalition holding f.
     """
-    n = X.shape[0]
-    if n == 1:  # one row sums the coalitions pairwise; every batch of two or more adds them in order
-        base, phis = _explain_matrix(model, np.repeat(X, 2, axis=0))
-        return base, phis[:1]
-    phis = np.zeros((n, N_FEATURES))
+    phis = np.zeros((len(PATTERNS), N_FEATURES))
     base = float(model.base_score)
-    # lattice index of each (coalition, row): the row's bits inside the coalition, free outside
-    in_coalition = (_MASKS[:, None] >> np.arange(N_FEATURES) & 1).astype(bool)
-    index = (np.where(in_coalition[:, None], X, 2) * _STEPS).sum(axis=2)
-    gather = index[_WITH]  # (8, 128, n): per feature, the coalitions holding it
     for tree in model.trees:
         V = np.zeros((3,) * N_FEATURES)
         stack = [(tree, np.ones((1,) * N_FEATURES))]
@@ -99,8 +96,9 @@ def _explain_matrix(model: Model, X: np.ndarray):
             term = (_COEF.reshape(v.shape) * (v - v[:, 2:])).reshape(-1)
             # elementwise gather + sum, not `@`: BLAS reductions may vary
             # with thread count and outputs must be bit-identical
-            phis[:, f] += term[gather[f]].sum(axis=0)
+            phis[:, f] += term[_GATHER[f]].sum(axis=0)
         base += float(V[-1])
+    require_finite("SHAP", base, phis)
     return base, phis
 
 
@@ -127,5 +125,5 @@ def explain_dataset(model: Model, ds: Dataset):
     if len(ds) == 0:
         raise ContractError("empty dataset")
     codes, inverse = np.unique(ds.codes, return_inverse=True)
-    base, phis = _explain_matrix(model, PATTERNS[codes])
-    return base, codes, phis, inverse
+    base, table = model._shap_table
+    return base, codes, table[codes], inverse

@@ -20,7 +20,7 @@ from pcrboost.dataset import (
     pattern_codes,
     save_csv,
 )
-from pcrboost.gbm import load_model
+from pcrboost.gbm import Model, TrainConfig, TreeNode, load_model, save_model
 from pcrboost.metrics import ScoredLabels, auroc
 from conftest import (
     reference_beeswarm_svg,
@@ -603,6 +603,29 @@ class TestTopLevel:
             for command in ("predict", "explain"):
                 assert run(command, "--model", bad, "--data", pipeline / "data.csv",
                            "--out", tmp_path / "out.csv") == 2, (command, variant[:80])
+
+    @pytest.mark.parametrize("leaves, commands", [
+        # finite raw scores, but the SHAP terms overflow to +inf in one tree and -inf in the other
+        ([(-1e308, 1e308, 1e9, 1.0), (1e308, -1e308, 1e9, 1.0)], ["explain"]),
+        # raw scores that overflow to inf
+        ([(v, v, 1.0, 1.0) for v in (1e308, 1e308, -1e308, -1e308)],
+         ["predict", "explain", "evaluate"]),
+    ])
+    def test_overflowing_model_tables_are_contract_errors(self, pipeline, tmp_path, capsys,
+                                                           leaves, commands):
+        # every real is finite and every cover adds up, so load_model accepts the model
+        trees = [TreeNode(cover=lc + rc, feature=0, left=TreeNode(cover=lc, value=lv),
+                          right=TreeNode(cover=rc, value=rv)) for lv, rv, lc, rc in leaves]
+        model = tmp_path / "model.json"
+        model.write_text(save_model(Model(0.0, tuple(trees), TrainConfig())))
+        for command in commands:
+            out = ["--out-prefix", tmp_path / "x_", "--bootstrap", "0"] \
+                if command == "evaluate" else ["--out", tmp_path / "x_out.csv"]
+            capsys.readouterr()
+            assert run(command, "--model", model, "--data", pipeline / "data.csv", *out) == 3
+            assert not list(tmp_path.glob("x_*")), command
+            err = capsys.readouterr().err
+            assert err.count("\n") == 1 and "non-finite" in err, command
 
     def test_missing_input_file_is_io_error(self, tmp_path):
         assert run("train", "--data", tmp_path / "absent.csv",

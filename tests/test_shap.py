@@ -15,7 +15,7 @@ from pcrboost.dataset import (
 )
 from pcrboost.errors import ContractError
 from pcrboost.gbm import Model, TrainConfig, TreeNode, fit
-from pcrboost.shap import _explain_matrix, explain, explain_dataset
+from pcrboost.shap import _phi_table, explain, explain_dataset
 from conftest import (
     BeeswarmPoint,
     assert_local_accuracy,
@@ -184,7 +184,7 @@ class TestExplainDataset:
 class TestOneAnswerPerPattern:
     def test_explain_equals_the_batch_on_every_pattern(self, rng):
         model = random_model(rng, n_trees=8)
-        base, phis = _explain_matrix(model, PATTERNS)
+        base, phis = _phi_table(model)
         for code, x in enumerate(PATTERNS):
             exp = explain(model, x)
             assert exp.base_value == base
@@ -192,7 +192,7 @@ class TestOneAnswerPerPattern:
 
     def test_single_pattern_dataset_equals_the_batch(self, rng):
         model = random_model(rng, n_trees=5)
-        _, phis = _explain_matrix(model, PATTERNS)
+        _, phis = _phi_table(model)
         ds = Dataset(pattern_codes(PATTERNS[[77] * 4]), np.zeros(4, dtype=np.uint8))
         _, codes, single, _ = explain_dataset(model, ds)
         assert codes.tolist() == [77]
@@ -207,11 +207,11 @@ class TestTopDownMatchesPerLeafReference:
     row) grid and combines the grid directly.
     """
 
-    def assert_identical(self, model, X=PATTERNS):
-        base, phis = _explain_matrix(model, X)
-        ref_base, ref_phis = reference_explain_matrix(model, X)
+    def assert_identical(self, model, codes=np.arange(256)):
+        base, table = _phi_table(model)
+        ref_base, ref_phis = reference_explain_matrix(model, PATTERNS[codes])
         assert base == ref_base
-        assert np.array_equal(phis, ref_phis)
+        assert np.array_equal(table[codes], ref_phis)
 
     def test_random_models(self, rng):
         for n_trees in (1, 2, 5, 20):
@@ -227,14 +227,8 @@ class TestTopDownMatchesPerLeafReference:
         train = synthesize(reference_marginals(), 4769, 51831 - 4769, seed=101)
         self.assert_identical(fit(train, TrainConfig()))
 
-    def test_row_subsets_and_single_row(self, rng):
-        model = random_model(rng, 6)
-        self.assert_identical(model, PATTERNS[rng.permutation(256)[:37]])
-        # a lone row is taken twice (one row would sum pairwise), so the oracle is fed it twice
-        base, phis = _explain_matrix(model, PATTERNS[[200]])
-        ref_base, ref_phis = reference_explain_matrix(model, PATTERNS[[200, 200]])
-        assert base == ref_base
-        assert np.array_equal(phis, ref_phis[:1])
+    def test_row_subsets(self, rng):
+        self.assert_identical(random_model(rng, 6), rng.permutation(256)[:37])
 
     def test_feature_repeated_on_a_path(self):
         # load_model refuses this shape, but an in-memory Model can hold it
@@ -250,7 +244,7 @@ class TestRowsDoNotDependOnTheirBatch:
     def test_subsets_equal_the_pattern_table(self, rng):
         # the training set and the model of the seed-1 benchmark set-ups
         model = fit(synthesize(reference_marginals(), 476, 4706, seed=1001), TrainConfig(seed=1))
-        base, table = _explain_matrix(model, PATTERNS)
+        base, table = _phi_table(model)
         for size in (1, 2, 3, 121, 217):
             chosen = rng.permutation(256)[:size]
             ds = Dataset(pattern_codes(PATTERNS[chosen]), np.zeros(size, dtype=np.uint8))
