@@ -15,6 +15,7 @@ import argparse
 import json
 import math
 import operator
+import os
 import sys
 import time
 from importlib import import_module
@@ -51,9 +52,6 @@ threshold_report = _deferred("metrics", "threshold_report")
 unique_thresholds = _deferred("metrics", "unique_thresholds")
 beeswarm_svg_parts = _deferred("plots", "beeswarm_svg_parts")
 render_curve_svg = _deferred("plots", "render_curve_svg")
-
-# SVG parts joined and written per write() call
-_SVG_CHUNK_PARTS = 4096
 
 # flags that must be resolved (CLI or config) before a command can run
 _REQUIRED = {
@@ -438,6 +436,8 @@ def cmd_plot(args, parser):
             raise DataFormatError("malformed input CSV: no SHAP rows")
         # each distinct row checked once, in file order (the first bad row is named)
         distinct = dict.fromkeys(rows)
+        # feature -> (shap values, feature values) of its records, in file order
+        strips: dict[str, tuple[list[float], list[int]]] = {}
         for row in distinct:
             name, value, cell = row
             if name not in FEATURE_NAMES:
@@ -445,16 +445,16 @@ def cmd_plot(args, parser):
             value = _real(value, "shap_value")
             if cell not in ("0", "1"):  # literal cells, as in a dataset CSV
                 raise DataFormatError(f"malformed input CSV: bad feature_value value {cell!r}")
-            distinct[row] = (name, value, int(cell))
-        by_feature: dict[str, list[tuple[str, float, int]]] = {}
-        for point in map(distinct.__getitem__, rows):
-            by_feature.setdefault(point[0], []).append(point)
+            distinct[row] = (strips.setdefault(name, ([], [])), value, int(cell))
+        for (values, cells), value, cell in map(distinct.__getitem__, rows):
+            values.append(value)
+            cells.append(cell)
         # the builtin sum over each feature's records in file order; a count x |v|
         # product per distinct cell rounds differently and can flip a near-tie
-        means = {name: sum(abs(v) for _, v, _ in pts) / len(pts)
-                 for name, pts in by_feature.items()}
-        points = [point for name in rank_features(means) for point in by_feature[name]]
-        parts = beeswarm_svg_parts(points, seed=args.seed, title="SHAP beeswarm")
+        means = {name: sum(map(abs, values)) / len(values)
+                 for name, (values, _) in strips.items()}
+        parts = beeswarm_svg_parts([(name, *strips[name]) for name in rank_features(means)],
+                                   seed=args.seed, title="SHAP beeswarm")
     else:
         rows = _read_rows(args.in_path, ("fpr", "sensitivity", "ppv"))
         if args.kind == "roc":
@@ -478,11 +478,16 @@ def cmd_plot(args, parser):
             if not points:
                 raise DataFormatError("malformed input CSV: no defined precision values")
             parts = [render_curve_svg(points, kind="pr", title="Precision-recall curve")]
-    # the "\n"-join of the parts, written _SVG_CHUNK_PARTS at a time: the beeswarm's
-    # joined document (2.9 MB at the quickstart scale) and its encoding are never held
-    with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-        for start in range(0, len(parts), _SVG_CHUNK_PARTS):
-            fh.write(("\n" if start else "") + "\n".join(parts[start:start + _SVG_CHUNK_PARTS]))
+    # rendered as it is written, under a temporary name: a failure leaves no partial SVG
+    tmp = f"{args.out}.{os.getpid()}.tmp"
+    fh = open(tmp, "x", encoding="utf-8", newline="\n")
+    try:
+        with fh:
+            fh.writelines(parts)
+        os.replace(tmp, args.out)
+    except BaseException:
+        os.remove(tmp)
+        raise
     return inputs, [args.out], args.out + ".manifest.json"
 
 

@@ -93,38 +93,20 @@ def render_curve_svg(points, *, kind: str, title: str, band=None) -> str:
     return "\n".join(parts)
 
 
-def render_beeswarm_svg(points, *, seed: int, title: str) -> str:
-    """One jittered strip per feature, point fill encoding the 0/1 feature value.
+def beeswarm_svg_parts(strips, *, seed: int, title: str):
+    """The beeswarm document: its head, one "\n"-terminated block per strip, its tail.
 
-    `points` are (feature, shap_value, feature_value) triples already grouped
-    by feature in ranking order (mean |SHAP| descending, as `plot --kind
-    beeswarm` orders the rows of a SHAP CSV).
-    """
-    return "\n".join(beeswarm_svg_parts(points, seed=seed, title=title))
-
-
-def beeswarm_svg_parts(points, *, seed: int, title: str) -> list[str]:
-    """The beeswarm document as parts whose "\n"-join is `render_beeswarm_svg`'s text.
-
-    One part per element, so a writer can emit them in chunks without
-    holding the joined document.
+    `strips` are (feature, shap_values, feature_values) triples in drawing
+    order (mean |SHAP| descending, as `plot --kind beeswarm` ranks the
+    features of a SHAP CSV), each strip's points in input order. A point's
+    fill encodes its 0/1 feature value. A writer holds one block at a time.
     """
     import numpy as np
 
-    if not points:
+    if not strips:
         raise ContractError("no beeswarm points")
-    # strips in order of each feature's first appearance, points in input order
-    names = [p[0] for p in points]
-    strip_of = {name: i for i, name in enumerate(dict.fromkeys(names))}
-    strips = np.fromiter(map(strip_of.__getitem__, names), np.int64, len(names))
-    order = np.argsort(strips, kind="stable")
-    cuts = np.cumsum(np.bincount(strips))[:-1]
-    values = np.array([p[1] for p in points], dtype=np.float64)
-    fill_of = {v: _VALUE_COLORS.get(int(v), _AXIS) for v in {p[2] for p in points}}
-    fills = np.array([fill_of[p[2]] for p in points], dtype=object)
-
-    height = _MT + _STRIP_H * len(strip_of) + _MB
-    span = max(float(np.abs(values).max()), 1e-12)
+    height = _MT + _STRIP_H * len(strips) + _MB
+    span = max(max(max(map(abs, values)) for _, values, _ in strips), 1e-12)
     lo, hi = -1.08 * span, 1.08 * span
     px = lambda x: _ML + (x - lo) / (hi - lo) * (_CURVE_W - _ML - _MR)
 
@@ -144,13 +126,12 @@ def beeswarm_svg_parts(points, *, seed: int, title: str) -> list[str]:
             f'fill="{_VALUE_COLORS[value]}"/>'
         )
         parts.append(_text(legend_x + dx + 10, _MT - 10, f"value {value}", anchor="start", size=11))
+    yield "\n".join(parts) + "\n"
 
     max_off = _STRIP_H / 2 - 4
-    for strip, (feature, strip_values, strip_fills) in enumerate(
-            zip(strip_of, np.split(values[order], cuts), np.split(fills[order], cuts))):
+    for strip, (feature, values, cells) in enumerate(strips):
         cy = _MT + _STRIP_H * (strip + 0.5)
-        parts.append(_text(_ML - 8, cy + 4, feature, anchor="end", size=11))
-        x = px(strip_values)
+        x = px(np.array(values, dtype=np.float64))
         # collision avoidance: the k-th point of a 4px x-bin stacks (k + 1) // 2
         # steps of 5px out from the strip center, alternating sides, plus jitter
         by_bin = np.argsort(x // 4, kind="stable")
@@ -162,13 +143,12 @@ def beeswarm_svg_parts(points, *, seed: int, title: str) -> list[str]:
         off = np.maximum(-max_off, np.minimum(max_off, off))
         distinct_x, x_index = np.unique(x, return_inverse=True)
         cx = np.array([_f(v) for v in distinct_x.tolist()], dtype=object)[x_index]
-        parts += [f'<circle cx="{c}" cy="{y:.2f}" r="2.4" fill="{f}" fill-opacity="0.8"/>'
-                  for c, y, f in zip(cx.tolist(), (cy + off).tolist(), strip_fills.tolist())]
-    parts.append(
-        _text((_ML + _CURVE_W - _MR) / 2, height - 12, "SHAP value (log-odds)")
-    )
-    parts += ["</svg>", ""]  # the join ends with a newline, no second copy for it
-    return parts
+        block = [_text(_ML - 8, cy + 4, feature, anchor="end", size=11)]
+        block += [f'<circle cx="{c}" cy="{y:.2f}" r="2.4" fill="{_VALUE_COLORS[cell]}" '
+                  'fill-opacity="0.8"/>'
+                  for c, y, cell in zip(cx.tolist(), (cy + off).tolist(), cells)]
+        yield "\n".join(block) + "\n"
+    yield _text((_ML + _CURVE_W - _MR) / 2, height - 12, "SHAP value (log-odds)") + "\n</svg>\n"
 
 
 def rank_features(means: dict[str, float]) -> list[str]:

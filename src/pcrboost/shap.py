@@ -58,7 +58,6 @@ class ShapExplanation:
 
     base_value: float
     contributions: np.ndarray
-    record_echo: tuple[int, ...]
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -113,11 +112,7 @@ def explain(model: Model, record) -> ShapExplanation:
         raise ContractError(f"feature vector length must be {N_FEATURES}")
     code = pattern_codes(x[None, :])[0]
     base, phis = model._shap_table
-    return ShapExplanation(
-        base_value=base,
-        contributions=phis[code].copy(),
-        record_echo=tuple(int(v) for v in x),
-    )
+    return ShapExplanation(base_value=base, contributions=phis[code].copy())
 
 
 def explain_dataset(model: Model, ds: Dataset):

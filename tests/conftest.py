@@ -430,6 +430,17 @@ def beeswarm_points(model: Model, ds: Dataset) -> list[BeeswarmPoint]:
     return points
 
 
+def beeswarm_strips(points) -> list[tuple[str, list[float], list[int]]]:
+    """`beeswarm_svg_parts`'s (feature, shap_values, feature_values) strips from
+    point triples: one per feature in order of first appearance, points in input order."""
+    strips: dict[str, tuple[list[float], list[int]]] = {}
+    for feature, shap_value, feature_value in points:
+        values, cells = strips.setdefault(feature, ([], []))
+        values.append(shap_value)
+        cells.append(feature_value)
+    return [(feature, *strip) for feature, strip in strips.items()]
+
+
 def reference_write_scores(path, scores) -> None:
     """scores.csv as one (record_index, score) tuple per record."""
     write_csv(path, ["record_index", "score"], [(i, float(s)) for i, s in enumerate(scores)])

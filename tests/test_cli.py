@@ -195,6 +195,30 @@ class TestPlots:
                        "--seed", "4", "--out", out) == 2, kind
             assert not out.exists(), kind
 
+    def test_failed_beeswarm_leaves_no_file(self, pipeline, tmp_path, capsys, monkeypatch):
+        # the first strip is already written when the second one's label fails
+        from pcrboost import plots
+
+        labels = []
+        text = plots._text
+
+        def text_failing_on_second_label(*args, **kwargs):
+            if kwargs.get("anchor") == "end":  # a strip label
+                labels.append(args[2])
+                if len(labels) == 2:
+                    raise MemoryError("second strip")
+            return text(*args, **kwargs)
+
+        monkeypatch.setattr(plots, "_text", text_failing_on_second_label)
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        capsys.readouterr()
+        assert run("plot", "--kind", "beeswarm", "--in", pipeline / "shap.csv", "--seed", "4",
+                   "--out", out_dir / "b.svg") == 3
+        assert len(labels) == 2
+        assert capsys.readouterr().err == "pcrboost: error: MemoryError: second strip\n"
+        assert not list(out_dir.iterdir())
+
     def test_plot_rejects_non_finite_cells(self, pipeline, tmp_path):
         # non-finite cells, rates outside [0, 1], and SHAP values whose axis span overflows
         for kind, table, column, bad in (("roc", "eval_thresholds.csv", "fpr", "inf"),
@@ -462,6 +486,34 @@ class TestBeeswarmBytes:
         self.assert_matches_oracle(shap, 11, tmp_path)
         svg = (tmp_path / "beeswarm.svg").read_text()
         assert svg.index(">age_60_plus<") < svg.index(">sex_male<")
+
+    @staticmethod
+    def write_shap(pipeline, path, keep):
+        """The pipeline's SHAP CSV with each record's rows replaced by `keep(record, rows)`."""
+        with open(pipeline / "shap.csv", encoding="utf-8", newline="") as fh:
+            header, *rows = csv.reader(fh)
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(header)
+            for r in range(0, len(rows), len(FEATURE_NAMES)):
+                writer.writerows(keep(r // len(FEATURE_NAMES), rows[r:r + len(FEATURE_NAMES)]))
+
+    def test_single_feature(self, pipeline, tmp_path):
+        shap = tmp_path / "shap.csv"
+        self.write_shap(pipeline, shap, lambda r, rows: rows[2:3])
+        self.assert_matches_oracle(shap, 8, tmp_path)
+        assert 'height="{}"'.format(40 + 44 * 1 + 55) in (tmp_path / "beeswarm.svg").read_text()
+
+    def test_features_interleaved_in_non_schema_order(self, pipeline, tmp_path):
+        # the first record lists the features in `order`; each later record rotates it,
+        # so every feature's rows are spread over the file between the others'
+        order = [5, 2, 7, 0, 3, 6, 1, 4]
+        shap = tmp_path / "shap.csv"
+        self.write_shap(pipeline, shap, lambda r, rows: [
+            rows[order[(i + r) % len(order)]] for i in range(len(order))])
+        lines = shap.read_text().splitlines()
+        assert [line.split(",")[1] for line in lines[1:9]] == [FEATURE_NAMES[i] for i in order]
+        self.assert_matches_oracle(shap, 9, tmp_path)
 
     def test_reordered_and_extra_columns(self, pipeline, tmp_path):
         # the middle "feature" column is junk: a repeated name reads its last column

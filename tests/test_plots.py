@@ -8,8 +8,13 @@ import pytest
 from pcrboost.dataset import FEATURE_NAMES, Dataset, pattern_codes
 from pcrboost.errors import ContractError
 from pcrboost.gbm import TrainConfig, fit
-from pcrboost.plots import render_beeswarm_svg, render_curve_svg
-from conftest import beeswarm_points, make_dataset
+from pcrboost.plots import beeswarm_svg_parts, render_curve_svg
+from conftest import (
+    beeswarm_points,
+    beeswarm_strips,
+    make_dataset,
+    reference_render_beeswarm_svg,
+)
 
 # plot-area corners under the fixed 640x480 layout
 LEFT, RIGHT = 70.0, 620.0
@@ -73,13 +78,22 @@ def small_points():
     return beeswarm_points(model, ds)
 
 
+@pytest.fixture(scope="module")
+def small_strips(small_points):
+    return beeswarm_strips(small_points)
+
+
+def render(strips, *, seed, title="t"):
+    return "".join(beeswarm_svg_parts(strips, seed=seed, title=title))
+
+
 class TestBeeswarmSvg:
-    def test_circle_count_equals_point_count(self, small_points):
-        svg = render_beeswarm_svg(small_points, seed=1, title="t")
+    def test_circle_count_equals_point_count(self, small_points, small_strips):
+        svg = render(small_strips, seed=1)
         assert svg.count("<circle") == len(small_points) == 24
 
-    def test_one_label_per_feature_in_group_order(self, small_points):
-        svg = render_beeswarm_svg(small_points, seed=1, title="t")
+    def test_one_label_per_feature_in_group_order(self, small_points, small_strips):
+        svg = render(small_strips, seed=1)
         order = []
         for p in small_points:
             if p.feature not in order:
@@ -88,26 +102,37 @@ class TestBeeswarmSvg:
         assert positions == sorted(positions)
         assert set(order) == set(FEATURE_NAMES)
 
-    def test_height_tracks_feature_count(self, small_points):
-        svg = render_beeswarm_svg(small_points, seed=1, title="t")
+    def test_height_tracks_feature_count(self, small_strips):
+        svg = render(small_strips, seed=1)
         assert 'height="{}"'.format(40 + 44 * 8 + 55) in svg
 
-    def test_same_seed_byte_identical(self, small_points):
-        a = render_beeswarm_svg(small_points, seed=9, title="t")
-        b = render_beeswarm_svg(small_points, seed=9, title="t")
-        assert a == b
+    def test_same_seed_byte_identical(self, small_strips):
+        assert render(small_strips, seed=9) == render(small_strips, seed=9)
 
-    def test_different_seed_changes_jitter(self, small_points):
-        a = render_beeswarm_svg(small_points, seed=9, title="t")
-        b = render_beeswarm_svg(small_points, seed=10, title="t")
-        assert a != b
+    def test_different_seed_changes_jitter(self, small_strips):
+        assert render(small_strips, seed=9) != render(small_strips, seed=10)
 
-    def test_legend_and_axis_label(self, small_points):
-        svg = render_beeswarm_svg(small_points, seed=1, title="t")
+    def test_legend_and_axis_label(self, small_strips):
+        svg = render(small_strips, seed=1)
         assert svg.count("<rect") == 1 + 2  # background + two legend swatches
         assert ">value 0</text>" in svg and ">value 1</text>" in svg
         assert ">SHAP value (log-odds)</text>" in svg
 
     def test_empty_points_rejected(self):
+        # raised before the head is yielded, so a writer has nothing to write
         with pytest.raises(ContractError, match="no beeswarm points"):
-            render_beeswarm_svg([], seed=0, title="t")
+            next(beeswarm_svg_parts([], seed=0, title="t"))
+
+    @pytest.mark.parametrize("seed", [1, 9])
+    def test_matches_point_by_point_reference(self, small_points, small_strips, seed):
+        assert render(small_strips, seed=seed, title="x") == reference_render_beeswarm_svg(
+            small_points, seed=seed, title="x")
+
+    def test_head_one_block_per_strip_and_tail(self, small_strips):
+        blocks = list(beeswarm_svg_parts(small_strips, seed=1, title="t"))
+        assert len(blocks) == len(small_strips) + 2
+        assert all(block.endswith("\n") for block in blocks)
+        assert blocks[-1].endswith("</svg>\n")
+        for block, (feature, values, _) in zip(blocks[1:-1], small_strips):
+            assert block.startswith("<text ") and f">{feature}</text>" in block
+            assert block.count("<circle") == len(values)

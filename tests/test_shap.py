@@ -82,11 +82,6 @@ class TestLocalAccuracy:
             x = rng.integers(0, 2, size=8, dtype=np.uint8)
             assert_local_accuracy(model, explain(model, x), x)
 
-    def test_record_echo(self, rng):
-        model = random_model(rng, n_trees=1)
-        x = np.array([1, 0, 1, 1, 0, 0, 1, 0], dtype=np.uint8)
-        assert explain(model, x).record_echo == (1, 0, 1, 1, 0, 0, 1, 0)
-
 
 class TestClosedForms:
     def test_empty_model_all_zero(self):
