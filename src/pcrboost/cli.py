@@ -12,6 +12,7 @@ or underscores); explicit flags win over config values.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import operator
@@ -104,79 +105,77 @@ def build_parser():
     )
     parser.add_argument("--version", action="version", version=f"pcrboost {__version__}")
     sub = parser.add_subparsers(dest="command", metavar="|".join(_HANDLERS))
-    subparsers = {}
+    subparsers, options = {}, {}
 
-    p = subparsers["synth"] = sub.add_parser(
-        "synth", help="synthesize a dataset from class-conditional marginals"
-    )
-    p.add_argument("--out", help="output dataset CSV path")
-    p.add_argument("--n-pos", type=int, help="number of positive records")
-    p.add_argument("--n-neg", type=int, help="number of negative records")
-    p.add_argument("--seed", type=_seed_arg, help="generator seed (required)")
-    p.add_argument(
-        "--marginals",
-        help="dataset CSV whose marginals replace the bundled survey table",
-    )
+    def command(name: str, help: str):
+        """Add a subcommand; returns its flag adder, which also fills options[name]."""
+        p = subparsers[name] = sub.add_parser(name, help=help)
+        table = options[name] = {}
 
-    p = subparsers["train"] = sub.add_parser("train", help="fit the boosted ensemble")
-    p.add_argument("--data", help="training dataset CSV")
-    p.add_argument("--out-model", help="output model JSON path")
-    p.add_argument("--seed", type=_seed_arg, help="config-echo seed (required)")
-    p.add_argument("--num-rounds", type=int)
-    p.add_argument("--learning-rate", type=float)
-    p.add_argument("--max-leaves", type=int)
-    p.add_argument("--min-samples-leaf", type=int)
-    p.add_argument("--l2-lambda", type=float)
-    p.add_argument("--min-split-gain", type=float)
+        def add(flag: str, dest: str | None = None, **kwargs):
+            dest = dest or flag[2:].replace("-", "_")
+            table[dest] = (kwargs.get("type"), kwargs.get("choices"),
+                           kwargs.get("action") == "store_true")
+            p.add_argument(flag, dest=dest, **kwargs)
 
-    p = subparsers["predict"] = sub.add_parser(
-        "predict", help="write per-record probabilities"
-    )
-    p.add_argument("--model", help="model JSON path")
-    p.add_argument("--data", help="dataset CSV")
-    p.add_argument("--out", help="output scores CSV path")
+        return add
 
-    p = subparsers["explain"] = sub.add_parser(
-        "explain", help="write per-record SHAP attributions"
-    )
-    p.add_argument("--model", help="model JSON path")
-    p.add_argument("--data", help="dataset CSV")
-    p.add_argument("--out", help="output SHAP CSV path")
+    add = command("synth", "synthesize a dataset from class-conditional marginals")
+    add("--out", help="output dataset CSV path")
+    add("--n-pos", type=int, help="number of positive records")
+    add("--n-neg", type=int, help="number of negative records")
+    add("--seed", type=_seed_arg, help="generator seed (required)")
+    add("--marginals", help="dataset CSV whose marginals replace the bundled survey table")
 
-    p = subparsers["evaluate"] = sub.add_parser(
-        "evaluate", help="threshold table plus auROC/auPRC with bootstrap CIs"
-    )
-    p.add_argument("--model", help="model JSON path")
-    p.add_argument("--data", help="labeled dataset CSV")
-    p.add_argument("--out-prefix", help="prefix for thresholds/summary/band CSVs")
-    p.add_argument("--bootstrap", type=int, default=1000,
-                   help="bootstrap resamples (0 disables CIs)")
-    p.add_argument("--alpha", type=float, default=0.05)
-    p.add_argument("--seed", type=_seed_arg, help="bootstrap seed (required when bootstrapping)")
-    p.add_argument("--roc-band", action="store_true",
-                   help="also bootstrap a TPR band on a 101-point FPR grid")
+    add = command("train", "fit the boosted ensemble")
+    add("--data", help="training dataset CSV")
+    add("--out-model", help="output model JSON path")
+    add("--seed", type=_seed_arg, help="config-echo seed (required)")
+    add("--num-rounds", type=int)
+    add("--learning-rate", type=float)
+    add("--max-leaves", type=int)
+    add("--min-samples-leaf", type=int)
+    add("--l2-lambda", type=float)
+    add("--min-split-gain", type=float)
 
-    p = subparsers["simulate-bias"] = sub.add_parser(
-        "simulate-bias", help="drop asymptomatic negatives at several fractions"
-    )
-    p.add_argument("--data", help="input dataset CSV")
-    p.add_argument("--fractions", type=_fractions_arg, default="0.25,0.5,0.75",
-                   help="comma-separated drop fractions")
-    p.add_argument("--seed", type=_seed_arg, help="drop-selection seed (required)")
-    p.add_argument("--out-dir", help="output directory")
+    add = command("predict", "write per-record probabilities")
+    add("--model", help="model JSON path")
+    add("--data", help="dataset CSV")
+    add("--out", help="output scores CSV path")
 
-    p = subparsers["plot"] = sub.add_parser("plot", help="render an SVG chart")
-    p.add_argument("--kind", choices=("roc", "pr", "beeswarm"))
-    p.add_argument("--in", dest="in_path",
-                   help="thresholds CSV (roc/pr) or SHAP CSV (beeswarm)")
-    p.add_argument("--band", help="roc_band CSV for the shaded ROC band (roc only)")
-    p.add_argument("--out", help="output SVG path")
-    p.add_argument("--seed", type=_seed_arg, help="jitter seed (required for beeswarm)")
+    add = command("explain", "write per-record SHAP attributions")
+    add("--model", help="model JSON path")
+    add("--data", help="dataset CSV")
+    add("--out", help="output SHAP CSV path")
 
-    for p in subparsers.values():
+    add = command("evaluate", "threshold table plus auROC/auPRC with bootstrap CIs")
+    add("--model", help="model JSON path")
+    add("--data", help="labeled dataset CSV")
+    add("--out-prefix", help="prefix for thresholds/summary/band CSVs")
+    add("--bootstrap", type=int, default=1000, help="bootstrap resamples (0 disables CIs)")
+    add("--alpha", type=float, default=0.05)
+    add("--seed", type=_seed_arg, help="bootstrap seed (required when bootstrapping)")
+    add("--roc-band", action="store_true",
+        help="also bootstrap a TPR band on a 101-point FPR grid")
+
+    add = command("simulate-bias", "drop asymptomatic negatives at several fractions")
+    add("--data", help="input dataset CSV")
+    add("--fractions", type=_fractions_arg, default="0.25,0.5,0.75",
+        help="comma-separated drop fractions")
+    add("--seed", type=_seed_arg, help="drop-selection seed (required)")
+    add("--out-dir", help="output directory")
+
+    add = command("plot", "render an SVG chart")
+    add("--kind", choices=("roc", "pr", "beeswarm"))
+    add("--in", dest="in_path", help="thresholds CSV (roc/pr) or SHAP CSV (beeswarm)")
+    add("--band", help="roc_band CSV for the shaded ROC band (roc only)")
+    add("--out", help="output SVG path")
+    add("--seed", type=_seed_arg, help="jitter seed (required for beeswarm)")
+
+    for p in subparsers.values():  # not in options: a config file cannot name another
         p.add_argument("--config", help="key=value file; explicit flags win")
 
-    return parser, subparsers
+    return parser, subparsers, options
 
 
 def _read_config(path: str) -> dict[str, str]:
@@ -199,25 +198,25 @@ def _read_config(path: str) -> dict[str, str]:
     return values
 
 
-def _apply_config(subparser, config: dict[str, str]) -> None:
-    actions = {a.dest: a for a in subparser._actions}
+def _apply_config(subparser, options: dict, config: dict[str, str]) -> None:
+    """Set a subcommand's defaults from config values, typed by its options table."""
     defaults = {}
     for key, raw in config.items():
         if key == "in":  # the --in flag parses to dest in_path
             key = "in_path"
-        action = None if key in ("help", "config") else actions.get(key)
-        if action is None:
+        if key not in options:
             raise DataFormatError(f"unknown config key {key!r}")
-        if isinstance(action, argparse._StoreTrueAction):
+        kind, choices, store_true = options[key]
+        if store_true:
             if raw.lower() not in ("true", "false", "0", "1"):
                 raise DataFormatError(f"config key {key!r}: expected true/false")
             defaults[key] = raw.lower() in ("true", "1")
             continue
         try:
-            defaults[key] = action.type(raw) if action.type else raw
+            defaults[key] = kind(raw) if kind else raw
         except (ValueError, argparse.ArgumentTypeError) as exc:
             raise DataFormatError(f"config key {key!r}: {exc}") from None
-        if action.choices and defaults[key] not in action.choices:
+        if choices and defaults[key] not in choices:
             raise DataFormatError(f"config key {key!r}: invalid choice {raw!r}")
     subparser.set_defaults(**defaults)
 
@@ -246,6 +245,32 @@ def _load_dataset(path: str):
 def _load_model(path: str):
     with open(path, "rb") as fh:
         return load_model(fh.read())
+
+
+@contextlib.contextmanager
+def _staged(*paths: str):
+    """Temporary names for `paths`, each in its path's directory, moved into place together.
+
+    The block writes every temporary file; only then is each moved onto its
+    path. On any failure the temporaries and every path this run created are
+    removed, so a failed command leaves no new output behind.
+    """
+    tmps, created = [], []
+    try:
+        for path in paths:
+            tmp = f"{path}.{os.getpid()}.tmp"
+            open(tmp, "x").close()  # claimed first, so no one else's file is replaced or removed
+            tmps.append(tmp)
+        yield tmps
+        for tmp, path in zip(tmps, paths):
+            if not os.path.lexists(path):
+                created.append(path)
+            os.replace(tmp, path)
+    except BaseException:
+        for name in tmps + created:
+            with contextlib.suppress(OSError):
+                os.remove(name)
+        raise
 
 
 def cmd_synth(args, parser):
@@ -326,42 +351,28 @@ def cmd_evaluate(args, parser):
             ("auroc", auroc(sl), None, None),
             ("auprc", aupr(sl), None, None),
         ]
-    thresholds_path = args.out_prefix + "thresholds.csv"
-    rows = [threshold_report(sl, float(t)).row() for t in unique_thresholds(sl)]
-    write_csv(thresholds_path, list(THRESHOLD_REPORT_FIELDS), rows)
-    summary_path = args.out_prefix + "summary.csv"
-    write_csv(summary_path, ["metric", "point", "lo", "hi"], summary)
-    outputs = [thresholds_path, summary_path]
-
+    tables = [
+        ("thresholds.csv", list(THRESHOLD_REPORT_FIELDS),
+         [threshold_report(sl, float(t)).row() for t in unique_thresholds(sl)]),
+        ("summary.csv", ["metric", "point", "lo", "hi"], summary),
+    ]
     if args.roc_band:
         grid, lo, hi = result.roc_band
-        band_path = args.out_prefix + "roc_band.csv"
-        write_csv(
-            band_path,
-            ["fpr", "tpr_lo", "tpr_hi"],
-            [(float(g), float(l), float(h)) for g, l, h in zip(grid, lo, hi)],
-        )
-        outputs.append(band_path)
-
+        tables.append(("roc_band.csv", ["fpr", "tpr_lo", "tpr_hi"],
+                       [(float(g), float(l), float(h)) for g, l, h in zip(grid, lo, hi)]))
+    outputs = [args.out_prefix + name for name, _, _ in tables]
+    with _staged(*outputs) as tmps:
+        for tmp, (_, header, rows) in zip(tmps, tables):
+            write_csv(tmp, header, rows)
     return [args.model, args.data], outputs, args.out_prefix + "manifest.json"
 
 
 def cmd_simulate_bias(args, parser):
-    import os
-
     from .dataset import FEATURE_NAMES, BiasSimConfig
 
     ds = _load_dataset(args.data)
-    os.makedirs(args.out_dir, exist_ok=True)
-    outputs = []
-    variants = []
-    for token, fraction in args.fractions:
-        out = simulate_bias(ds, BiasSimConfig(drop_fraction=fraction, seed=args.seed))
-        path = os.path.join(args.out_dir, f"biased_{token}.csv")
-        with open(path, "wb") as fh:
-            save_csv(out, fh)
-        outputs.append(path)
-        variants.append((token, out))
+    variants = [(token, simulate_bias(ds, BiasSimConfig(drop_fraction=fraction, seed=args.seed)))
+                for token, fraction in args.fractions]
 
     def rate_or_none(d, feature: str):
         try:
@@ -375,11 +386,15 @@ def cmd_simulate_bias(args, parser):
         row = [feature, rate_or_none(ds, feature)]
         row += [rate_or_none(out, feature) for _, out in variants]
         rows.append(tuple(row))
-    rates_path = os.path.join(args.out_dir, "reporter_rates.csv")
-    write_csv(rates_path, header, rows)
-    outputs.append(rates_path)
-    manifest_path = os.path.join(args.out_dir, "manifest.json")
-    return [args.data], outputs, manifest_path
+    outputs = [os.path.join(args.out_dir, f"biased_{token}.csv") for token, _ in variants]
+    outputs.append(os.path.join(args.out_dir, "reporter_rates.csv"))
+    os.makedirs(args.out_dir, exist_ok=True)
+    with _staged(*outputs) as tmps:
+        for tmp, (_, out) in zip(tmps, variants):
+            with open(tmp, "wb") as fh:
+                save_csv(out, fh)
+        write_csv(tmps[-1], header, rows)
+    return [args.data], outputs, os.path.join(args.out_dir, "manifest.json")
 
 
 def _read_rows(path: str, columns: tuple[str, ...]) -> list[tuple]:
@@ -479,15 +494,8 @@ def cmd_plot(args, parser):
                 raise DataFormatError("malformed input CSV: no defined precision values")
             parts = [render_curve_svg(points, kind="pr", title="Precision-recall curve")]
     # rendered as it is written, under a temporary name: a failure leaves no partial SVG
-    tmp = f"{args.out}.{os.getpid()}.tmp"
-    fh = open(tmp, "x", encoding="utf-8", newline="\n")
-    try:
-        with fh:
-            fh.writelines(parts)
-        os.replace(tmp, args.out)
-    except BaseException:
-        os.remove(tmp)
-        raise
+    with _staged(args.out) as (tmp,), open(tmp, "w", encoding="utf-8", newline="\n") as fh:
+        fh.writelines(parts)
     return inputs, [args.out], args.out + ".manifest.json"
 
 
@@ -504,7 +512,7 @@ _HANDLERS = {
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser, subparsers = build_parser()
+    parser, subparsers, options = build_parser()
     started = time.perf_counter()
     try:
         command = next((t for t in argv if t in _HANDLERS), None)
@@ -515,7 +523,7 @@ def main(argv=None) -> int:
             subparsers[command].set_defaults(
                 **{name: getattr(TrainConfig, name) for name in _TRAIN_FLAGS})
         if command is not None and config_path is not None:
-            _apply_config(subparsers[command], _read_config(config_path))
+            _apply_config(subparsers[command], options[command], _read_config(config_path))
         try:
             args = parser.parse_args(argv)
         except SystemExit as exc:

@@ -54,19 +54,22 @@ PATTERNS.flags.writeable = False
 
 
 def lattice_sums(per_pattern) -> np.ndarray:
-    """Sums of a 256-entry per-pattern array over every partial assignment.
+    """Sums of 256-entry per-pattern arrays over every partial assignment.
 
+    The patterns are the last axis; leading axes are kept, so several
+    tables are summed in one pass with the same additions as one at a time.
     Entry sum(a_f * 3**f) of the 3^8 result, with a_f = 0 or 1 fixing feature
     f and a_f = 2 leaving it free, sums the patterns that match the fixed
     features; the last entry (all free) is the total. Each of the 8 steps
     appends one feature's sum along its axis as that axis's third index.
     """
     table = np.asarray(per_pattern)
+    lead = table.shape[:-1]
     for f in range(N_FEATURES):
-        # axes: the pattern bits above f, bit f, the 3^f assignments below f
-        t = table.reshape(-1, 2, 3 ** f)
-        table = np.concatenate([t, t[:, :1] + t[:, 1:]], axis=1)
-    return table.reshape(-1)
+        # axes: the leading axes, the pattern bits above f, bit f, the 3^f assignments below f
+        t = table.reshape(*lead, -1, 2, 3 ** f)
+        table = np.concatenate([t, t[..., :1, :] + t[..., 1:, :]], axis=-2)
+    return table.reshape(*lead, -1)
 
 
 def pattern_codes(X) -> np.ndarray:

@@ -8,6 +8,11 @@ node's gradient, hessian and record sums from a per-round table over the
 additions (no BLAS), ties break on the lower feature index and the
 earlier-created leaf, and the model document serializes reals at 17
 significant digits. Prediction is a lookup in a 256-entry raw-score table.
+
+Each round sums its gradient and hessian tables in one `lattice_sums` pass
+and reads them through memoryviews, whose items are plain Python floats, so
+split and leaf arithmetic (and ZeroDivisionError at l2_lambda = 0) are those
+of a list. `save_model` writes each node as text in one recursive pass.
 """
 
 from __future__ import annotations
@@ -243,8 +248,9 @@ def fit(ds: Dataset, cfg: TrainConfig) -> Model:
     trees = []
     for _ in range(cfg.num_rounds):
         g, h = logistic_grad_hess(raw[codes], yf)
-        G = lattice_sums(np.bincount(codes, count * g, len(PATTERNS))).tolist()
-        H = lattice_sums(np.bincount(codes, count * h, len(PATTERNS))).tolist()
+        # a tree reads a few hundred of the 2 x 6,561 sums: no per-round list of them
+        G, H = map(memoryview, lattice_sums(
+            [np.bincount(codes, count * w, len(PATTERNS)) for w in (g, h)]))
         try:
             root = _grow_tree(G, H, N, cfg)
         except ZeroDivisionError:  # the tree's only divisor is a node's H + l2_lambda
@@ -254,47 +260,32 @@ def fit(ds: Dataset, cfg: TrainConfig) -> Model:
     return Model(base_score=base_score, trees=tuple(trees), config=cfg)
 
 
-def _emit_json(obj) -> str:
-    # json.dumps writes shortest-round-trip floats; the model document
-    # requires 17 significant digits, hence this small fixed-order emitter.
-    if isinstance(obj, dict):
-        items = ", ".join(f"{json.dumps(k)}: {_emit_json(v)}" for k, v in obj.items())
-        return "{" + items + "}"
-    if isinstance(obj, (list, tuple)):
-        return "[" + ", ".join(_emit_json(v) for v in obj) + "]"
-    if isinstance(obj, str):
-        return json.dumps(obj)
-    if isinstance(obj, bool) or obj is None:
-        raise TypeError("unexpected value in model document")
-    if isinstance(obj, int):
-        return str(obj)
-    if not math.isfinite(obj):
+def _real(x) -> str:
+    if not math.isfinite(x):
         raise ContractError("non-finite real in model document")
-    return fmt_real(obj)
+    return fmt_real(x)
 
 
-def _node_doc(node: TreeNode) -> dict:
+def _node_text(node: TreeNode) -> str:
     if node.is_leaf:
-        return {"value": float(node.value), "cover": float(node.cover)}
-    return {
-        "feature": int(node.feature),
-        "cover": float(node.cover),
-        "left": _node_doc(node.left),
-        "right": _node_doc(node.right),
-    }
+        return f'{{"value": {_real(node.value)}, "cover": {_real(node.cover)}}}'
+    return (f'{{"feature": {int(node.feature)}, "cover": {_real(node.cover)}, '
+            f'"left": {_node_text(node.left)}, "right": {_node_text(node.right)}}}')
 
 
 def save_model(model: Model) -> str:
-    """Serialize to the version-1 JSON model document (17-digit reals)."""
+    """Serialize to the version-1 JSON model document (17-digit reals).
+
+    Written as text in one pass over the nodes: json.dumps would write
+    shortest-round-trip floats, and the document requires 17 digits.
+    """
     cfg = model.config
-    doc = {
-        "format_version": FORMAT_VERSION,
-        "schema": list(FEATURE_NAMES),
-        "base_score": float(model.base_score),
-        "config": {name: getattr(cfg, name) for name in _CONFIG_FIELDS},
-        "trees": [_node_doc(t) for t in model.trees],
-    }
-    return _emit_json(doc) + "\n"
+    values = [getattr(cfg, name) for name in _CONFIG_FIELDS]
+    config = ", ".join(f'"{name}": {value if _is_int(value) else _real(value)}'
+                       for name, value in zip(_CONFIG_FIELDS, values))
+    return (f'{{"format_version": {FORMAT_VERSION}, "schema": {json.dumps(FEATURE_NAMES)}, '
+            f'"base_score": {_real(model.base_score)}, "config": {{{config}}}, '
+            f'"trees": [{", ".join(map(_node_text, model.trees))}]}}\n')
 
 
 def _is_int(value) -> bool:

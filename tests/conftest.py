@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import io
 import itertools
+import json
 import math
 from dataclasses import dataclass
 from types import SimpleNamespace
@@ -26,8 +27,16 @@ from pcrboost.dataset import (
     reference_counts,
 )
 from pcrboost.errors import ContractError, DataFormatError
-from pcrboost.formatting import write_csv
-from pcrboost.gbm import Model, TrainConfig, TreeNode, logistic_grad_hess, tree_values
+from pcrboost.formatting import fmt_real, write_csv
+from pcrboost.gbm import (
+    _CONFIG_FIELDS,
+    FORMAT_VERSION,
+    Model,
+    TrainConfig,
+    TreeNode,
+    logistic_grad_hess,
+    tree_values,
+)
 from pcrboost.metrics import (
     ScoredLabels,
     _require_both_classes,
@@ -138,6 +147,48 @@ def random_model(rng: np.random.Generator, n_trees: int) -> Model:
         trees=tuple(random_tree(rng) for _ in range(n_trees)),
         config=TrainConfig(),
     )
+
+
+def _emit_json(obj) -> str:
+    # a generic fixed-order emitter: json.dumps would write shortest-round-trip floats
+    if isinstance(obj, dict):
+        items = ", ".join(f"{json.dumps(k)}: {_emit_json(v)}" for k, v in obj.items())
+        return "{" + items + "}"
+    if isinstance(obj, (list, tuple)):
+        return "[" + ", ".join(_emit_json(v) for v in obj) + "]"
+    if isinstance(obj, str):
+        return json.dumps(obj)
+    if isinstance(obj, bool) or obj is None:
+        raise TypeError("unexpected value in model document")
+    if isinstance(obj, int):
+        return str(obj)
+    if not math.isfinite(obj):
+        raise ContractError("non-finite real in model document")
+    return fmt_real(obj)
+
+
+def _node_doc(node: TreeNode) -> dict:
+    if node.is_leaf:
+        return {"value": float(node.value), "cover": float(node.cover)}
+    return {
+        "feature": int(node.feature),
+        "cover": float(node.cover),
+        "left": _node_doc(node.left),
+        "right": _node_doc(node.right),
+    }
+
+
+def reference_save_model(model: Model) -> str:
+    """The model document built as nested dicts, then emitted (oracle for save_model)."""
+    cfg = model.config
+    doc = {
+        "format_version": FORMAT_VERSION,
+        "schema": list(FEATURE_NAMES),
+        "base_score": float(model.base_score),
+        "config": {name: getattr(cfg, name) for name in _CONFIG_FIELDS},
+        "trees": [_node_doc(t) for t in model.trees],
+    }
+    return _emit_json(doc) + "\n"
 
 
 def tree_value_scalar(node: TreeNode, x) -> float:

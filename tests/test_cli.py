@@ -277,6 +277,18 @@ class TestEvaluateModes:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "n_resamples must be in [100, " in err
 
+    def test_later_output_blocked_leaves_no_file(self, pipeline, tmp_path, capsys):
+        # thresholds.csv can be written, summary.csv cannot: a directory holds its name
+        (tmp_path / "e2_summary.csv").mkdir()
+        before = sorted(tmp_path.iterdir())
+        capsys.readouterr()
+        assert run("evaluate", "--model", pipeline / "model.json", "--data",
+                   pipeline / "data.csv", "--out-prefix", str(tmp_path / "e2_"),
+                   "--bootstrap", "0") == 4
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("pcrboost: I/O error: ")
+        assert sorted(tmp_path.iterdir()) == before
+
     def test_single_class_data_writes_nothing(self, pipeline, tmp_path):
         data = tmp_path / "neg.csv"
         assert run("synth", "--n-pos", "0", "--n-neg", "50", "--seed", "2", "--out", data) == 0
@@ -558,6 +570,18 @@ class TestSimulateBias:
         assert header == ["feature", "input", "drop_0.0", "drop_0.5", "drop_1.0"]
         for row in rows:
             assert float(row["input"]) == float(row["drop_0.0"])
+
+    def test_later_output_blocked_leaves_no_file(self, pipeline, tmp_path, capsys):
+        # biased_0.25.csv can be written, biased_0.5.csv cannot: a directory holds its name
+        out_dir = tmp_path / "sb"
+        (out_dir / "biased_0.5.csv").mkdir(parents=True)
+        before = sorted(out_dir.iterdir())
+        capsys.readouterr()
+        assert run("simulate-bias", "--data", pipeline / "data.csv",
+                   "--out-dir", out_dir, "--seed", "1") == 4
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("pcrboost: I/O error: ")
+        assert sorted(out_dir.iterdir()) == before
 
     def test_bad_fraction_rejected(self, pipeline, tmp_path):
         assert run("simulate-bias", "--data", pipeline / "data.csv",

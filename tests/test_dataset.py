@@ -149,6 +149,13 @@ class TestLatticeSums:
         unit = lattice_sums(np.ones(256, dtype=np.int64))
         assert np.array_equal(unit, 2 ** np.sum(LATTICE_DIGITS == 2, axis=1))
 
+    def test_leading_axis_sums_each_table_alone(self, rng):
+        tables = np.stack([rng.normal(size=256), rng.random(256), rng.normal(size=256) * 1e9])
+        stacked = lattice_sums(tables)
+        assert stacked.shape == (3, 3 ** 8)
+        for row, table in zip(stacked, tables):
+            assert np.array_equal(row, lattice_sums(table))  # bit for bit
+
     def test_fixing_a_free_feature_partitions_its_node(self, rng):
         lattice = lattice_sums(rng.integers(0, 1000, size=256))
         for f in range(8):

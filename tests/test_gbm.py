@@ -12,6 +12,7 @@ from pcrboost.dataset import (
     FEATURE_NAMES,
     PATTERNS,
     Dataset,
+    lattice_sums,
     pattern_codes,
     reference_marginals,
     synthesize,
@@ -21,6 +22,7 @@ from pcrboost.gbm import (
     Model,
     TrainConfig,
     TreeNode,
+    _grow_tree,
     fit,
     load_model,
     logistic_grad_hess,
@@ -32,6 +34,7 @@ from conftest import (
     make_dataset,
     random_model,
     reference_fit,
+    reference_save_model,
     staged_raw,
     tree_value_scalar,
 )
@@ -411,6 +414,51 @@ class TestCountTableTrainer:
         assert not root.left.is_leaf and root.right.is_leaf
 
 
+class TestLatticeTableViews:
+    """_grow_tree reads the same Python floats through a memoryview as from a list."""
+
+    CONFIGS = (
+        TrainConfig(),
+        TrainConfig(max_leaves=31, min_samples_leaf=1),
+        TrainConfig(learning_rate=0.3, l2_lambda=0.0, min_samples_leaf=5),
+        TrainConfig(max_leaves=4, min_split_gain=0.5),
+    )
+
+    @staticmethod
+    def lattice_tables(rng, zero_hessian_feature=None):
+        """Random (G and H lattice sums as one (2, 3^8) array, record-count lattice list)."""
+        counts = rng.integers(0, 40, size=256)
+        g = rng.normal(size=256) * counts
+        h = rng.uniform(0.01, 0.25, size=256) * counts
+        if zero_hessian_feature is not None:
+            h[PATTERNS[:, zero_hessian_feature] == 0] = 0.0
+        return lattice_sums(np.stack([g, h])), lattice_sums(counts).tolist()
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("cfg", CONFIGS)
+    def test_memoryviews_and_lists_grow_the_same_tree(self, seed, cfg):
+        GH, N = self.lattice_tables(np.random.default_rng(seed))
+        views = [memoryview(table) for table in GH]
+        assert type(views[0][0]) is float
+        from_views = _grow_tree(*views, N, cfg)
+        from_lists = _grow_tree(*GH.tolist(), N, cfg)
+        assert from_views.n_leaves() > 1
+        assert (save_model(Model(0.0, (from_views,), cfg))
+                == save_model(Model(0.0, (from_lists,), cfg)))
+
+    def test_zero_hessian_with_zero_lambda_raises_for_both(self, rng):
+        # fit turns this ZeroDivisionError into a ContractError (exit 3)
+        GH, N = self.lattice_tables(rng, zero_hessian_feature=0)
+        cfg = TrainConfig(l2_lambda=0.0, min_samples_leaf=1)
+        for G, H in ([memoryview(t) for t in GH], GH.tolist()):
+            with pytest.raises(ZeroDivisionError):
+                _grow_tree(G, H, N, cfg)
+        X = PATTERNS[:40]
+        with pytest.raises(ContractError, match="zero hessian"):
+            fit(Dataset(pattern_codes(X), X[:, 1]),
+                TrainConfig(l2_lambda=0.0, learning_rate=1.0, min_samples_leaf=1))
+
+
 class TestTrainingDynamics:
     def test_log_loss_nonincreasing(self, rng):
         ds = make_dataset(rng, 500, p_pos=0.35)
@@ -455,6 +503,26 @@ class TestPersistence:
         clone = load_model(save_model(model))
         assert clone.trees == ()
         assert clone.base_score == model.base_score
+
+    @pytest.mark.parametrize("cfg", [
+        TrainConfig(num_rounds=20),
+        TrainConfig(num_rounds=10, max_leaves=31, min_samples_leaf=1),
+        TrainConfig(num_rounds=30, learning_rate=0.3),
+        TrainConfig(num_rounds=10, l2_lambda=0, min_samples_leaf=1, seed=7),
+        TrainConfig(num_rounds=5, max_leaves=2, min_split_gain=0.25),
+    ])
+    def test_save_matches_dict_emitter_oracle_on_fitted_models(self, rng, cfg):
+        model = fit(make_dataset(rng, 800, p_pos=0.3), cfg)
+        blob = save_model(model)
+        assert blob == reference_save_model(model)
+        assert save_model(load_model(blob)) == blob
+
+    @pytest.mark.parametrize("n_trees", [0, 1, 5, 40])
+    def test_save_matches_dict_emitter_oracle_on_random_models(self, rng, n_trees):
+        model = random_model(rng, n_trees=n_trees)
+        blob = save_model(model)
+        assert blob == reference_save_model(model)
+        assert save_model(load_model(blob)) == blob
 
     def test_save_ends_with_newline_and_is_ascii(self, rng):
         model = random_model(rng, n_trees=2)
