@@ -281,7 +281,7 @@ def cmd_synth(args, parser):
         marginals = reference_marginals()
         inputs = []
     ds = synthesize(marginals, args.n_pos, args.n_neg, args.seed)
-    with open(args.out, "wb") as fh:
+    with _staged(args.out) as (tmp,), open(tmp, "wb") as fh:
         save_csv(ds, fh)
     return inputs, [args.out], args.out + ".manifest.json"
 
@@ -291,8 +291,8 @@ def cmd_train(args, parser):
 
     ds = _load_dataset(args.data)
     cfg = TrainConfig(seed=args.seed, **{name: getattr(args, name) for name in _TRAIN_FLAGS})
-    text = save_model(fit(ds, cfg))  # before the file is opened, so a failure leaves none
-    with open(args.out_model, "w", encoding="utf-8", newline="\n") as fh:
+    text = save_model(fit(ds, cfg))
+    with _staged(args.out_model) as (tmp,), open(tmp, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(text)
     return [args.data], [args.out_model], args.out_model + ".manifest.json"
 
@@ -305,7 +305,8 @@ def cmd_predict(args, parser):
     # records with equal scores have equal rows
     scores, inverse = np.unique(model.predict_proba(ds.X), return_inverse=True)
     rows = PatternRows([[(float(score),)] for score in scores], inverse)
-    write_csv(args.out, ["record_index", "score"], rows)
+    with _staged(args.out) as (tmp,):
+        write_csv(tmp, ["record_index", "score"], rows)
     return [args.model, args.data], [args.out], args.out + ".manifest.json"
 
 
@@ -318,11 +319,9 @@ def cmd_explain(args, parser):
     rows = PatternRows([[(name, int(x[f]), float(phi[f]), base_value)
                          for f, name in enumerate(FEATURE_NAMES)]
                         for x, phi in zip(PATTERNS[codes], phis)], inverse)
-    write_csv(
-        args.out,
-        ["record_index", "feature", "feature_value", "shap_value", "base_value"],
-        rows,
-    )
+    with _staged(args.out) as (tmp,):
+        write_csv(tmp, ["record_index", "feature", "feature_value", "shap_value", "base_value"],
+                  rows)
     return [args.model, args.data], [args.out], args.out + ".manifest.json"
 
 
@@ -511,6 +510,8 @@ _HANDLERS = {
 
 
 def main(argv=None) -> int:
+    if "numpy" not in sys.modules:  # a fresh process: pcrboost uses no BLAS, so no thread pool
+        os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     argv = list(sys.argv[1:] if argv is None else argv)
     parser, subparsers, options = build_parser()
     started = time.perf_counter()

@@ -7,7 +7,7 @@ node's gradient, hessian and record sums from a per-round table over the
 3^8 of them and is bitwise deterministic: the sums are fixed-order array
 additions (no BLAS), ties break on the lower feature index and the
 earlier-created leaf, and the model document serializes reals at 17
-significant digits. Prediction is a lookup in a 256-entry raw-score table.
+significant digits. Prediction reads a 256-entry table built from the leaves.
 
 Each round sums its gradient and hessian tables in one `lattice_sums` pass
 and reads them through memoryviews, whose items are plain Python floats, so
@@ -120,8 +120,8 @@ class Model:
         # the raw score of every pattern, summed in tree order
         table = np.full(len(PATTERNS), self.base_score, dtype=np.float64)
         with np.errstate(over="ignore", invalid="ignore"):
-            for tree in self.trees:
-                table += tree_values(tree, PATTERNS)
+            for row in _leaf_rows(self.trees):
+                table += row
         require_finite("raw score", table)
         return table
 
@@ -152,19 +152,28 @@ def require_finite(what: str, *tables) -> None:
         raise ContractError(f"non-finite {what} table: the model's reals overflow")
 
 
-def tree_values(root: TreeNode, X: np.ndarray) -> np.ndarray:
-    """Leaf value reached by each row of X under 0-left/1-right routing."""
-    out = np.empty(X.shape[0], dtype=np.float64)
-    stack = [(root, np.arange(X.shape[0]))]
-    while stack:
-        node, idx = stack.pop()
-        if node.is_leaf:
-            out[idx] = node.value
-        else:
-            right = X[idx, node.feature] == 1
-            stack.append((node.left, idx[~right]))
-            stack.append((node.right, idx[right]))
-    return out
+def _leaf_rows(trees) -> np.ndarray:
+    """(len(trees), 256): the leaf value each pattern code reaches in each tree.
+
+    A leaf fixes the features split on above it (each at most once, as
+    `load_model` requires), so code c reaches it exactly when c & mask == bits.
+    """
+    where, values = [], []  # (tree, mask, bits) and value of every leaf
+    for t, tree in enumerate(trees):
+        stack = [(tree, 0, 0)]
+        while stack:
+            node, mask, bits = stack.pop()
+            if node.is_leaf:
+                where.append((t, mask, bits))
+                values.append(node.value)
+            else:
+                m = 1 << node.feature
+                stack += [(node.left, mask | m, bits), (node.right, mask | m, bits | m)]
+    owner, mask, bits = np.array(where, dtype=np.int64).reshape(-1, 3).T
+    leaf, code = np.nonzero((np.arange(len(PATTERNS)) & mask[:, None]) == bits[:, None])
+    rows = np.empty((len(trees), len(PATTERNS)), dtype=np.float64)
+    rows[owner[leaf], code] = np.array(values, dtype=np.float64)[leaf]
+    return rows
 
 
 # lattice index of the root (every feature free), and each feature's index step
@@ -255,7 +264,7 @@ def fit(ds: Dataset, cfg: TrainConfig) -> Model:
             root = _grow_tree(G, H, N, cfg)
         except ZeroDivisionError:  # the tree's only divisor is a node's H + l2_lambda
             raise ContractError("zero hessian sum in a tree node: use --l2-lambda > 0") from None
-        raw += tree_values(root, PATTERNS)
+        raw += _leaf_rows([root])[0]
         trees.append(root)
     return Model(base_score=base_score, trees=tuple(trees), config=cfg)
 

@@ -35,7 +35,6 @@ from pcrboost.gbm import (
     TrainConfig,
     TreeNode,
     logistic_grad_hess,
-    tree_values,
 )
 from pcrboost.metrics import (
     ScoredLabels,
@@ -231,6 +230,25 @@ def scalar_shapley(model: Model, x):
                 s = frozenset(combo)
                 phis[f] += weight * (v(s | {f}) - v(s))
     return v(frozenset()), phis
+
+
+def tree_values(root: TreeNode, X: np.ndarray) -> np.ndarray:
+    """Leaf value reached by each row of X under 0-left/1-right routing.
+
+    The routing oracle for `gbm._leaf_rows`, which reads the same values off
+    each leaf's partial assignment.
+    """
+    out = np.empty(X.shape[0], dtype=np.float64)
+    stack = [(root, np.arange(X.shape[0]))]
+    while stack:
+        node, idx = stack.pop()
+        if node.is_leaf:
+            out[idx] = node.value
+        else:
+            right = X[idx, node.feature] == 1
+            stack.append((node.left, idx[~right]))
+            stack.append((node.right, idx[right]))
+    return out
 
 
 def staged_raw(model: Model, X: np.ndarray):

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import csv
+import errno
 import json
+import os
 import subprocess
 import sys
 
@@ -799,3 +801,130 @@ class TestStartUp:
             imported_modules(argv(pipeline, out), out, numpy=numpy)
         svg = f"{kind}.svg"
         assert (without / svg).read_bytes() == (with_numpy / svg).read_bytes()
+
+
+# runs main() in a fresh interpreter and prints OPENBLAS_NUM_THREADS and the
+# process's thread count (None where /proc is missing)
+BLAS_CHILD = """
+import json, os, sys
+from pcrboost.cli import main
+code = main(sys.argv[1:])
+tasks = len(os.listdir("/proc/self/task")) if os.path.isdir("/proc/self/task") else None
+print(json.dumps([os.environ.get("OPENBLAS_NUM_THREADS"), tasks]))
+sys.exit(code)
+"""
+
+
+class TestBlasThreads:
+    """A CLI process starts no OpenBLAS thread pool unless asked to; library use is untouched."""
+
+    @staticmethod
+    def child(code, argv, cwd, blas_threads=None):
+        env = child_env()
+        env.pop("OPENBLAS_NUM_THREADS", None)
+        if blas_threads is not None:
+            env["OPENBLAS_NUM_THREADS"] = blas_threads
+        proc = subprocess.run([sys.executable, "-c", code, *map(str, argv)],
+                              cwd=cwd, env=env, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        return json.loads(proc.stdout)
+
+    @staticmethod
+    def predict(pipeline, tmp_path):
+        return ["predict", "--model", pipeline / "model.json", "--data", pipeline / "data.csv",
+                "--out", tmp_path / "s.csv"]
+
+    def test_cli_process_runs_one_thread(self, pipeline, tmp_path):
+        value, tasks = self.child(BLAS_CHILD, self.predict(pipeline, tmp_path), tmp_path)
+        assert value == "1"
+        if tasks is None:
+            pytest.skip("no /proc/self/task to count threads")
+        assert tasks == 1
+        assert (tmp_path / "s.csv").read_bytes() == (pipeline / "scores.csv").read_bytes()
+
+    def test_explicit_value_wins(self, pipeline, tmp_path):
+        value, _ = self.child(BLAS_CHILD, self.predict(pipeline, tmp_path), tmp_path, "4")
+        assert value == "4"
+
+    def test_library_import_leaves_environment_alone(self, tmp_path):
+        code = ("import json, os, pcrboost.gbm, pcrboost.shap, pcrboost.metrics\n"
+                "print(json.dumps(os.environ.get('OPENBLAS_NUM_THREADS')))")
+        assert self.child(code, [], tmp_path) is None
+
+    def test_in_process_main_leaves_environment_alone(self, pipeline, tmp_path, monkeypatch):
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+        before = dict(os.environ)
+        assert run(*self.predict(pipeline, tmp_path)) == 0
+        assert dict(os.environ) == before
+
+
+class TestSingleOutputStaging:
+    """train, synth, predict and explain write under a temporary name, moved into place once
+    written: a write that fails part-way (a full disk) leaves no partial output and no temporary,
+    and an output that existed keeps its bytes."""
+
+    @staticmethod
+    def disk_full():
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    def break_writer(self, command, monkeypatch):
+        """Make the command's writer write part of its output, then fail; returns the calls."""
+        calls = []
+        if command == "synth":
+            def save_csv_part(ds, fh):
+                calls.append(fh.name)
+                fh.write(b"sex_male,age_60_plus\n")
+                fh.flush()
+                self.disk_full()
+
+            monkeypatch.setattr(cli, "save_csv", save_csv_part)
+        elif command == "train":  # train writes its text itself: fail its open file's write
+            def open_part(path, mode="r", **kwargs):
+                fh = open(path, mode, **kwargs)
+                if "w" in mode:
+                    def write(text):
+                        calls.append(path)
+                        type(fh).write(fh, text[:len(text) // 2])
+                        fh.flush()
+                        self.disk_full()
+
+                    fh.write = write
+                return fh
+
+            monkeypatch.setattr(cli, "open", open_part, raising=False)
+        else:
+            def write_csv_part(path, header, rows):
+                calls.append(path)
+                with open(path, "w", encoding="utf-8", newline="\n") as fh:
+                    fh.write(",".join(header) + "\n0,")
+                self.disk_full()
+
+            monkeypatch.setattr(cli, "write_csv", write_csv_part)
+        return calls
+
+    @pytest.mark.parametrize("existing", [False, True])
+    @pytest.mark.parametrize("command", ["synth", "train", "predict", "explain"])
+    def test_failed_write_leaves_no_partial_file(self, pipeline, tmp_path, capsys, monkeypatch,
+                                                 command, existing):
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        out = out_dir / "output"
+        argv = {
+            "synth": [*SYNTH, "--out", out],
+            "train": ["train", "--data", pipeline / "data.csv", "--out-model", out,
+                      "--seed", "0", "--num-rounds", "2"],
+            "predict": ["predict", "--model", pipeline / "model.json",
+                        "--data", pipeline / "data.csv", "--out", out],
+            "explain": ["explain", "--model", pipeline / "model.json",
+                        "--data", pipeline / "data.csv", "--out", out],
+        }[command]
+        if existing:
+            out.write_bytes(b"old bytes\n")
+        calls = self.break_writer(command, monkeypatch)
+        capsys.readouterr()
+        assert run(*argv) == 4
+        assert len(calls) == 1 and calls[0] != str(out)  # written under a temporary name
+        assert capsys.readouterr().err.startswith("pcrboost: I/O error: [Errno 28]")
+        assert [p.name for p in out_dir.iterdir()] == (["output"] if existing else [])
+        if existing:
+            assert out.read_bytes() == b"old bytes\n"

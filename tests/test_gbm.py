@@ -28,7 +28,6 @@ from pcrboost.gbm import (
     logistic_grad_hess,
     save_model,
     sigmoid,
-    tree_values,
 )
 from conftest import (
     make_dataset,
@@ -37,6 +36,7 @@ from conftest import (
     reference_save_model,
     staged_raw,
     tree_value_scalar,
+    tree_values,
 )
 
 
@@ -293,6 +293,62 @@ class TestPrediction:
                 model.predict_proba(bad)
         with pytest.raises(ContractError, match="length"):
             model.predict_raw(np.zeros((2, 7), dtype=np.uint8))
+
+
+class TestLeafTable:
+    """The raw-score table read off each leaf's partial assignment equals pattern routing."""
+
+    CONFIGS = (
+        TrainConfig(num_rounds=20),
+        TrainConfig(num_rounds=10, max_leaves=31, min_samples_leaf=1),
+        TrainConfig(num_rounds=10, l2_lambda=0, min_samples_leaf=1),
+        TrainConfig(num_rounds=5, max_leaves=2),  # stumps
+        TrainConfig(num_rounds=3, min_split_gain=1e9),  # single-leaf trees
+    )
+
+    @staticmethod
+    def routed_table(model: Model) -> np.ndarray:
+        return list(staged_raw(model, PATTERNS))[-1]
+
+    @staticmethod
+    def hand_built_models(rng):
+        """Random models, single-leaf trees, stumps on each feature, and a mix of them."""
+        stumps = tuple(TreeNode(cover=2.0, feature=f, left=TreeNode(1.0, value=-f - 0.5),
+                                right=TreeNode(1.0, value=f + 0.25)) for f in range(8))
+        singles = tuple(TreeNode(cover=1.0, value=float(v)) for v in rng.normal(size=3))
+        yield from (random_model(rng, n_trees=n) for n in (0, 1, 7, 60))
+        yield from (Model(-0.3, trees, TrainConfig()) for trees in
+                    (singles, stumps, stumps + singles + random_model(rng, 5).trees))
+
+    def test_raw_table_matches_routing_oracle_on_hand_built_models(self, rng):
+        for model in self.hand_built_models(rng):
+            assert np.array_equal(model._raw_table, self.routed_table(model))
+
+    @pytest.mark.parametrize("cfg", CONFIGS)
+    def test_fit_matches_routing_oracle(self, rng, cfg, monkeypatch):
+        # every round's training scores, and the fitted model's table, bit for bit
+        from pcrboost import gbm
+
+        ds = make_dataset(rng, 800, p_pos=0.3)
+        seen = []
+        grad_hess = gbm.logistic_grad_hess
+
+        def recording(raw, label):
+            seen.append(raw.copy())
+            return grad_hess(raw, label)
+
+        monkeypatch.setattr(gbm, "logistic_grad_hess", recording)
+        model = fit(ds, cfg)
+        codes = np.flatnonzero(np.bincount(ds.cells, minlength=512)) >> 1  # fit's trained cells
+        stages = list(staged_raw(model, PATTERNS))
+        assert len(seen) == cfg.num_rounds == len(model.trees)
+        for raw, stage in zip(seen, stages):
+            assert np.array_equal(raw, stage[codes])
+        assert np.array_equal(model._raw_table, stages[-1])
+        if cfg.min_split_gain > 1e6:
+            assert all(tree.is_leaf for tree in model.trees)
+        elif cfg.max_leaves == 2:
+            assert all(tree.n_leaves() == 2 for tree in model.trees)
 
 
 def structure(node):
