@@ -23,7 +23,7 @@ from importlib import import_module
 
 from . import __version__
 from .errors import ContractError, DataFormatError
-from .formatting import PatternRows, write_csv
+from .formatting import PatternRows, fmt_real, write_csv
 
 
 def _deferred(module: str, name: str):
@@ -247,33 +247,88 @@ def _load_model(path: str):
         return load_model(fh.read())
 
 
+class _Staging:
+    """A run's output files, written under temporary names and moved into place together.
+
+    Calling it stages `paths` for a with-block, which writes every temporary
+    file; `commit` then moves all staged files onto their paths. On any
+    failure the temporaries and every path the commit created are removed,
+    so a failed run leaves no new output behind.
+    """
+
+    def __init__(self):
+        self.moves: list[tuple[str, str]] = []  # (temporary, path)
+
+    @contextlib.contextmanager
+    def __call__(self, *paths: str):
+        tmps = []
+        try:
+            for path in paths:
+                tmp = f"{path}.{os.getpid()}.tmp"
+                open(tmp, "x").close()  # claimed first, so no one else's file is replaced or removed
+                tmps.append(tmp)
+            yield tmps
+        except BaseException:
+            _remove(tmps)
+            raise
+        self.moves += zip(tmps, paths)
+
+    def commit(self) -> None:
+        created = []
+        try:
+            for tmp, path in self.moves:
+                if not os.path.lexists(path):
+                    created.append(path)
+                os.replace(tmp, path)
+        except BaseException:
+            self.discard()
+            _remove(created)
+            raise
+
+    def discard(self) -> None:
+        _remove([tmp for tmp, _ in self.moves])
+
+
+def _remove(names) -> None:
+    for name in names:
+        with contextlib.suppress(OSError):
+            os.remove(name)
+
+
 @contextlib.contextmanager
 def _staged(*paths: str):
-    """Temporary names for `paths`, each in its path's directory, moved into place together.
-
-    The block writes every temporary file; only then is each moved onto its
-    path. On any failure the temporaries and every path this run created are
-    removed, so a failed command leaves no new output behind.
-    """
-    tmps, created = [], []
-    try:
-        for path in paths:
-            tmp = f"{path}.{os.getpid()}.tmp"
-            open(tmp, "x").close()  # claimed first, so no one else's file is replaced or removed
-            tmps.append(tmp)
+    """Stage `paths` on their own: moved into place at the block's end."""
+    staging = _Staging()
+    with staging(*paths) as tmps:
         yield tmps
-        for tmp, path in zip(tmps, paths):
-            if not os.path.lexists(path):
-                created.append(path)
-            os.replace(tmp, path)
+    staging.commit()
+
+
+def _run(args, parser, started: float) -> None:
+    """Run the command, then write its manifest: outputs and manifest move into place together."""
+    staging = _Staging()
+    try:
+        inputs, outputs, manifest_path = _HANDLERS[args.command](args, parser, staging)
+        manifest = {
+            "command": args.command,
+            "tool_version": __version__,
+            "parameters": {k: v for k, v in vars(args).items() if k not in ("command", "config")},
+            "inputs": inputs,
+            "outputs": outputs,
+            "seed": getattr(args, "seed", None),
+            "duration_seconds": time.perf_counter() - started,
+        }
+        with staging(manifest_path) as (tmp,), open(tmp, "w", encoding="utf-8",
+                                                    newline="\n") as fh:
+            json.dump(manifest, fh, indent=2, default=str)
+            fh.write("\n")
     except BaseException:
-        for name in tmps + created:
-            with contextlib.suppress(OSError):
-                os.remove(name)
+        staging.discard()
         raise
+    staging.commit()
 
 
-def cmd_synth(args, parser):
+def cmd_synth(args, parser, stage=_staged):
     if args.marginals:
         marginals = marginals_from(_load_dataset(args.marginals))
         inputs = [args.marginals]
@@ -281,23 +336,23 @@ def cmd_synth(args, parser):
         marginals = reference_marginals()
         inputs = []
     ds = synthesize(marginals, args.n_pos, args.n_neg, args.seed)
-    with _staged(args.out) as (tmp,), open(tmp, "wb") as fh:
+    with stage(args.out) as (tmp,), open(tmp, "wb") as fh:
         save_csv(ds, fh)
     return inputs, [args.out], args.out + ".manifest.json"
 
 
-def cmd_train(args, parser):
+def cmd_train(args, parser, stage=_staged):
     from .gbm import TrainConfig
 
     ds = _load_dataset(args.data)
     cfg = TrainConfig(seed=args.seed, **{name: getattr(args, name) for name in _TRAIN_FLAGS})
     text = save_model(fit(ds, cfg))
-    with _staged(args.out_model) as (tmp,), open(tmp, "w", encoding="utf-8", newline="\n") as fh:
+    with stage(args.out_model) as (tmp,), open(tmp, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(text)
     return [args.data], [args.out_model], args.out_model + ".manifest.json"
 
 
-def cmd_predict(args, parser):
+def cmd_predict(args, parser, stage=_staged):
     import numpy as np
 
     model = _load_model(args.model)
@@ -305,27 +360,28 @@ def cmd_predict(args, parser):
     # records with equal scores have equal rows
     scores, inverse = np.unique(model.predict_proba(ds.X), return_inverse=True)
     rows = PatternRows([[(float(score),)] for score in scores], inverse)
-    with _staged(args.out) as (tmp,):
+    with stage(args.out) as (tmp,):
         write_csv(tmp, ["record_index", "score"], rows)
     return [args.model, args.data], [args.out], args.out + ".manifest.json"
 
 
-def cmd_explain(args, parser):
+def cmd_explain(args, parser, stage=_staged):
     from .dataset import FEATURE_NAMES, PATTERNS
 
     model = _load_model(args.model)
     ds = _load_dataset(args.data)
     base_value, codes, phis, inverse = explain_dataset(model, ds)
+    base_value = fmt_real(base_value)  # one cell text for every row
     rows = PatternRows([[(name, int(x[f]), float(phi[f]), base_value)
                          for f, name in enumerate(FEATURE_NAMES)]
                         for x, phi in zip(PATTERNS[codes], phis)], inverse)
-    with _staged(args.out) as (tmp,):
+    with stage(args.out) as (tmp,):
         write_csv(tmp, ["record_index", "feature", "feature_value", "shap_value", "base_value"],
                   rows)
     return [args.model, args.data], [args.out], args.out + ".manifest.json"
 
 
-def cmd_evaluate(args, parser):
+def cmd_evaluate(args, parser, stage=_staged):
     from .metrics import THRESHOLD_REPORT_FIELDS, bootstrap
 
     if args.bootstrap and args.seed is None:
@@ -360,13 +416,13 @@ def cmd_evaluate(args, parser):
         tables.append(("roc_band.csv", ["fpr", "tpr_lo", "tpr_hi"],
                        [(float(g), float(l), float(h)) for g, l, h in zip(grid, lo, hi)]))
     outputs = [args.out_prefix + name for name, _, _ in tables]
-    with _staged(*outputs) as tmps:
+    with stage(*outputs) as tmps:
         for tmp, (_, header, rows) in zip(tmps, tables):
             write_csv(tmp, header, rows)
     return [args.model, args.data], outputs, args.out_prefix + "manifest.json"
 
 
-def cmd_simulate_bias(args, parser):
+def cmd_simulate_bias(args, parser, stage=_staged):
     from .dataset import FEATURE_NAMES, BiasSimConfig
 
     ds = _load_dataset(args.data)
@@ -388,7 +444,7 @@ def cmd_simulate_bias(args, parser):
     outputs = [os.path.join(args.out_dir, f"biased_{token}.csv") for token, _ in variants]
     outputs.append(os.path.join(args.out_dir, "reporter_rates.csv"))
     os.makedirs(args.out_dir, exist_ok=True)
-    with _staged(*outputs) as tmps:
+    with stage(*outputs) as tmps:
         for tmp, (_, out) in zip(tmps, variants):
             with open(tmp, "wb") as fh:
                 save_csv(out, fh)
@@ -435,7 +491,7 @@ def _real(text, name: str) -> float:
     return value
 
 
-def cmd_plot(args, parser):
+def cmd_plot(args, parser, stage=_staged):
     inputs = [args.in_path]
     if args.band and args.kind != "roc":
         parser.error("--band applies only to --kind roc")
@@ -493,7 +549,7 @@ def cmd_plot(args, parser):
                 raise DataFormatError("malformed input CSV: no defined precision values")
             parts = [render_curve_svg(points, kind="pr", title="Precision-recall curve")]
     # rendered as it is written, under a temporary name: a failure leaves no partial SVG
-    with _staged(args.out) as (tmp,), open(tmp, "w", encoding="utf-8", newline="\n") as fh:
+    with stage(args.out) as (tmp,), open(tmp, "w", encoding="utf-8", newline="\n") as fh:
         fh.writelines(parts)
     return inputs, [args.out], args.out + ".manifest.json"
 
@@ -534,25 +590,9 @@ def main(argv=None) -> int:
             return 2
         try:
             _require(parser, args, _REQUIRED[args.command])
-            result = _HANDLERS[args.command](args, parser)
+            _run(args, parser, started)
         except SystemExit as exc:  # parser.error from conditional requirements
             return int(exc.code or 0)
-        inputs, outputs, manifest_path = result
-        parameters = {
-            k: v for k, v in vars(args).items() if k not in ("command", "config")
-        }
-        manifest = {
-            "command": args.command,
-            "tool_version": __version__,
-            "parameters": parameters,
-            "inputs": inputs,
-            "outputs": outputs,
-            "seed": getattr(args, "seed", None),
-            "duration_seconds": time.perf_counter() - started,
-        }
-        with open(manifest_path, "w", encoding="utf-8", newline="\n") as fh:
-            json.dump(manifest, fh, indent=2, default=str)
-            fh.write("\n")
         return 0
     except DataFormatError as exc:
         print(f"pcrboost: error: {exc}", file=sys.stderr)

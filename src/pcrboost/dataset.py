@@ -182,13 +182,9 @@ class BiasSimConfig:
             raise ContractError("drop_fraction must be in [0,1]")
 
 
-def _line_table(positions) -> dict[str, int]:
-    """Every valid body line → its cell code (2 * pattern code + label), in cell order,
-    for a file that holds schema column i at position positions[i]."""
-    cells = np.arange(2 << N_FEATURES)
-    schema_rows = np.column_stack([PATTERNS[cells >> 1], cells & 1])
-    file_rows = np.where(schema_rows[:, np.argsort(positions)] == 1, "1", "0")
-    return {",".join(row): cell for cell, row in enumerate(file_rows.tolist())}
+# a canonical body line: each cell one byte, 0 or 1, then a comma, or LF after the last
+_LINE_BYTES = 2 * len(CSV_HEADER)
+_SEPARATORS = np.frombuffer(b"," * (len(CSV_HEADER) - 1) + b"\n", dtype=np.uint8)
 
 
 def load_csv(source) -> Dataset:
@@ -198,9 +194,9 @@ def load_csv(source) -> Dataset:
     columns are mapped onto schema order. Body cells must be literal 0 or 1.
     A leading UTF-8 byte-order mark is skipped.
 
-    A body line is one of 512 texts for the header's column order, so the body
-    is split on LF and each line looked up in that table. If any line misses,
-    the whole body goes through csv.reader instead, which names the first bad
+    A body in the canonical layout, every line 18 bytes (nine 0/1 cells,
+    comma-separated, LF-ended), is checked and decoded as one (n, 18) byte
+    array. Any other body goes through csv.reader, which names the first bad
     row. The body is decoded in one piece: a byte that is not UTF-8 is reported
     even when an earlier row is bad.
     """
@@ -226,41 +222,57 @@ def load_csv(source) -> Dataset:
         if missing:
             raise DataFormatError(f"missing column {missing[0]!r}")
         positions = [seen[name] for name in CSV_HEADER]
-        table = _line_table(positions)
 
         body = text.read()
-        lines = body.split("\n")
-        if lines[-1] == "":
-            lines.pop()
-        cells = list(map(table.get, lines))
-        if None in cells:
-            cells = []
-            try:
-                for lineno, row in enumerate(csv.reader(io.StringIO(body, newline="")), start=2):
-                    if len(row) != len(CSV_HEADER):
-                        raise DataFormatError(
-                            f"line {lineno}: expected {len(CSV_HEADER)} cells, got {len(row)}")
-                    cell = table.get(",".join(row))
-                    if cell is None:  # some cell, first in schema order, is not 0 or 1
-                        bad = next(row[pos] for pos in positions if row[pos] not in ("0", "1"))
-                        raise DataFormatError(f"line {lineno}: non-binary value {bad!r}")
-                    cells.append(cell)
-            except csv.Error as exc:
-                raise DataFormatError(f"malformed CSV: {exc}") from None
-        if not cells:
+        cells = _fixed_width_cells(body)
+        if cells is None:
+            cells = _reader_cells(body, positions)
+        if not len(cells):
             raise DataFormatError("empty CSV body")
-        cells = np.array(cells, dtype=np.uint16)
-        return Dataset(cells >> 1, cells & 1)
+        cells = cells[:, positions]  # schema order
+        codes = np.packbits(cells[:, :N_FEATURES], axis=1, bitorder="little")[:, 0]
+        return Dataset(codes, cells[:, N_FEATURES])
     except UnicodeDecodeError:
         raise DataFormatError("malformed CSV: not UTF-8 text") from None
     finally:
         text.detach()
 
 
+def _fixed_width_cells(body: str):
+    """(n, 9) uint8 cells in file column order of a canonical body, else None."""
+    if not body.isascii() or len(body) % _LINE_BYTES:
+        return None
+    lines = np.frombuffer(body.encode("ascii"), dtype=np.uint8).reshape(-1, _LINE_BYTES)
+    cells = lines[:, 0::2] - ord("0")  # uint8: every byte but 0 and 1 lands above 1
+    if not ((cells <= 1).all() and (lines[:, 1::2] == _SEPARATORS).all()):
+        return None
+    return cells
+
+
+def _reader_cells(body: str, positions) -> np.ndarray:
+    """(n, 9) uint8 cells in file column order, read row by row with csv.reader;
+    the first bad row, and in it the first bad cell in schema order, is named."""
+    rows = []
+    try:
+        for lineno, row in enumerate(csv.reader(io.StringIO(body, newline="")), start=2):
+            if len(row) != len(CSV_HEADER):
+                raise DataFormatError(
+                    f"line {lineno}: expected {len(CSV_HEADER)} cells, got {len(row)}")
+            bad = next((row[pos] for pos in positions if row[pos] not in ("0", "1")), None)
+            if bad is not None:
+                raise DataFormatError(f"line {lineno}: non-binary value {bad!r}")
+            rows.append([cell == "1" for cell in row])
+    except csv.Error as exc:
+        raise DataFormatError(f"malformed CSV: {exc}") from None
+    return np.array(rows, dtype=np.uint8).reshape(-1, len(CSV_HEADER))
+
+
 def save_csv(ds: Dataset, dest) -> None:
     """Write the documented CSV (LF newlines, ASCII 0/1 cells) to a binary stream."""
-    # the canonical column order's 512 body lines, indexed by cell code
-    lines = np.array([line + "\n" for line in _line_table(range(len(CSV_HEADER)))], dtype=object)
+    # the 512 body lines, indexed by cell code (2 * pattern code + label)
+    cells = np.arange(2 << N_FEATURES)
+    rows = np.column_stack([PATTERNS[cells >> 1], cells & 1]).tolist()
+    lines = np.array([",".join(map(str, row)) + "\n" for row in rows], dtype=object)
     dest.write((",".join(CSV_HEADER) + "\n").encode("ascii"))
     dest.write("".join(lines[ds.cells]).encode("ascii"))
 

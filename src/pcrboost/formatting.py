@@ -11,7 +11,7 @@ import math
 
 # 17 significant digits: the smallest count that round-trips every float64.
 _REAL_FMT = "%.17g"
-# PatternRows text is built and written this many records at a time, so the
+# PatternRows bytes are built and written this many records at a time, so the
 # whole file (23 MB for 47,401 records' SHAP rows) is never held at once
 _CHUNK_RECORDS = 4096
 
@@ -55,26 +55,31 @@ class PatternRows:
         return sum(len(self.pattern_rows[p]) for p in self.inverse)
 
     def chunks(self):
-        """The CSV text of these rows, _CHUNK_RECORDS records at a time."""
+        """The UTF-8 CSV bytes of these rows, _CHUNK_RECORDS records at a time.
+
+        Each chunk is one list of record texts, joined once and encoded once.
+        """
         # str(r).join(("", s1, s2)) == f"{r}{s1}{r}{s2}": one join per record
         blocks = [("",) + tuple("," + _line(row) for row in rows) for rows in self.pattern_rows]
         for start in range(0, len(self.inverse), _CHUNK_RECORDS):
-            yield "".join(str(r).join(blocks[p]) for r, p in
-                          enumerate(self.inverse[start:start + _CHUNK_RECORDS], start))
+            yield "".join([str(r).join(blocks[p]) for r, p in
+                           enumerate(self.inverse[start:start + _CHUNK_RECORDS], start)]
+                          ).encode("utf-8")
 
 
 def _line(row) -> str:
-    return ",".join(fmt_cell(v) for v in row) + "\n"
+    return ",".join(map(fmt_cell, row)) + "\n"
 
 
 def write_csv(path, header: list[str], rows) -> None:
-    """Write a CSV with LF newlines and deterministic cell formatting.
+    """Write a UTF-8 CSV with LF newlines and deterministic cell formatting.
 
-    rows is an iterable of row tuples or a PatternRows.
+    rows is an iterable of row tuples or a PatternRows; the text is encoded
+    in memory and written to a binary file.
     """
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
+    with open(path, "wb") as fh:
+        fh.write((",".join(header) + "\n").encode("utf-8"))
         if isinstance(rows, PatternRows):
             fh.writelines(rows.chunks())
         else:
-            fh.write("".join(map(_line, rows)))
+            fh.write("".join(map(_line, rows)).encode("utf-8"))

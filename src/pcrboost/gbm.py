@@ -221,6 +221,9 @@ def _grow_tree(G, H, N, cfg: TrainConfig) -> TreeNode:
     def finalize(i) -> TreeNode:
         f = splits.get(i)
         if f is None:
+            if not H[i] > 0.0:  # every model reader refuses a leaf without cover
+                raise ContractError("zero hessian sum in a tree leaf: the hessians underflowed; "
+                                    "use a lower --learning-rate or fewer --num-rounds")
             value = -cfg.learning_rate * G[i] / (H[i] + cfg.l2_lambda)
             return TreeNode(cover=H[i], value=value)
         left = finalize(i - 2 * _STEPS[f])

@@ -9,9 +9,11 @@ Contributions are in raw log-odds space. A coalition's value for a pattern
 depends only on the pattern's bits inside the coalition: one of the 3^8
 partial assignments that training also runs on (`dataset.lattice_sums`).
 So each tree is walked once into a value table over that lattice, whatever
-the rows; each feature's Shapley terms are a table on it, from which one
-gather per feature fills the model's 256-pattern table, built once per
-`Model`; `explain` and `explain_dataset` read its rows.
+the rows, and each feature's Shapley terms are a table on it. A coalition's
+terms at every pattern are one basic slice of that table, so the model's
+256-pattern table is a sum of slices in coalition order, taken for a block
+of trees at once and added up tree by tree. It is built once per `Model`;
+`explain` and `explain_dataset` read its rows.
 """
 
 from __future__ import annotations
@@ -25,8 +27,6 @@ from .dataset import N_FEATURES, PATTERNS, Dataset, pattern_codes
 from .errors import ContractError
 from .gbm import Model, require_finite
 
-_N_SUBSETS = 1 << N_FEATURES
-_MASKS = np.arange(_N_SUBSETS, dtype=np.int64)
 # Shapley weight for adding a feature to a coalition of size k
 _WEIGHT = np.array(
     [
@@ -34,18 +34,22 @@ _WEIGHT = np.array(
         for k in range(N_FEATURES)
     ]
 )
-# the coalitions holding feature f, ascending
-_WITH = np.array([np.flatnonzero(_MASKS >> f & 1) for f in range(N_FEATURES)])
 # lattice index sum(a_f * 3**f) with a_f = 2 meaning free, as in `dataset.lattice_sums`;
 # axis N_FEATURES - 1 - f of its (3,)*8 view holds a_f
 _STEPS = 3 ** np.arange(N_FEATURES)
 _DIGITS = np.arange(3 ** N_FEATURES)[:, None] // _STEPS % 3
-# weight of a lattice entry's term: the coalition it fixes, less the feature being added
-_COEF = _WEIGHT[np.maximum((_DIGITS != 2).sum(axis=1) - 1, 0)]
-# per feature, the lattice index of each (coalition m holding it, pattern p): p's bits inside m,
-# 2 (free) outside; with _T[c] = sum of 3**f over the bits f of c, that is _T[m & p] + 2 * _T[~m]
-_T = (PATTERNS * _STEPS).sum(axis=1)
-_GATHER = (_T[_MASKS[:, None] & _MASKS] + 2 * (_T[-1] - _T[:, None]))[_WITH]
+# weight of a lattice entry's term: the coalition it fixes, less the feature being added,
+# shaped to broadcast over a (3,)*8 x trees block
+_COEF = _WEIGHT[np.maximum((_DIGITS != 2).sum(axis=1) - 1, 0)].reshape((3,) * N_FEATURES + (1,))
+# per feature f, the coalitions m holding it, ascending, each as the basic slice of the
+# lattice at every pattern's assignment inside m: its bits (0:2) on m's axes, free (2)
+# on the others; added onto a (2,)*8 block, the slice lands on each pattern's code
+_SLICE = (slice(2, 3), slice(0, 2))
+_SLAB = [tuple(_SLICE[m >> f & 1] for f in reversed(range(N_FEATURES)))
+         for m in range(1 << N_FEATURES)]
+_SLABS = [[_SLAB[m] for m in range(1 << N_FEATURES) if m >> f & 1] for f in range(N_FEATURES)]
+# trees per block: the lattice and term buffers hold 3^8 entries per tree (52 KB each)
+_BLOCK = 25
 
 
 @dataclass(frozen=True)
@@ -71,34 +75,75 @@ def _phi_table(model: Model):
     f's term for assignment a with f fixed is coef * (V[a] - V[a, f freed]),
     and a pattern's phi_f sums, in mask order, the terms at its assignment
     over each coalition holding f.
+
+    Trees go in blocks of up to _BLOCK, their tables side by side on a last
+    axis, so each term table and each coalition's slab add covers the whole
+    block. Every tree gets the additions of a tree-by-tree pass in the same
+    order, and its (256, 8) result is added to the table in tree order.
     """
     phis = np.zeros((len(PATTERNS), N_FEATURES))
     base = float(model.base_score)
-    for tree in model.trees:
-        V = np.zeros((3,) * N_FEATURES)
-        stack = [(tree, np.ones((1,) * N_FEATURES))]
-        while stack:
-            node, w = stack.pop()
-            if node.is_leaf:
-                V += float(node.value) * w
-                continue
-            if not node.cover > 0.0:
-                raise ContractError("degenerate tree cover: zero cover at an internal node")
-            shape = [1] * N_FEATURES
-            shape[N_FEATURES - 1 - node.feature] = 3
-            for side, child in enumerate((node.left, node.right)):
-                factor = np.array([1.0 - side, float(side), child.cover / node.cover])
-                stack.append((child, w * factor.reshape(shape)))
-        V = V.reshape(-1)
-        for f, step in enumerate(_STEPS):
-            v = V.reshape(-1, 3, step)
-            term = (_COEF.reshape(v.shape) * (v - v[:, 2:])).reshape(-1)
-            # elementwise gather + sum, not `@`: BLAS reductions may vary
+    trees = model.trees
+    lattice = np.empty((3,) * N_FEATURES + (min(len(trees), _BLOCK),))
+    term, sums = np.empty_like(lattice), np.empty((2,) * N_FEATURES + lattice.shape[-1:])
+    block_phis = np.empty((len(PATTERNS), N_FEATURES, lattice.shape[-1]))
+    for start in range(0, len(trees), _BLOCK):
+        block = trees[start:start + _BLOCK]
+        size = len(block)
+        V, T, S = lattice[..., :size], term[..., :size], sums[..., :size]
+        for t, tree in enumerate(block):
+            V[..., t] = _tree_values(tree)
+            base += float(V[(2,) * N_FEATURES + (t,)])
+        for f in range(N_FEATURES):
+            axis = N_FEATURES - 1 - f
+            free = V[(slice(None),) * axis + (slice(2, 3),)]
+            np.subtract(V, free, out=T)
+            np.multiply(_COEF, T, out=T)
+            # elementwise adds in mask order, not `@`: BLAS reductions may vary
             # with thread count and outputs must be bit-identical
-            phis[:, f] += term[_GATHER[f]].sum(axis=0)
-        base += float(V[-1])
+            S[...] = 0.0
+            for slab in _SLABS[f]:
+                S += T[slab]
+            block_phis[:, f, :size] = S.reshape(len(PATTERNS), size)
+        for t in range(size):
+            phis += block_phis[:, :, t]
     require_finite("SHAP", base, phis)
     return base, phis
+
+
+def _tree_values(tree) -> np.ndarray:
+    """The tree's (3,)*8 value table over the partial assignments (see _phi_table).
+
+    The walk's own table holds the features on the most leaves' paths on its
+    innermost axes, so each leaf's add runs over long contiguous stretches; in
+    any axis order every entry gets the same products and sums.
+    """
+    uses = [0] * N_FEATURES  # per feature, the leaves below its splits
+    stack = [(tree, ())]
+    while stack:
+        node, path = stack.pop()
+        if node.is_leaf:
+            for f in path:
+                uses[f] += 1
+        else:
+            stack += [(child, path + (node.feature,)) for child in (node.left, node.right)]
+    axis = {f: i for i, f in enumerate(sorted(range(N_FEATURES), key=uses.__getitem__))}
+    V = np.zeros((3,) * N_FEATURES)
+    stack = [(tree, np.ones((1,) * N_FEATURES))]
+    while stack:
+        node, w = stack.pop()
+        if node.is_leaf:
+            V += float(node.value) * w
+            continue
+        if not node.cover > 0.0:
+            raise ContractError("degenerate tree cover: zero cover at an internal node")
+        shape = [1] * N_FEATURES
+        shape[axis[node.feature]] = 3
+        for side, child in enumerate((node.left, node.right)):
+            factor = np.array([1.0 - side, float(side), child.cover / node.cover])
+            stack.append((child, w * factor.reshape(shape)))
+    # as a lattice view: axis N_FEATURES - 1 - f holds feature f
+    return V.transpose([axis[f] for f in reversed(range(N_FEATURES))])
 
 
 def explain(model: Model, record) -> ShapExplanation:

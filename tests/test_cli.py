@@ -416,6 +416,20 @@ class TestTrainModes:
         assert "zero hessian sum" in capsys.readouterr().err
 
 
+    def test_underflowed_hessians_are_contract_error(self, tmp_path, capsys):
+        # at the survey's test scale, learning rate 1 drives some leaves' hessian sums to 0;
+        # a model with such a leaf is one that every model reader refuses
+        data = tmp_path / "survey_test.csv"
+        assert run("synth", "--n-pos", "3624", "--n-neg", "43777", "--seed", "1002",
+                   "--out", data) == 0
+        capsys.readouterr()
+        assert run("train", "--data", data, "--out-model", tmp_path / "m.json",
+                   "--seed", "1", "--learning-rate", "1.0") == 3
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "hessians underflowed" in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "survey_test.csv", "survey_test.csv.manifest.json"]
+
 class TestPerPatternWriters:
     """scores.csv and shap.csv against the per-record tuple writers, byte for byte."""
 
@@ -631,7 +645,7 @@ class TestTopLevel:
 
     @pytest.mark.parametrize("error", [MemoryError(), RecursionError("maximum recursion depth")])
     def test_out_of_memory_or_stack_is_contract_error(self, error, monkeypatch, capsys, tmp_path):
-        def handler(args, parser):
+        def handler(*args):
             raise error
 
         monkeypatch.setitem(cli._HANDLERS, "synth", handler)
@@ -928,3 +942,40 @@ class TestSingleOutputStaging:
         assert [p.name for p in out_dir.iterdir()] == (["output"] if existing else [])
         if existing:
             assert out.read_bytes() == b"old bytes\n"
+
+
+class TestManifestStaging:
+    """The run manifest is staged with the outputs: a manifest write that fails part-way (a full
+    disk) leaves no manifest, no new output and no temporary, and a replaced output keeps its
+    bytes."""
+
+    @pytest.mark.parametrize("existing", [False, True])
+    @pytest.mark.parametrize("command", ["predict", "evaluate"])
+    def test_failed_manifest_write_leaves_no_file(self, pipeline, tmp_path, capsys,
+                                                 monkeypatch, command, existing):
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        argv, outputs = {
+            "predict": (["predict", "--model", pipeline / "model.json",
+                         "--data", pipeline / "data.csv", "--out", out_dir / "scores.csv"],
+                        ["scores.csv"]),
+            "evaluate": (["evaluate", "--model", pipeline / "model.json",
+                          "--data", pipeline / "data.csv", "--out-prefix", f"{out_dir}/eval_",
+                          "--bootstrap", "0"], ["eval_summary.csv", "eval_thresholds.csv"]),
+        }[command]
+        if existing:
+            for name in outputs:
+                (out_dir / name).write_bytes(b"old bytes\n")
+
+        def dump_part(obj, fh, **kwargs):
+            fh.write('{\n  "command": ')
+            fh.flush()
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        monkeypatch.setattr(cli.json, "dump", dump_part)
+        capsys.readouterr()
+        assert run(*argv) == 4
+        assert capsys.readouterr().err.startswith("pcrboost: I/O error: [Errno 28]")
+        assert sorted(p.name for p in out_dir.iterdir()) == (outputs if existing else [])
+        for name in outputs if existing else []:
+            assert (out_dir / name).read_bytes() == b"old bytes\n"

@@ -84,12 +84,12 @@ class TestPatternRows:
 
     def test_chunks_split_on_record_boundaries(self, monkeypatch):
         rows = self.rows()
-        whole = "".join(rows.chunks())
+        whole = b"".join(rows.chunks())
         for size in (1, 2, 4, 5, 100):
             monkeypatch.setattr(formatting, "_CHUNK_RECORDS", size)
             chunks = list(rows.chunks())
             assert len(chunks) == -(-5 // size)
-            assert "".join(chunks) == whole
+            assert b"".join(chunks) == whole
 
     def test_no_records_writes_header_only(self, tmp_path):
         path = tmp_path / "empty.csv"

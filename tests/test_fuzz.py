@@ -60,16 +60,44 @@ ODD_DATASET_CELLS = st.sampled_from(['"0"', '"1"', "", "2", " 1", "1 ", "0.0", "
                                      "\u2028", "\udcff"])
 
 
+# width-preserving one-character edits of a fixed-width body: a bad cell, another separator,
+# a line break inside a line, a character that is not ASCII
+FIXED_WIDTH_CHARS = st.sampled_from(["2", " ", ";", ",", "0", "1", "\r", "\n", "\x00", "\u00e9"])
+# whole-body edits of a fixed-width body
+FIXED_WIDTH_EDITS = st.sampled_from(["none", "char", "char", "crlf", "no final LF",
+                                     "blank line"])
+
+
 @st.composite
 def dataset_csv_text(draw):
-    """Dataset-CSV-shaped text: a permuted (now and then broken) header, then mostly
-    canonical lines, some holding a quoted or odd cell, short, long or blank, each
-    line ended by LF, CRLF or CR."""
+    """Dataset-CSV-shaped text: a permuted (now and then broken) header, then a body.
+
+    Half the bodies are mostly canonical lines, some holding a quoted or odd
+    cell, short, long or blank, each line ended by LF, CRLF or CR. The other
+    half are fixed width (nine one-byte 0/1 cells, comma-separated, LF-ended)
+    but for at most one edit: one character replaced, CRLF for every LF, no
+    final LF or a trailing blank line. Either may have no line at all."""
     header = list(draw(st.permutations(CSV_HEADER)))
     if draw(st.integers(0, 9)) == 0:
         header[draw(st.integers(0, 8))] = draw(st.sampled_from(["", "x", "label", '"cough"']))
+    n_rows = draw(st.integers(0, 12))
+    if draw(st.booleans()):
+        body = "".join(",".join(draw(st.lists(st.sampled_from(["0", "1"]), min_size=9,
+                                              max_size=9))) + "\n" for _ in range(n_rows))
+        edit = draw(FIXED_WIDTH_EDITS)
+        if edit == "char" and body:
+            i = draw(st.integers(0, len(body) - 1))
+            body = body[:i] + draw(FIXED_WIDTH_CHARS) + body[i + 1:]
+        elif edit == "crlf":
+            body = body.replace("\n", "\r\n")
+        elif edit == "no final LF":
+            body = body[:-1]
+        elif edit == "blank line":
+            body += "\n"
+        text = ",".join(header) + "\n" + body
+        return ("\ufeff" if draw(st.booleans()) else "") + text
     rows = [header]
-    for _ in range(draw(st.integers(0, 12))):
+    for _ in range(n_rows):
         row = draw(st.lists(st.sampled_from(["0", "1"]), min_size=9, max_size=9))
         mode = draw(st.sampled_from(["good"] * 8 + ["quoted", "odd", "short", "long", "blank"]))
         if mode == "quoted":
@@ -226,6 +254,16 @@ class TestLoadCsvMatchesPerCellOracle:
     @example(",".join(reversed(CSV_HEADER)) + "\n2,0,0,0,0,0,0,0,3\n")
     @example(",".join(CSV_HEADER) + "\n0,0,0,0,0,0,0,0,\r0\n")
     @example(",".join(CSV_HEADER) + "\n0,0,0,0,0,0,0,0,0\n0,\x0c0,0,0,0,0,0,0,0\n")
+    # fixed-width bodies: 18 CRLF lines are 18 x 19 characters, a multiple of the
+    # 18-byte line; a 2, a space or a semicolon keeps the width
+    @example(",".join(CSV_HEADER) + "\n" + "0,1,0,1,0,1,0,1,1\r\n" * 18)
+    @example(",".join(CSV_HEADER) + "\n0,1,0,1,0,1,0,1,1\n0,0,0,2,0,0,0,0,0\n")
+    @example(",".join(CSV_HEADER) + "\n0,1,0,1,0,1,0,1,1\n0,0,0, ,0,0,0,0,0\n")
+    @example(",".join(CSV_HEADER) + "\n0,1,0,1,0,1,0,1,1\n0,0,0;0,0,0,0,0,0\n")
+    @example(",".join(CSV_HEADER) + "\n0,1,0,1,0,1,0,1,1\n0,0,0,0,0,0,0,0,0")
+    @example(",".join(CSV_HEADER) + "\n0,1,0,1,0,1,0,1,1\n\n")
+    @example(",".join(CSV_HEADER) + "\n")
+    @example("\ufeff" + ",".join(reversed(CSV_HEADER)) + "\n1,1,0,1,0,1,0,1,0\n")
     def test_same_dataset_or_same_error(self, text):
         # an equal Dataset, or the same error class and message
         blob = text.encode("utf-8", "surrogateescape")

@@ -4,7 +4,10 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from pcrboost import shap
 from pcrboost.dataset import (
     FEATURE_NAMES,
     PATTERNS,
@@ -231,6 +234,43 @@ class TestTopDownMatchesPerLeafReference:
                          right=TreeNode(cover=2.0, value=-1.0))
         root = TreeNode(cover=5.0, feature=2, left=inner, right=TreeNode(cover=2.0, value=2.0))
         self.assert_identical(Model(0.0, (root,), TrainConfig()))
+
+
+# leaf values with both signed zeros; covers from 1e-12 to 1e12
+LEAF_VALUES = st.sampled_from([0.0, -0.0]) | st.floats(-4.0, 4.0)
+COVERS = st.builds(lambda mantissa, exponent: mantissa * 10.0 ** exponent,
+                   st.floats(1.0, 9.99), st.integers(-12, 12))
+
+
+@st.composite
+def tree_nodes(draw, depth: int = 4) -> TreeNode:
+    """A tree whose split features are drawn freely, so one may repeat on a path."""
+    if depth == 0 or draw(st.integers(0, 3)) == 0:
+        return TreeNode(cover=draw(COVERS), value=draw(LEAF_VALUES))
+    left, right = draw(tree_nodes(depth - 1)), draw(tree_nodes(depth - 1))
+    return TreeNode(cover=left.cover + right.cover, feature=draw(st.integers(0, 7)),
+                    left=left, right=right)
+
+
+@st.composite
+def ensembles(draw) -> Model:
+    """0 trees, or one fewer than, as many as, or more than one or two blocks of them."""
+    block = shap._BLOCK
+    n_trees = draw(st.sampled_from([0, block - 1, block, block + 1, 2 * block + 1]))
+    trees = draw(st.lists(tree_nodes(), min_size=n_trees, max_size=n_trees))
+    return Model(draw(LEAF_VALUES), tuple(trees), TrainConfig())
+
+
+class TestBlocksMatchPerLeafReference:
+    """The per-block sums against the per-leaf grid oracle, bit for bit, on drawn ensembles."""
+
+    @settings(max_examples=15)
+    @given(ensembles())
+    def test_every_pattern_bit_for_bit(self, model):
+        base, table = _phi_table(model)
+        ref_base, ref_phis = reference_explain_matrix(model, PATTERNS)
+        assert np.float64(base).tobytes() == np.float64(ref_base).tobytes()
+        assert table.tobytes() == ref_phis.tobytes()
 
 
 class TestRowsDoNotDependOnTheirBatch:
