@@ -491,6 +491,60 @@ def _real(text, name: str) -> float:
     return value
 
 
+def _beeswarm_strips(path: str) -> list[tuple]:
+    """A SHAP CSV's (feature, SHAP values, feature values) strips, by descending mean |SHAP|.
+
+    Lines are read in 64 KiB chunks and keyed by their text after the first comma. A file
+    csv might split otherwise (a quote, CR, NUL or non-UTF-8 byte, a line over csv's field
+    limit or empty after its first comma, a needed column first) goes to `_read_rows`."""
+    import csv as _csv
+    from itertools import chain
+
+    import numpy as np
+
+    from .dataset import FEATURE_NAMES
+    from .plots import rank_features
+
+    columns = ("feature", "shap_value", "feature_value")
+    limit, names, carry, tails, ids, rows = _csv.field_size_limit(), None, "", {}, [], None
+    with contextlib.suppress(UnicodeDecodeError), open(path, encoding="utf-8", newline="") as fh:
+        for chunk in chain(iter(lambda: fh.read(1 << 16), ""), ["\n"]):  # "\n" ends a last line
+            lines = (carry + chunk).split("\n")
+            if '"' in chunk or "\r" in chunk or "\0" in chunk or max(map(len, lines)) > limit:
+                break
+            carry = lines.pop()
+            if names is None and lines:
+                names = lines.pop(0).split(",")
+            ids += [tails.setdefault(line.partition(",")[2], len(tails)) for line in lines if line]
+        else:
+            index = {name: i for i, name in enumerate(names)}
+            if "" not in tails and all(index.get(c, 0) for c in columns):
+                cells = operator.itemgetter(*(index[c] - 1 for c in columns))
+                rows = [cells(tail.split(",") + [None] * len(names)) for tail in tails]
+    if rows is None:  # each distinct row of csv's reading, and each row's index among them
+        rows = {}
+        ids = [rows.setdefault(row, len(rows)) for row in _read_rows(path, columns)]
+    if not ids:
+        raise DataFormatError("malformed input CSV: no SHAP rows")
+    # each distinct tail's row checked once, in file order (the first bad row is named)
+    checked = []
+    for name, value, cell in rows:
+        if name not in FEATURE_NAMES:
+            raise DataFormatError(f"malformed input CSV: unknown feature {name!r}")
+        value = _real(value, "shap_value")
+        if cell not in ("0", "1"):  # literal cells, as in a dataset CSV
+            raise DataFormatError(f"malformed input CSV: bad feature_value value {cell!r}")
+        checked.append((FEATURE_NAMES.index(name), value, int(cell)))
+    code, shap, cell = np.array(checked)[ids].T  # per record, in file order
+    strips = {name: (shap[code == i], cell[code == i].astype(np.uint8))
+              for i, name in enumerate(FEATURE_NAMES) if i in code}
+    # |SHAP| summed strictly left to right: from Python 3.12 the builtin sum compensates,
+    # and a pairwise or count x |v| sum rounds otherwise; each can flip a near-tie
+    means = {name: np.add.accumulate(np.abs(values))[-1] / len(values)
+             for name, (values, _) in strips.items()}
+    return [(name, *strips[name]) for name in rank_features(means)]
+
+
 def cmd_plot(args, parser, stage=_staged):
     inputs = [args.in_path]
     if args.band and args.kind != "roc":
@@ -498,33 +552,8 @@ def cmd_plot(args, parser, stage=_staged):
     if args.kind == "beeswarm":
         if args.seed is None:
             parser.error("missing required flag --seed (needed for beeswarm)")
-        from .dataset import FEATURE_NAMES
-        from .plots import rank_features
-
-        rows = _read_rows(args.in_path, ("feature", "shap_value", "feature_value"))
-        if not rows:
-            raise DataFormatError("malformed input CSV: no SHAP rows")
-        # each distinct row checked once, in file order (the first bad row is named)
-        distinct = dict.fromkeys(rows)
-        # feature -> (shap values, feature values) of its records, in file order
-        strips: dict[str, tuple[list[float], list[int]]] = {}
-        for row in distinct:
-            name, value, cell = row
-            if name not in FEATURE_NAMES:
-                raise DataFormatError(f"malformed input CSV: unknown feature {name!r}")
-            value = _real(value, "shap_value")
-            if cell not in ("0", "1"):  # literal cells, as in a dataset CSV
-                raise DataFormatError(f"malformed input CSV: bad feature_value value {cell!r}")
-            distinct[row] = (strips.setdefault(name, ([], [])), value, int(cell))
-        for (values, cells), value, cell in map(distinct.__getitem__, rows):
-            values.append(value)
-            cells.append(cell)
-        # the builtin sum over each feature's records in file order; a count x |v|
-        # product per distinct cell rounds differently and can flip a near-tie
-        means = {name: sum(map(abs, values)) / len(values)
-                 for name, (values, _) in strips.items()}
-        parts = beeswarm_svg_parts([(name, *strips[name]) for name in rank_features(means)],
-                                   seed=args.seed, title="SHAP beeswarm")
+        parts = beeswarm_svg_parts(_beeswarm_strips(args.in_path), seed=args.seed,
+                                   title="SHAP beeswarm")
     else:
         rows = _read_rows(args.in_path, ("fpr", "sensitivity", "ppv"))
         if args.kind == "roc":

@@ -305,6 +305,8 @@ def _is_int(value) -> bool:
 
 
 def _finite_real(value, what: str) -> float:
+    if type(value) is float and value - value == 0.0:  # nan and +-inf give nan
+        return value
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise DataFormatError(f"malformed model document: non-numeric {what}")
     try:

@@ -106,7 +106,7 @@ def beeswarm_svg_parts(strips, *, seed: int, title: str):
     if not strips:
         raise ContractError("no beeswarm points")
     height = _MT + _STRIP_H * len(strips) + _MB
-    span = max(max(max(map(abs, values)) for _, values, _ in strips), 1e-12)
+    span = max(max(float(np.abs(values).max()) for _, values, _ in strips), 1e-12)
     lo, hi = -1.08 * span, 1.08 * span
     px = lambda x: _ML + (x - lo) / (hi - lo) * (_CURVE_W - _ML - _MR)
 
@@ -129,6 +129,8 @@ def beeswarm_svg_parts(strips, *, seed: int, title: str):
     yield "\n".join(parts) + "\n"
 
     max_off = _STRIP_H / 2 - 4
+    fills = np.array([f'" r="2.4" fill="{c}" fill-opacity="0.8"/>' for c in _VALUE_COLORS.values()],
+                     dtype=object)
     for strip, (feature, values, cells) in enumerate(strips):
         cy = _MT + _STRIP_H * (strip + 0.5)
         x = px(np.array(values, dtype=np.float64))
@@ -142,12 +144,11 @@ def beeswarm_svg_parts(strips, *, seed: int, title: str):
         off = np.where(k % 2 == 1, step, -step) + rng.uniform(-1.2, 1.2, size=len(x))
         off = np.maximum(-max_off, np.minimum(max_off, off))
         distinct_x, x_index = np.unique(x, return_inverse=True)
-        cx = np.array([_f(v) for v in distinct_x.tolist()], dtype=object)[x_index]
-        block = [_text(_ML - 8, cy + 4, feature, anchor="end", size=11)]
-        block += [f'<circle cx="{c}" cy="{y:.2f}" r="2.4" fill="{_VALUE_COLORS[cell]}" '
-                  'fill-opacity="0.8"/>'
-                  for c, y, cell in zip(cx.tolist(), (cy + off).tolist(), cells)]
-        yield "\n".join(block) + "\n"
+        heads = np.array([f'<circle cx="{_f(v)}" cy="' for v in distinct_x.tolist()], dtype=object)
+        # a circle is its x's head, its cy and its fill's tail: one format call per strip
+        circles = np.array([heads[x_index], cy + off, fills[cells]], dtype=object).T.ravel()
+        yield (_text(_ML - 8, cy + 4, feature, anchor="end", size=11) + "\n"
+               + ("%s%.2f%s\n" * len(x)) % tuple(circles.tolist()))
     yield _text((_ML + _CURVE_W - _MR) / 2, height - 12, "SHAP value (log-odds)") + "\n</svg>\n"
 
 

@@ -659,9 +659,12 @@ def reference_beeswarm_svg(path, seed: int) -> str:
         if cell not in ("0", "1"):
             raise DataFormatError(f"malformed input CSV: bad feature_value value {cell!r}")
         by_feature.setdefault(name, []).append((value, int(cell)))
-    means = {
-        name: sum(abs(v) for v, _ in pts) / len(pts) for name, pts in by_feature.items()
-    }
+    means = {}
+    for name, pts in by_feature.items():
+        total = 0.0
+        for v, _ in pts:  # strictly left to right: the builtin sum compensates from 3.12
+            total += abs(v)
+        means[name] = total / len(pts)
     points = [
         (name, value, feature_value)
         for name in rank_features(means)

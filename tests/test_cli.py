@@ -515,6 +515,31 @@ class TestBeeswarmBytes:
         svg = (tmp_path / "beeswarm.svg").read_text()
         assert svg.index(">age_60_plus<") < svg.index(">sex_male<")
 
+    def test_ranking_sum_runs_left_to_right(self, tmp_path):
+        # ten |0.1| summed left to right give 0.9999999999999999, below age_60_plus's
+        # 1.0; the builtin sum of Python 3.12+ compensates to 1.0, a tie that schema
+        # order would break for sex_male. The order must not depend on the version.
+        lines = ["record_index,feature,feature_value,shap_value,base_value"]
+        for r in range(10):
+            lines.append(f"{r},sex_male,1,0.1,-1.5")
+            lines.append(f"{r},age_60_plus,{int(r == 0)},{1.0 if r == 0 else 0.0},-1.5")
+        shap = tmp_path / "shap.csv"
+        shap.write_text("\n".join(lines) + "\n")
+        self.assert_matches_oracle(shap, 5, tmp_path)
+        svg = (tmp_path / "beeswarm.svg").read_text()
+        assert svg.index(">age_60_plus<") < svg.index(">sex_male<")
+
+    def test_plain_file_is_read_without_csv(self, pipeline, tmp_path, monkeypatch):
+        # explain's output, with a blank line and no final LF, is keyed by tail, not csv-read
+        shap = tmp_path / "shap.csv"
+        text = (pipeline / "shap.csv").read_text().splitlines(keepends=True)
+        shap.write_text("".join(text[:9] + ["\n"] + text[9:]).rstrip("\n"))
+        expected = reference_beeswarm_svg(shap, 6).encode("utf-8")
+        monkeypatch.setattr(cli, "_read_rows", None)
+        out = tmp_path / "beeswarm.svg"
+        assert run("plot", "--kind", "beeswarm", "--in", shap, "--seed", 6, "--out", out) == 0
+        assert out.read_bytes() == expected
+
     @staticmethod
     def write_shap(pipeline, path, keep):
         """The pipeline's SHAP CSV with each record's rows replaced by `keep(record, rows)`."""

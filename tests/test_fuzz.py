@@ -157,6 +157,36 @@ def shap_csv_text(draw):
     return sep.join(",".join(row) for row in rows) + draw(st.sampled_from(["", sep]))
 
 
+@st.composite
+def streamed_shap_text(draw):
+    """SHAP-CSV-shaped text as `plot --kind beeswarm` streams it: LF-separated lines
+    with repeated tails, none holding a quote, CR or NUL but perhaps the last. The
+    header may repeat names or put a needed column first; rows may be blank, short,
+    long or hold no comma; a BOM may lead and a final LF may be missing."""
+    header = list(draw(st.permutations(SHAP_COLUMNS)))
+    header += draw(st.lists(st.sampled_from(SHAP_COLUMNS + ("x",)), max_size=2))
+    lines = [",".join(header)]
+    for _ in range(draw(st.integers(0, 10))):
+        cell = lambda name: SHAP_CELLS.get(name, st.sampled_from(["0", "7", "-2.5"]))
+        row = [draw(cell(name)) for name in header]
+        mode = draw(st.sampled_from(["good"] * 5 + ["short", "long", "blank", "no comma"]))
+        if mode == "short":
+            row = row[:draw(st.integers(1, len(row) - 1))]
+        elif mode == "long":
+            row += draw(st.lists(st.sampled_from(["", "x", "1"]), min_size=1, max_size=2))
+        elif mode == "blank":
+            row = []
+        elif mode == "no comma":
+            row = [draw(st.sampled_from(["7", "cough", "x"]))]
+        lines.append(",".join(row))
+    late = draw(st.sampled_from(["", "", '"', "\r", "\x00"]))
+    if late:  # into the last line only, after the fast read has keyed every other one
+        at = draw(st.integers(0, len(lines[-1])))
+        lines[-1] = lines[-1][:at] + late + lines[-1][at:]
+    text = "\n".join(lines) + draw(st.sampled_from(["", "\n"]))
+    return ("\ufeff" if draw(st.booleans()) else "") + text
+
+
 def plot_beeswarm(path):
     out = path.with_name("beeswarm.svg")
     cmd_plot(argparse.Namespace(kind="beeswarm", in_path=str(path), out=str(out), seed=1,
@@ -355,6 +385,39 @@ class TestCliReaders:
         scratch.write_bytes(text.encode("utf-8", "surrogateescape"))
         oracle = outcome(lambda p: reference_beeswarm_svg(p, 1).encode("utf-8"), scratch)
         assert outcome(plot_beeswarm, scratch) == oracle
+
+
+class TestStreamedBeeswarmReader:
+    @given(streamed_shap_text())
+    @example("record_index,feature,feature_value,shap_value\n0,cough,1,0.5\n1,cough,1,0.5")
+    @example("\ufeffrecord_index,feature,feature_value,shap_value\n0,cough,1,0.5\n")
+    @example("feature,record_index,feature_value,shap_value\ncough,0,1,0.5\n")
+    @example("record_index,feature,shap_value,feature_value,feature\n0,x,0.5,1,cough\n")
+    @example("record_index,feature,feature_value,shap_value\n0,cough,1,0.5\n\n7\n")
+    @example("record_index,feature,feature_value,shap_value\n0,cough,1,0.5\n1,\n")
+    @example("record_index,feature,feature_value,shap_value\n0,cough,1\n1,fever,0,2,x\n")
+    @example('record_index,feature,feature_value,shap_value\n0,cough,1,0.5\n1,"cough",0,1\n')
+    @example("record_index,feature,feature_value,shap_value\n0,cough,1,0.5\n1,cough,0,1\r\n")
+    @example("record_index,feature,feature_value,shap_value\n0,x,1,0.5\n1,cough,0,\x001\n")
+    @example("record_index,feature,feature_value,shap_value\n0,cough,x,0.5\n"
+             + "1" * 140000 + ",cough,1,0.5\n")
+    def test_matches_row_by_row_oracle(self, scratch, text):
+        # the same SVG bytes, or the same error class and message
+        scratch.write_text(text, encoding="utf-8", newline="")
+        oracle = outcome(lambda p: reference_beeswarm_svg(p, 1).encode("utf-8"), scratch)
+        assert outcome(plot_beeswarm, scratch) == oracle
+
+    def test_quote_after_the_first_chunk(self, scratch):
+        # more than 1 MiB of plain lines (many chunks), then one whose quoted feature
+        # name csv reads without its quotes: only csv's reading draws it
+        lines = ["record_index,feature,feature_value,shap_value,base_value"]
+        lines += [f"{r},{FEATURE_NAMES[r % 3]},{r % 2},{(r % 5) / 4},-1.5" for r in range(45000)]
+        lines.append('45000,"fever",1,0.75,-1.5')
+        scratch.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        assert scratch.stat().st_size > 1 << 20
+        svg = plot_beeswarm(scratch)
+        assert svg == reference_beeswarm_svg(scratch, 1).encode("utf-8")
+        assert svg.count(b"<circle") == 45001
 
 
 def exit_and_errors(argv):
