@@ -357,9 +357,10 @@ def cmd_predict(args, parser, stage=_staged):
 
     model = _load_model(args.model)
     ds = _load_dataset(args.data)
-    # records with equal scores have equal rows
-    scores, inverse = np.unique(model.predict_proba(ds.X), return_inverse=True)
-    rows = PatternRows([[(float(score),)] for score in scores], inverse)
+    # records with equal pattern codes have equal scores: one row text per pattern
+    by_code = np.zeros(256)
+    by_code[ds.codes] = model.predict_proba(ds.X)
+    rows = PatternRows([[(float(score),)] for score in by_code], ds.codes)
     with stage(args.out) as (tmp,):
         write_csv(tmp, ["record_index", "score"], rows)
     return [args.model, args.data], [args.out], args.out + ".manifest.json"
@@ -639,5 +640,22 @@ def main(argv=None) -> int:
         return 4
 
 
+def run() -> None:
+    """The process entry point: flush, then end with main's code and no interpreter teardown.
+
+    Every output is written and committed before main returns, so nothing is
+    lost by skipping atexit handlers and the teardown of the interpreter and
+    NumPy. A flush that fails (say, into a closed pipe) falls back to sys.exit,
+    which reports it as Python does.
+    """
+    code = main()
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except OSError:
+        sys.exit(code)
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -51,6 +51,8 @@ CSV_HEADER: tuple[str, ...] = FEATURE_NAMES + ("label",)
 # Every record is one of 2^8 patterns; bit f of a pattern code is feature f.
 PATTERNS = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1, bitorder="little")
 PATTERNS.flags.writeable = False
+# 2^f for each feature f: a 0/1 row's dot product with these is its pattern code
+_BIT_VALUES = (1 << np.arange(N_FEATURES)).astype(np.uint8)
 
 
 def lattice_sums(per_pattern) -> np.ndarray:
@@ -77,9 +79,9 @@ def pattern_codes(X) -> np.ndarray:
     X = np.asarray(X)
     if X.ndim != 2 or X.shape[1] != N_FEATURES:
         raise ContractError(f"feature vector length must be {N_FEATURES}")
-    if not np.isin(X, (0, 1)).all():
+    if not ((X == 0) | (X == 1)).all():  # as np.isin(X, (0, 1)), without its lookup table
         raise ContractError("non-binary value in features")
-    return np.packbits(X.astype(np.uint8, copy=False), axis=1, bitorder="little")[:, 0]
+    return X.astype(np.uint8, copy=False) @ _BIT_VALUES
 
 
 @dataclass(frozen=True, eq=False)
@@ -230,7 +232,7 @@ def load_csv(source) -> Dataset:
         if not len(cells):
             raise DataFormatError("empty CSV body")
         cells = cells[:, positions]  # schema order
-        codes = np.packbits(cells[:, :N_FEATURES], axis=1, bitorder="little")[:, 0]
+        codes = cells[:, :N_FEATURES] @ _BIT_VALUES
         return Dataset(codes, cells[:, N_FEATURES])
     except UnicodeDecodeError:
         raise DataFormatError("malformed CSV: not UTF-8 text") from None

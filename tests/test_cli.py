@@ -1004,3 +1004,67 @@ class TestManifestStaging:
         assert sorted(p.name for p in out_dir.iterdir()) == (outputs if existing else [])
         for name in outputs if existing else []:
             assert (out_dir / name).read_bytes() == b"old bytes\n"
+
+
+class TestProcessExit:
+    """A pcrboost process flushes its streams and ends with os._exit: nothing it prints is
+    lost, and its exit code and outputs are those of main(), which in-process callers still
+    get back as an int."""
+
+    @staticmethod
+    def child(*argv, cwd, stdout=subprocess.PIPE, code=None):
+        # without PYTHONUNBUFFERED: a buffered stream that is never flushed prints nothing
+        env = child_env()
+        env.pop("PYTHONUNBUFFERED", None)
+        command = ["-c", code] if code else ["-m", "pcrboost.cli"]
+        return subprocess.run([sys.executable, *command, *map(str, argv)], cwd=cwd, env=env,
+                              stdout=stdout, stderr=subprocess.PIPE, text=True)
+
+    def test_version_through_a_pipe(self, tmp_path):
+        proc = self.child("--version", cwd=tmp_path)
+        assert proc.returncode == 0 and proc.stderr == ""
+        assert proc.stdout == f"pcrboost {cli.__version__}\n"
+
+    @pytest.mark.parametrize("code, argv", [
+        (2, ["synth", "--config", "absent.cfg"]),
+        (3, ["evaluate", "--model", "m.json", "--data", "d.csv", "--out-prefix", "e_",
+             "--bootstrap", "0", "--roc-band"]),
+        (4, ["train", "--data", "absent.csv", "--out-model", "m.json", "--seed", "0"]),
+    ])
+    def test_error_exit_prints_one_line(self, tmp_path, code, argv):
+        proc = self.child(*argv, cwd=tmp_path)
+        assert proc.returncode == code
+        assert proc.stderr.count("\n") == 1 and proc.stderr.startswith("pcrboost: ")
+        assert proc.stdout == "" and not list(tmp_path.iterdir())
+
+    def test_predict_child_writes_the_in_process_bytes(self, pipeline, tmp_path):
+        proc = self.child("predict", "--model", pipeline / "model.json",
+                          "--data", pipeline / "data.csv", "--out", "scores.csv", cwd=tmp_path)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "", "")
+        assert (tmp_path / "scores.csv").read_bytes() == (pipeline / "scores.csv").read_bytes()
+        assert (tmp_path / "scores.csv.manifest.json").is_file()
+
+    def test_failed_flush_exits_as_python_does(self, tmp_path):
+        # a pipe with no reader: the flush raises BrokenPipeError, which Python reports as
+        # it always has, when it flushes at exit (no traceback, exit 120)
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = self.child("--version", cwd=tmp_path, stdout=write_end)
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 120 and "BrokenPipeError" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def test_escaping_exception_is_a_traceback(self, tmp_path):
+        code = ("from pcrboost import cli\n"
+                "def bug(*args):\n    raise RuntimeError('bug')\n"
+                "cli._HANDLERS['synth'] = bug\ncli.run()\n")
+        proc = self.child(*SYNTH, "--out", "d.csv", cwd=tmp_path, code=code)
+        assert proc.returncode == 1
+        assert "Traceback" in proc.stderr and "RuntimeError: bug" in proc.stderr
+
+    def test_in_process_main_returns_its_code(self, tmp_path, capsys):
+        assert type(run("--version")) is int
+        assert run("train", "--data", tmp_path / "absent.csv", "--out-model",
+                   tmp_path / "m.json", "--seed", "0") == 4
