@@ -23,7 +23,7 @@ from importlib import import_module
 
 from . import __version__
 from .errors import ContractError, DataFormatError
-from .formatting import PatternRows, fmt_real, write_csv
+from .formatting import PatternRows, fmt_real, read_table, write_csv
 
 
 def _deferred(module: str, name: str):
@@ -453,30 +453,26 @@ def cmd_simulate_bias(args, parser, stage=_staged):
     return [args.data], outputs, os.path.join(args.out_dir, "manifest.json")
 
 
-def _read_rows(path: str, columns: tuple[str, ...]) -> list[tuple]:
-    """The named cells of each row of a plot CSV, in file order; equal rows are one tuple.
+def _read_cells(path: str, columns: tuple[str, ...], by_tail: bool):
+    """A plot CSV's distinct rows as their named cells, and each record's index among them.
 
-    As in csv.DictReader: blank rows are skipped, a repeated name reads its
-    last column and a short row's missing cells are None.
+    As in csv.DictReader: blank rows are skipped, a repeated name reads its last
+    column and a short row's missing cells are None. A csv or UTF-8 error anywhere
+    wins over every bad cell. by_tail keys records by their text after the first comma.
     """
-    import csv as _csv
-
-    try:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
-            reader = _csv.reader(fh)
-            header = next(reader, None)
-            if header is None or not set(columns).issubset(header):
-                raise DataFormatError(f"malformed input CSV: need columns {sorted(columns)}")
-            cells = operator.itemgetter(*({name: i for i, name in enumerate(header)}[c]
-                                          for c in columns))
-            pad = [None] * len(header)
-            distinct: dict[tuple, tuple] = {}
-            return [distinct.setdefault(row, row)
-                    for row in (cells(row + pad) for row in reader if row)]
-    except _csv.Error as exc:
-        raise DataFormatError(f"malformed input CSV: {exc}") from None
-    except UnicodeDecodeError:
-        raise DataFormatError("malformed input CSV: not UTF-8 text") from None
+    with open(path, encoding="utf-8", newline="") as fh:
+        header, rows, ids, _, error = read_table(fh, columns if by_tail else None)
+    if header is None and error is None or header is not None and not set(columns) <= set(header):
+        raise DataFormatError(f"malformed input CSV: need columns {sorted(columns)}")
+    if error is not None:
+        raise DataFormatError(f"malformed input CSV: {error}")
+    if () in rows:
+        blank = rows.index(())
+        del rows[blank]
+        ids = [i - (i > blank) for i in ids if i != blank]
+    cells = operator.itemgetter(*({name: i for i, name in enumerate(header)}[c] for c in columns))
+    pad = (None,) * len(header)
+    return [cells(row + pad) for row in rows], ids
 
 
 def _real(text, name: str) -> float:
@@ -493,41 +489,16 @@ def _real(text, name: str) -> float:
 
 
 def _beeswarm_strips(path: str) -> list[tuple]:
-    """A SHAP CSV's (feature, SHAP values, feature values) strips, by descending mean |SHAP|.
-
-    Lines are read in 64 KiB chunks and keyed by their text after the first comma. A file
-    csv might split otherwise (a quote, CR, NUL or non-UTF-8 byte, a line over csv's field
-    limit or empty after its first comma, a needed column first) goes to `_read_rows`."""
-    import csv as _csv
-    from itertools import chain
-
+    """A SHAP CSV's (feature, SHAP values, feature values) strips, by descending mean |SHAP|."""
     import numpy as np
 
     from .dataset import FEATURE_NAMES
     from .plots import rank_features
 
-    columns = ("feature", "shap_value", "feature_value")
-    limit, names, carry, tails, ids, rows = _csv.field_size_limit(), None, "", {}, [], None
-    with contextlib.suppress(UnicodeDecodeError), open(path, encoding="utf-8", newline="") as fh:
-        for chunk in chain(iter(lambda: fh.read(1 << 16), ""), ["\n"]):  # "\n" ends a last line
-            lines = (carry + chunk).split("\n")
-            if '"' in chunk or "\r" in chunk or "\0" in chunk or max(map(len, lines)) > limit:
-                break
-            carry = lines.pop()
-            if names is None and lines:
-                names = lines.pop(0).split(",")
-            ids += [tails.setdefault(line.partition(",")[2], len(tails)) for line in lines if line]
-        else:
-            index = {name: i for i, name in enumerate(names)}
-            if "" not in tails and all(index.get(c, 0) for c in columns):
-                cells = operator.itemgetter(*(index[c] - 1 for c in columns))
-                rows = [cells(tail.split(",") + [None] * len(names)) for tail in tails]
-    if rows is None:  # each distinct row of csv's reading, and each row's index among them
-        rows = {}
-        ids = [rows.setdefault(row, len(rows)) for row in _read_rows(path, columns)]
+    rows, ids = _read_cells(path, ("feature", "shap_value", "feature_value"), True)
     if not ids:
         raise DataFormatError("malformed input CSV: no SHAP rows")
-    # each distinct tail's row checked once, in file order (the first bad row is named)
+    # each distinct row checked once, in file order (the first bad row is named)
     checked = []
     for name, value, cell in rows:
         if name not in FEATURE_NAMES:
@@ -536,7 +507,7 @@ def _beeswarm_strips(path: str) -> list[tuple]:
         if cell not in ("0", "1"):  # literal cells, as in a dataset CSV
             raise DataFormatError(f"malformed input CSV: bad feature_value value {cell!r}")
         checked.append((FEATURE_NAMES.index(name), value, int(cell)))
-    code, shap, cell = np.array(checked)[ids].T  # per record, in file order
+    code, shap, cell = np.array(checked)[np.fromiter(ids, np.intp, len(ids))].T  # per record
     strips = {name: (shap[code == i], cell[code == i].astype(np.uint8))
               for i, name in enumerate(FEATURE_NAMES) if i in code}
     # |SHAP| summed strictly left to right: from Python 3.12 the builtin sum compensates,
@@ -556,25 +527,28 @@ def cmd_plot(args, parser, stage=_staged):
         parts = beeswarm_svg_parts(_beeswarm_strips(args.in_path), seed=args.seed,
                                    title="SHAP beeswarm")
     else:
-        rows = _read_rows(args.in_path, ("fpr", "sensitivity", "ppv"))
+        rows, ids = _read_cells(args.in_path, ("fpr", "sensitivity", "ppv"), False)
+        # each distinct row's point checked once, in file order
         if args.kind == "roc":
-            if not rows:
+            if not ids:
                 raise DataFormatError("malformed input CSV: no threshold rows")
-            points = [(0.0, 0.0)]
-            points += [(_real(fpr, "fpr"), _real(tpr, "sensitivity")) for fpr, tpr, _ in rows]
+            points = [(_real(fpr, "fpr"), _real(tpr, "sensitivity")) for fpr, tpr, _ in rows]
+            points = [(0.0, 0.0)] + [points[i] for i in ids]
             band = None
             if args.band:
                 columns = ("fpr", "tpr_lo", "tpr_hi")
-                band_rows = _read_rows(args.band, columns)
-                if not band_rows:
+                band_rows, band_ids = _read_cells(args.band, columns, False)
+                if not band_ids:
                     raise DataFormatError("malformed input CSV: no ROC band rows")
-                band = tuple([_real(row[i], name) for row in band_rows]
-                             for i, name in enumerate(columns))
+                band = tuple([values[i] for i in band_ids]  # checked a column at a time
+                             for values in ([_real(row[j], name) for row in band_rows]
+                                            for j, name in enumerate(columns)))
                 inputs.append(args.band)
             parts = [render_curve_svg(points, kind="roc", title="ROC curve", band=band)]
         else:
-            points = [(_real(tpr, "sensitivity"), _real(ppv, "ppv"))
-                      for _, tpr, ppv in rows if ppv != ""]
+            points = [ppv != "" and (_real(tpr, "sensitivity"), _real(ppv, "ppv"))
+                      for _, tpr, ppv in rows]
+            points = [points[i] for i in ids if points[i]]
             if not points:
                 raise DataFormatError("malformed input CSV: no defined precision values")
             parts = [render_curve_svg(points, kind="pr", title="Precision-recall curve")]

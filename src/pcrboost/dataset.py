@@ -11,7 +11,6 @@ explicit seed per operation; see the README for the policy.
 
 from __future__ import annotations
 
-import csv
 import io
 import json
 import sys
@@ -22,6 +21,7 @@ from importlib import resources
 import numpy as np
 
 from .errors import ContractError, DataFormatError
+from .formatting import read_table
 
 FEATURE_NAMES: tuple[str, ...] = (
     "sex_male",
@@ -184,11 +184,6 @@ class BiasSimConfig:
             raise ContractError("drop_fraction must be in [0,1]")
 
 
-# a canonical body line: each cell one byte, 0 or 1, then a comma, or LF after the last
-_LINE_BYTES = 2 * len(CSV_HEADER)
-_SEPARATORS = np.frombuffer(b"," * (len(CSV_HEADER) - 1) + b"\n", dtype=np.uint8)
-
-
 def load_csv(source) -> Dataset:
     """Parse a dataset from a byte stream (or bytes) of the documented CSV.
 
@@ -196,77 +191,43 @@ def load_csv(source) -> Dataset:
     columns are mapped onto schema order. Body cells must be literal 0 or 1.
     A leading UTF-8 byte-order mark is skipped.
 
-    A body in the canonical layout, every line 18 bytes (nine 0/1 cells,
-    comma-separated, LF-ended), is checked and decoded as one (n, 18) byte
-    array. Any other body goes through csv.reader, which names the first bad
-    row. The body is decoded in one piece: a byte that is not UTF-8 is reported
-    even when an earlier row is bad.
+    Each distinct line is checked once. The first bad row in file order is
+    named (a blank line is a row of no cells); a csv error, or a byte that is
+    not UTF-8, is named once the rows read before it pass.
     """
     if isinstance(source, (bytes, bytearray)):
         source = io.BytesIO(source)
     text = io.TextIOWrapper(source, encoding="utf-8-sig", newline="")
     try:
-        try:
-            header = next(csv.reader(text))
-        except StopIteration:
-            raise DataFormatError("empty CSV: missing header") from None
-        except csv.Error as exc:
-            raise DataFormatError(f"malformed CSV: {exc}") from None
-        expected = set(CSV_HEADER)
-        seen: dict[str, int] = {}
-        for pos, name in enumerate(header):
-            if name not in expected:
-                raise DataFormatError(f"unknown column {name!r}")
-            if name in seen:
-                raise DataFormatError(f"duplicate column {name!r}")
-            seen[name] = pos
-        missing = [name for name in CSV_HEADER if name not in seen]
-        if missing:
-            raise DataFormatError(f"missing column {missing[0]!r}")
-        positions = [seen[name] for name in CSV_HEADER]
-
-        body = text.read()
-        cells = _fixed_width_cells(body)
-        if cells is None:
-            cells = _reader_cells(body, positions)
-        if not len(cells):
-            raise DataFormatError("empty CSV body")
-        cells = cells[:, positions]  # schema order
-        codes = cells[:, :N_FEATURES] @ _BIT_VALUES
-        return Dataset(codes, cells[:, N_FEATURES])
-    except UnicodeDecodeError:
-        raise DataFormatError("malformed CSV: not UTF-8 text") from None
+        header, rows, ids, lines, error = read_table(text, None)
     finally:
         text.detach()
+    if header is None:
+        raise DataFormatError(f"malformed CSV: {error}" if error else "empty CSV: missing header")
+    for pos, name in enumerate(header):
+        if name not in CSV_HEADER:
+            raise DataFormatError(f"unknown column {name!r}")
+        if header.index(name) < pos:
+            raise DataFormatError(f"duplicate column {name!r}")
+    missing = [name for name in CSV_HEADER if name not in header]
+    if missing:
+        raise DataFormatError(f"missing column {missing[0]!r}")
+    positions = [header.index(name) for name in CSV_HEADER]
 
-
-def _fixed_width_cells(body: str):
-    """(n, 9) uint8 cells in file column order of a canonical body, else None."""
-    if not body.isascii() or len(body) % _LINE_BYTES:
-        return None
-    lines = np.frombuffer(body.encode("ascii"), dtype=np.uint8).reshape(-1, _LINE_BYTES)
-    cells = lines[:, 0::2] - ord("0")  # uint8: every byte but 0 and 1 lands above 1
-    if not ((cells <= 1).all() and (lines[:, 1::2] == _SEPARATORS).all()):
-        return None
-    return cells
-
-
-def _reader_cells(body: str, positions) -> np.ndarray:
-    """(n, 9) uint8 cells in file column order, read row by row with csv.reader;
-    the first bad row, and in it the first bad cell in schema order, is named."""
-    rows = []
-    try:
-        for lineno, row in enumerate(csv.reader(io.StringIO(body, newline="")), start=2):
-            if len(row) != len(CSV_HEADER):
-                raise DataFormatError(
-                    f"line {lineno}: expected {len(CSV_HEADER)} cells, got {len(row)}")
-            bad = next((row[pos] for pos in positions if row[pos] not in ("0", "1")), None)
-            if bad is not None:
-                raise DataFormatError(f"line {lineno}: non-binary value {bad!r}")
-            rows.append([cell == "1" for cell in row])
-    except csv.Error as exc:
-        raise DataFormatError(f"malformed CSV: {exc}") from None
-    return np.array(rows, dtype=np.uint8).reshape(-1, len(CSV_HEADER))
+    cells = []  # each distinct row's cells, in schema order
+    for row, line in zip(rows, lines):
+        if len(row) != len(CSV_HEADER):
+            raise DataFormatError(f"line {line}: expected {len(CSV_HEADER)} cells, got {len(row)}")
+        bad = next((row[pos] for pos in positions if row[pos] not in ("0", "1")), None)
+        if bad is not None:
+            raise DataFormatError(f"line {line}: non-binary value {bad!r}")
+        cells.append([row[pos] == "1" for pos in positions])
+    if error is not None:
+        raise DataFormatError(f"malformed CSV: {error}")
+    if not ids:
+        raise DataFormatError("empty CSV body")
+    cells, ids = np.array(cells, dtype=np.uint8), np.fromiter(ids, np.intp, len(ids))
+    return Dataset((cells[:, :N_FEATURES] @ _BIT_VALUES)[ids], cells[ids, N_FEATURES])
 
 
 def save_csv(ds: Dataset, dest) -> None:

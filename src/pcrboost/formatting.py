@@ -1,19 +1,28 @@
-"""Deterministic text serialization helpers.
+"""Deterministic text serialization, and the one reader of every CSV table.
 
 All real numbers leaving the package (model JSON, report CSVs, SVG
 coordinates) go through these formatters so that identical values always
-produce identical bytes, regardless of platform or thread count.
+produce identical bytes, regardless of platform or thread count. Every
+table the package reads (dataset, thresholds, ROC band and SHAP CSVs) goes
+through `read_table`, which reads it as csv.reader would.
 """
 
 from __future__ import annotations
 
+import csv
+import io
 import math
+from functools import partial
+from itertools import chain
 
 # 17 significant digits: the smallest count that round-trips every float64.
 _REAL_FMT = "%.17g"
 # PatternRows bytes are built and written this many records at a time, so the
 # whole file (23 MB for 47,401 records' SHAP rows) is never held at once
 _CHUNK_RECORDS = 4096
+# read_table reads a table's text this many characters at a time: the survey-scale
+# beeswarm child peaks near 62 MB, where a whole-file read took it to about 102 MB
+_READ_CHUNK = 1 << 16
 
 
 def fmt_real(x: float) -> str:
@@ -83,3 +92,66 @@ def write_csv(path, header: list[str], rows) -> None:
             fh.writelines(rows.chunks())
         else:
             fh.write("".join(map(_line, rows)).encode("utf-8"))
+
+
+def read_table(text, needed) -> tuple:
+    """Read a CSV text stream as csv.reader would: (header, rows, ids, lines, error).
+
+    rows: the distinct records as tuples of cells, in order of first appearance;
+    ids: each record's index into rows; lines: each row's first line (the header is
+    line 1, each record one line); error: the csv error, or "not UTF-8 text", that
+    ended the reading, else None. With needed (the columns read) given and none of
+    them first, records are keyed by their text after the first comma, and each
+    row's first cell is None. A chunk with no quote, CR, NUL or line over csv's
+    field limit is split on LF; from the first other one, the rest goes through csv.
+    """
+    limit = csv.field_size_limit()
+    header, ids, lines, index, row_ids, error = None, [], [], {}, {}, None
+
+    def add(cells: tuple, line: int) -> int:
+        row = (None,) + cells[1:] if tail and cells else cells
+        if row not in row_ids:
+            row_ids[row] = len(row_ids)
+            lines.append(line)
+        return row_ids[row]
+
+    try:
+        first = text.readline()  # as csv.reader takes the header: one decode of 8 KiB
+        if _plain(first) and len(first) <= limit:
+            header = _cells(first.removesuffix("\n")) if first else None
+        else:
+            header = next(csv.reader(chain([first], text)), None)
+        tail = needed is not None and bool(header) and header[0] not in needed
+        carry = ""
+        for chunk in chain(iter(partial(text.read, _READ_CHUNK), ""), [""]):  # "" ends a last line
+            block = carry + chunk
+            body = block.split("\n") if block else []
+            if not _plain(block) or len(block) > limit and max(map(len, body)) > limit:
+                # readline ends the unfinished line, or joins a CR to its LF
+                head = io.StringIO(block + text.readline(), newline="")
+                for row in csv.reader(chain(head, text)):
+                    ids.append(add(tuple(row), len(ids) + 2))
+                break
+            carry = body.pop() if chunk else ""
+            # a tail is never empty: a line with none is keyed by LF and the line
+            keys = [line.partition(",")[2] or "\n" + line for line in body] if tail else body
+            at = 0
+            for key in dict.fromkeys(keys):
+                if key not in index:
+                    at = keys.index(key, at)
+                    index[key] = add(_cells(body[at]), len(ids) + at + 2)
+            ids.extend(map(index.__getitem__, keys))
+    except csv.Error as exc:
+        error = str(exc)
+    except UnicodeDecodeError:
+        error = "not UTF-8 text"
+    return header, list(row_ids), ids, lines, error
+
+
+def _plain(text: str) -> bool:
+    """True if csv.reader reads text as split on LF and comma: no quote, CR or NUL."""
+    return '"' not in text and "\r" not in text and "\0" not in text
+
+
+def _cells(line: str) -> tuple:
+    return tuple(line.split(",")) if line else ()

@@ -673,6 +673,28 @@ def reference_beeswarm_svg(path, seed: int) -> str:
     return reference_render_beeswarm_svg(points, seed=seed, title="SHAP beeswarm")
 
 
+def reference_read_table(text, needed):
+    """`formatting.read_table` as one csv.reader pass over the whole text.
+
+    Each record is keyed by its cells, or, with needed given and none of them
+    first, by its cells after the first (read as None); a blank row keys as ().
+    """
+    header, rows, ids, lines, error = None, {}, [], [], None
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:
+        header = next(reader, None)
+        tail = needed is not None and bool(header) and header[0] not in needed
+        for lineno, row in enumerate(reader, start=2):
+            key = (None, *row[1:]) if tail and row else tuple(row)
+            if key not in rows:
+                rows[key] = len(rows)
+                lines.append(lineno)
+            ids.append(rows[key])
+    except csv.Error as exc:
+        error = str(exc)
+    return header, list(rows), ids, lines, error
+
+
 def reference_load_csv(source) -> Dataset:
     """`dataset.load_csv` checking every cell of every row in a Python loop.
 

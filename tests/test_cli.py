@@ -12,7 +12,7 @@ import sys
 import numpy as np
 import pytest
 
-from pcrboost import cli
+from pcrboost import cli, formatting
 from pcrboost.cli import main
 from pcrboost.dataset import (
     FEATURE_NAMES,
@@ -535,7 +535,7 @@ class TestBeeswarmBytes:
         text = (pipeline / "shap.csv").read_text().splitlines(keepends=True)
         shap.write_text("".join(text[:9] + ["\n"] + text[9:]).rstrip("\n"))
         expected = reference_beeswarm_svg(shap, 6).encode("utf-8")
-        monkeypatch.setattr(cli, "_read_rows", None)
+        monkeypatch.setattr(formatting.csv, "reader", None)
         out = tmp_path / "beeswarm.svg"
         assert run("plot", "--kind", "beeswarm", "--in", shap, "--seed", 6, "--out", out) == 0
         assert out.read_bytes() == expected

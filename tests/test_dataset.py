@@ -314,8 +314,9 @@ class TestAgainstPerCellOracles:
         assert load_csv(blob) == reference_load_csv(blob) == ds
 
     def test_undecodable_byte_beyond_the_first_chunk_wins(self):
-        # the body is decoded in one piece, so an invalid byte past the first
-        # 8 KiB decode chunk is named before an earlier bad row; both exit 2
+        # an invalid byte past the first 8 KiB decode chunk is named before every
+        # row of the 64 KiB read it lies in (here the whole 36 KB body), so before
+        # an earlier bad row, which the per-row oracle names; both exit 2
         body = [[0] * 9] * 2000
         body[0] = [2] + [0] * 8
         blob = csv_bytes(CSV_HEADER, body) + b"\xff\n"

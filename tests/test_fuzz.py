@@ -8,19 +8,23 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import csv
 import io
 import json
 import math
 import tempfile
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from pcrboost.cli import _read_config, _read_rows, cmd_plot, main
+from pcrboost import formatting
+from pcrboost.cli import _read_config, cmd_plot, main
 from pcrboost.dataset import CSV_HEADER, FEATURE_NAMES, Dataset, load_csv, save_csv
-from pcrboost.errors import PcrboostError
+from pcrboost.errors import DataFormatError, PcrboostError
+from pcrboost.formatting import _READ_CHUNK, read_table
 from pcrboost.gbm import Model, load_model, save_model
 from conftest import (
     make_dataset,
@@ -28,6 +32,7 @@ from conftest import (
     reference_beeswarm_svg,
     reference_curve_svg,
     reference_load_csv,
+    reference_read_table,
 )
 
 SEPARATORS = st.sampled_from(["\n", "\r\n", "\r"])
@@ -341,7 +346,8 @@ class TestCliReaders:
     @example(b"fpr,sensitivity,ppv\n\xff,1,1\n")
     def test_table_bytes(self, scratch, blob):
         scratch.write_bytes(blob)
-        must_parse_or_refuse(_read_rows, str(scratch), ("fpr", "sensitivity", "ppv"))
+        with open(scratch, encoding="utf-8", newline="") as fh:
+            must_parse_or_refuse(read_table, fh, ("fpr", "sensitivity", "ppv"))
 
     @given(csv_text(("fpr", "sensitivity", "ppv"), RATE_CELLS, 3),
            csv_text(("fpr", "tpr_lo", "tpr_hi"), RATE_CELLS, 3))
@@ -418,6 +424,93 @@ class TestStreamedBeeswarmReader:
         svg = plot_beeswarm(scratch)
         assert svg == reference_beeswarm_svg(scratch, 1).encode("utf-8")
         assert svg.count(b"<circle") == 45001
+
+
+class TestReadTable:
+    @given(st.lists(st.sampled_from(["a", "b", ",", ",", "\n", "\n", '"', "\r", "\r\n", "\0",
+                                     "x" * 30, "1"]), max_size=40).map("".join),
+           st.sampled_from([None, ("b",), ("a", "b")]), st.sampled_from([1, 2, 3, 5, 8, 64]),
+           st.sampled_from([10, 25, csv.field_size_limit()]))
+    @example("a,b\nx,1\r", None, 8, 10)
+    @example("a,b\n1,x\n2,x\n,x\n\n2", ("b",), 2, 25)
+    def test_matches_one_csv_reader_pass(self, text, needed, chunk, limit):
+        # the same header, rows, ids, lines and error at any chunk size and field limit:
+        # a chunk boundary may split a line, a CR from its LF or a quoted cell
+        saved = csv.field_size_limit(limit)
+        try:
+            with mock.patch.object(formatting, "_READ_CHUNK", chunk):
+                got = read_table(io.StringIO(text, newline=""), needed)
+            expected = reference_read_table(text, needed)
+        finally:
+            csv.field_size_limit(saved)
+        header = got[0] if got[0] is None else list(got[0])
+        assert (header, *got[1:]) == expected
+
+
+class TestStreamedDatasetReader:
+    """`load_csv` over bodies of several read chunks: an equal Dataset, or the same
+    error class and message, as the per-cell oracle."""
+
+    @staticmethod
+    def body_lines(n):
+        # every pattern and label in turn: 18-byte lines, 512 distinct
+        return [",".join("01"[c >> b & 1] for b in range(9)) for c in range(n)]
+
+    @staticmethod
+    def same_outcome(blob):
+        assert len(blob) > 1 << 16
+        result = outcome(load_csv, blob)
+        assert result == outcome(reference_load_csv, blob)
+        return result
+
+    def test_bad_cell_after_the_first_chunk(self):
+        lines = self.body_lines(8000)
+        lines[6000] = "0,1,0,1,0,1,0,1,2"
+        lines[7000] = "0,0"
+        blob = "\n".join([",".join(CSV_HEADER)] + lines + [""]).encode()
+        assert self.same_outcome(blob) == (DataFormatError, "line 6002: non-binary value '2'")
+
+    def test_line_split_across_a_chunk_boundary(self):
+        # the header is read first, so body line k spans characters 18k to 18k + 17 of the
+        # chunks; the line across the first boundary is bad, then it is one never seen before
+        lines = self.body_lines(8000)
+        at = _READ_CHUNK // 18
+        assert 18 * at < _READ_CHUNK < 18 * at + 17
+        lines[at] = "1,1,1,1,1,1,1,1,x"
+        blob = "\n".join([",".join(CSV_HEADER)] + lines + [""]).encode()
+        assert self.same_outcome(blob) == (DataFormatError, f"line {at + 2}: non-binary value 'x'")
+        lines[at] = "1,1,1,1,1,1,1,1,1"
+        lines[:at] = ["0,0,0,0,0,0,0,0,0" if line == lines[at] else line for line in lines[:at]]
+        blob = "\n".join([",".join(CSV_HEADER)] + lines + [""]).encode()
+        assert isinstance(self.same_outcome(blob), Dataset)
+
+    @pytest.mark.parametrize("last", ['"1",0,0,0,0,0,0,0,1', "1,0,0,0,0,0,0,0,1\r",
+                                      '0,"1",0,0,0,0,0,0,1\r\n'])
+    def test_quote_or_cr_in_the_last_line_only(self, last):
+        blob = "\n".join([",".join(CSV_HEADER)] + self.body_lines(8000) + [last]).encode()
+        assert isinstance(self.same_outcome(blob), Dataset)
+
+    def test_crlf_line_ends_throughout(self):
+        blob = "\r\n".join([",".join(reversed(CSV_HEADER))] + self.body_lines(8000)).encode()
+        ds = self.same_outcome(blob)
+        assert isinstance(ds, Dataset) and len(ds) == 8000
+
+    def test_stream_that_cannot_seek(self):
+        # a quote in the third chunk: csv.reader takes over from the unfinished line before
+        # it, on the same stream, which is read once
+        class Forward(io.BytesIO):
+            def seekable(self):
+                return False
+
+            def seek(self, *args):
+                raise OSError("not seekable")
+
+        lines = self.body_lines(9000)
+        lines[8000] = '"0",0,0,0,0,0,0,0,1'
+        blob = "\n".join([",".join(CSV_HEADER)] + lines + [""]).encode()
+        stream = Forward(blob)
+        assert load_csv(stream) == reference_load_csv(blob)
+        assert stream.tell() == len(blob)
 
 
 def exit_and_errors(argv):
