@@ -6,7 +6,9 @@ its outputs. Randomized commands require an explicit --seed; nothing
 defaults to wall-clock entropy.
 
 A --config file holds key=value lines (keys are long flag names, dashes
-or underscores); explicit flags win over config values.
+or underscores). Each becomes a --key=value token after the command name,
+which argparse types, checks and requires as it does a flag; explicit
+flags come later and so win. Abbreviated flags are refused.
 """
 
 from __future__ import annotations
@@ -54,17 +56,7 @@ unique_thresholds = _deferred("metrics", "unique_thresholds")
 beeswarm_svg_parts = _deferred("plots", "beeswarm_svg_parts")
 render_curve_svg = _deferred("plots", "render_curve_svg")
 
-# flags that must be resolved (CLI or config) before a command can run
-_REQUIRED = {
-    "synth": ("out", "n_pos", "n_neg", "seed"),
-    "train": ("data", "out_model", "seed"),
-    "predict": ("model", "data", "out"),
-    "explain": ("model", "data", "out"),
-    "evaluate": ("model", "data", "out_prefix"),
-    "simulate-bias": ("data", "out_dir", "seed"),
-    "plot": ("kind", "in_path", "out"),
-}
-# train's tuning flags; main sets their defaults from TrainConfig when train runs
+# train's tuning flags; cmd_train fills those not given from TrainConfig's defaults
 _TRAIN_FLAGS = ("num_rounds", "learning_rate", "max_leaves", "min_samples_leaf",
                 "l2_lambda", "min_split_gain")
 
@@ -102,35 +94,29 @@ def build_parser():
         prog="pcrboost",
         description="Boosted-tree screening pipeline for RT-PCR outcomes "
         "from binary symptom reports.",
+        allow_abbrev=False,
     )
     parser.add_argument("--version", action="version", version=f"pcrboost {__version__}")
     sub = parser.add_subparsers(dest="command", metavar="|".join(_HANDLERS))
-    subparsers, options = {}, {}
+    subparsers = {}
 
     def command(name: str, help: str):
-        """Add a subcommand; returns its flag adder, which also fills options[name]."""
-        p = subparsers[name] = sub.add_parser(name, help=help)
-        table = options[name] = {}
-
-        def add(flag: str, dest: str | None = None, **kwargs):
-            dest = dest or flag[2:].replace("-", "_")
-            table[dest] = (kwargs.get("type"), kwargs.get("choices"),
-                           kwargs.get("action") == "store_true")
-            p.add_argument(flag, dest=dest, **kwargs)
-
-        return add
+        """Add a subcommand that takes --config; returns its add_argument."""
+        p = subparsers[name] = sub.add_parser(name, help=help, allow_abbrev=False)
+        p.add_argument("--config", help="key=value file; explicit flags win")
+        return p.add_argument
 
     add = command("synth", "synthesize a dataset from class-conditional marginals")
-    add("--out", help="output dataset CSV path")
-    add("--n-pos", type=int, help="number of positive records")
-    add("--n-neg", type=int, help="number of negative records")
-    add("--seed", type=_seed_arg, help="generator seed (required)")
+    add("--out", required=True, help="output dataset CSV path")
+    add("--n-pos", type=int, required=True, help="number of positive records")
+    add("--n-neg", type=int, required=True, help="number of negative records")
+    add("--seed", type=_seed_arg, required=True, help="generator seed")
     add("--marginals", help="dataset CSV whose marginals replace the bundled survey table")
 
     add = command("train", "fit the boosted ensemble")
-    add("--data", help="training dataset CSV")
-    add("--out-model", help="output model JSON path")
-    add("--seed", type=_seed_arg, help="config-echo seed (required)")
+    add("--data", required=True, help="training dataset CSV")
+    add("--out-model", required=True, help="output model JSON path")
+    add("--seed", type=_seed_arg, required=True, help="config-echo seed")
     add("--num-rounds", type=int)
     add("--learning-rate", type=float)
     add("--max-leaves", type=int)
@@ -139,19 +125,19 @@ def build_parser():
     add("--min-split-gain", type=float)
 
     add = command("predict", "write per-record probabilities")
-    add("--model", help="model JSON path")
-    add("--data", help="dataset CSV")
-    add("--out", help="output scores CSV path")
+    add("--model", required=True, help="model JSON path")
+    add("--data", required=True, help="dataset CSV")
+    add("--out", required=True, help="output scores CSV path")
 
     add = command("explain", "write per-record SHAP attributions")
-    add("--model", help="model JSON path")
-    add("--data", help="dataset CSV")
-    add("--out", help="output SHAP CSV path")
+    add("--model", required=True, help="model JSON path")
+    add("--data", required=True, help="dataset CSV")
+    add("--out", required=True, help="output SHAP CSV path")
 
     add = command("evaluate", "threshold table plus auROC/auPRC with bootstrap CIs")
-    add("--model", help="model JSON path")
-    add("--data", help="labeled dataset CSV")
-    add("--out-prefix", help="prefix for thresholds/summary/band CSVs")
+    add("--model", required=True, help="model JSON path")
+    add("--data", required=True, help="labeled dataset CSV")
+    add("--out-prefix", required=True, help="prefix for thresholds/summary/band CSVs")
     add("--bootstrap", type=int, default=1000, help="bootstrap resamples (0 disables CIs)")
     add("--alpha", type=float, default=0.05)
     add("--seed", type=_seed_arg, help="bootstrap seed (required when bootstrapping)")
@@ -159,23 +145,21 @@ def build_parser():
         help="also bootstrap a TPR band on a 101-point FPR grid")
 
     add = command("simulate-bias", "drop asymptomatic negatives at several fractions")
-    add("--data", help="input dataset CSV")
+    add("--data", required=True, help="input dataset CSV")
     add("--fractions", type=_fractions_arg, default="0.25,0.5,0.75",
         help="comma-separated drop fractions")
-    add("--seed", type=_seed_arg, help="drop-selection seed (required)")
-    add("--out-dir", help="output directory")
+    add("--seed", type=_seed_arg, required=True, help="drop-selection seed")
+    add("--out-dir", required=True, help="output directory")
 
     add = command("plot", "render an SVG chart")
-    add("--kind", choices=("roc", "pr", "beeswarm"))
-    add("--in", dest="in_path", help="thresholds CSV (roc/pr) or SHAP CSV (beeswarm)")
+    add("--kind", choices=("roc", "pr", "beeswarm"), required=True)
+    add("--in", dest="in_path", required=True,
+        help="thresholds CSV (roc/pr) or SHAP CSV (beeswarm)")
     add("--band", help="roc_band CSV for the shaded ROC band (roc only)")
-    add("--out", help="output SVG path")
+    add("--out", required=True, help="output SVG path")
     add("--seed", type=_seed_arg, help="jitter seed (required for beeswarm)")
 
-    for p in subparsers.values():  # not in options: a config file cannot name another
-        p.add_argument("--config", help="key=value file; explicit flags win")
-
-    return parser, subparsers, options
+    return parser, subparsers
 
 
 def _read_config(path: str) -> dict[str, str]:
@@ -198,43 +182,36 @@ def _read_config(path: str) -> dict[str, str]:
     return values
 
 
-def _apply_config(subparser, options: dict, config: dict[str, str]) -> None:
-    """Set a subcommand's defaults from config values, typed by its options table."""
-    defaults = {}
-    for key, raw in config.items():
-        if key == "in":  # the --in flag parses to dest in_path
-            key = "in_path"
-        if key not in options:
-            raise DataFormatError(f"unknown config key {key!r}")
-        kind, choices, store_true = options[key]
-        if store_true:
-            if raw.lower() not in ("true", "false", "0", "1"):
-                raise DataFormatError(f"config key {key!r}: expected true/false")
-            defaults[key] = raw.lower() in ("true", "1")
-            continue
-        try:
-            defaults[key] = kind(raw) if kind else raw
-        except (ValueError, argparse.ArgumentTypeError) as exc:
-            raise DataFormatError(f"config key {key!r}: {exc}") from None
-        if choices and defaults[key] not in choices:
-            raise DataFormatError(f"config key {key!r}: invalid choice {raw!r}")
-    subparser.set_defaults(**defaults)
+def _config_argv(subparser, config: dict[str, str]) -> list[str]:
+    """A config file's values as --key=value tokens, for argparse to parse as flags.
+
+    A key whose parser default is False names a switch: true/1 adds the flag,
+    false/0 adds nothing.
+    """
+    tokens = []
+    for key, value in config.items():
+        if key == "config":
+            raise DataFormatError("unknown config key 'config'")
+        flag = "--" + key.replace("_", "-")
+        if subparser.get_default(key) is not False:
+            tokens.append(f"{flag}={value}")
+        elif value.lower() in ("true", "1"):
+            tokens.append(flag)
+        elif value.lower() not in ("false", "0"):
+            raise DataFormatError(f"config key {key!r}: expected true/false")
+    return tokens
 
 
 def _scan_config_path(argv) -> str | None:
+    """The last --config value: argparse, too, keeps a repeated flag's last value."""
+    path = None
     for i, token in enumerate(argv):
         if token == "--config":
             if i + 1 < len(argv):
-                return argv[i + 1]
+                path = argv[i + 1]
         elif token.startswith("--config="):
-            return token.split("=", 1)[1]
-    return None
-
-
-def _require(parser, args, names) -> None:
-    for name in names:
-        if getattr(args, name) is None:
-            parser.error(f"missing required flag --{name.replace('_', '-')}")
+            path = token.split("=", 1)[1]
+    return path
 
 
 def _load_dataset(path: str):
@@ -345,7 +322,9 @@ def cmd_train(args, parser, stage=_staged):
     from .gbm import TrainConfig
 
     ds = _load_dataset(args.data)
-    cfg = TrainConfig(seed=args.seed, **{name: getattr(args, name) for name in _TRAIN_FLAGS})
+    given = {name: getattr(args, name) for name in _TRAIN_FLAGS if getattr(args, name) is not None}
+    cfg = TrainConfig(seed=args.seed, **given)
+    vars(args).update({name: getattr(cfg, name) for name in _TRAIN_FLAGS})  # manifest echo
     text = save_model(fit(ds, cfg))
     with stage(args.out_model) as (tmp,), open(tmp, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(text)
@@ -573,31 +552,22 @@ def main(argv=None) -> int:
     if "numpy" not in sys.modules:  # a fresh process: pcrboost uses no BLAS, so no thread pool
         os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser, subparsers, options = build_parser()
+    parser, subparsers = build_parser()
     started = time.perf_counter()
     try:
         command = next((t for t in argv if t in _HANDLERS), None)
         config_path = _scan_config_path(argv)
-        if command == "train":  # before the config, which beats these defaults
-            from .gbm import TrainConfig
-
-            subparsers[command].set_defaults(
-                **{name: getattr(TrainConfig, name) for name in _TRAIN_FLAGS})
         if command is not None and config_path is not None:
-            _apply_config(subparsers[command], options[command], _read_config(config_path))
-        try:
-            args = parser.parse_args(argv)
-        except SystemExit as exc:
-            return int(exc.code or 0)
+            at = argv.index(command) + 1  # right after the command: a later explicit flag wins
+            argv[at:at] = _config_argv(subparsers[command], _read_config(config_path))
+        args = parser.parse_args(argv)
         if args.command is None:
             parser.print_usage(sys.stderr)
             return 2
-        try:
-            _require(parser, args, _REQUIRED[args.command])
-            _run(args, parser, started)
-        except SystemExit as exc:  # parser.error from conditional requirements
-            return int(exc.code or 0)
+        _run(args, parser, started)
         return 0
+    except SystemExit as exc:  # argparse, and parser.error from conditional requirements
+        return int(exc.code or 0)
     except DataFormatError as exc:
         print(f"pcrboost: error: {exc}", file=sys.stderr)
         return 2

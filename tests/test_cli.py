@@ -430,6 +430,91 @@ class TestTrainModes:
         assert sorted(p.name for p in tmp_path.iterdir()) == [
             "survey_test.csv", "survey_test.csv.manifest.json"]
 
+    def test_manifest_echoes_every_resolved_hyperparameter(self, pipeline, tmp_path):
+        m = tmp_path / "m.json"
+        assert run("train", "--data", pipeline / "data.csv", "--out-model", m,
+                   "--seed", "0", "--num-rounds", "2") == 0
+        doc = json.loads((tmp_path / "m.json.manifest.json").read_text())
+        defaults = TrainConfig()
+        assert doc["parameters"] == {
+            "data": str(pipeline / "data.csv"), "out_model": str(m), "seed": 0,
+            "num_rounds": 2, "learning_rate": defaults.learning_rate,
+            "max_leaves": defaults.max_leaves, "min_samples_leaf": defaults.min_samples_leaf,
+            "l2_lambda": defaults.l2_lambda, "min_split_gain": defaults.min_split_gain}
+
+
+class TestConfigFiles:
+    """A config value is parsed as the flag it names; explicit flags come later and win."""
+
+    @staticmethod
+    def config(tmp_path, text, name="run.cfg"):
+        path = tmp_path / name
+        path.write_text(text, encoding="utf-8")
+        return path
+
+    def test_synth_takes_every_required_flag_from_a_config(self, tmp_path):
+        flags, configured = tmp_path / "flags.csv", tmp_path / "configured.csv"
+        assert run(*SYNTH, "--out", flags) == 0
+        cfg = self.config(tmp_path, f"out = {configured}\nn-pos = 200\nn_neg = 800\nseed = 3\n")
+        assert run("synth", "--config", cfg) == 0
+        assert configured.read_bytes() == flags.read_bytes()
+        params = [json.loads(tmp_path.joinpath(f"{p.name}.manifest.json").read_text())
+                  ["parameters"] for p in (flags, configured)]
+        assert params[0] == dict(params[1], out=str(flags))
+
+    def test_explicit_out_beats_the_configs(self, tmp_path):
+        cfg = self.config(tmp_path, f"out = {tmp_path / 'configured.csv'}\n")
+        assert run(*SYNTH, "--config", cfg, "--out", tmp_path / "flag.csv") == 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "flag.csv", "flag.csv.manifest.json", "run.cfg"]
+
+    @pytest.mark.parametrize("value, written", [("true", True), ("1", True), ("TRUE", True),
+                                                ("false", False), ("0", False)])
+    def test_switch_value(self, pipeline, tmp_path, value, written):
+        cfg = self.config(tmp_path, f"roc_band = {value}\n")
+        assert run("evaluate", "--model", pipeline / "model.json", "--data",
+                   pipeline / "data.csv", "--out-prefix", tmp_path / "e_",
+                   "--bootstrap", "100", "--seed", "1", "--config", cfg) == 0
+        assert (tmp_path / "e_roc_band.csv").exists() == written
+        doc = json.loads((tmp_path / "e_manifest.json").read_text())
+        assert doc["parameters"]["roc_band"] is written
+
+    def test_bad_switch_value_is_one_error_line(self, pipeline, tmp_path, capsys):
+        cfg = self.config(tmp_path, "roc_band = yes\n")
+        assert run("evaluate", "--model", pipeline / "model.json", "--data",
+                   pipeline / "data.csv", "--out-prefix", tmp_path / "e_",
+                   "--bootstrap", "100", "--seed", "1", "--config", cfg) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("pcrboost: error: ")
+        assert list(tmp_path.iterdir()) == [cfg]
+
+    def test_abbreviated_flag_is_usage_error(self, pipeline, tmp_path):
+        assert run("train", "--data", pipeline / "data.csv", "--out-model",
+                   tmp_path / "m.json", "--seed", "0", "--num", "3") == 2
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("line, code", [
+        ("in = {csv}", 0), ("in_path = {csv}", 2), ("in = {csv}\nnum = 3", 2),
+        ("in = {csv}\nconfig = {cfg}", 2)])
+    def test_keys_are_full_long_flag_names(self, pipeline, tmp_path, line, code):
+        other = self.config(tmp_path, "kind = roc\n", name="other.cfg")
+        cfg = self.config(tmp_path, line.format(csv=pipeline / "eval_thresholds.csv",
+                                                cfg=other) + "\n")
+        out = tmp_path / "roc.svg"
+        assert run("plot", "--kind", "roc", "--out", out, "--config", cfg) == code
+        assert out.exists() == (code == 0)
+
+    def test_repeated_config_reads_the_last(self, tmp_path, capsys):
+        bogus = self.config(tmp_path, "kind = bogus\n", name="bogus.cfg")
+        roc = self.config(tmp_path, "kind = roc\n", name="roc.cfg")
+        argv = ["plot", "--in", tmp_path / "absent.csv", "--out", tmp_path / "o.svg"]
+        assert run(*argv, "--config", bogus, "--config", roc) == 4
+        capsys.readouterr()
+        assert run(*argv, "--config", roc, f"--config={bogus}") == 2
+        errors = [line for line in capsys.readouterr().err.splitlines() if "error" in line]
+        assert len(errors) == 1
+        assert errors[0].startswith("pcrboost plot: error: argument --kind: invalid choice: 'bogus'")
+
 class TestPerPatternWriters:
     """scores.csv and shap.csv against the per-record tuple writers, byte for byte."""
 

@@ -531,8 +531,8 @@ FRACTIONS_TEXT = st.lists(FRACTION_TOKENS | st.text(max_size=4), max_size=5).map
 CONFIG_VALUES = st.sampled_from(["0", "1", "-1", "7", "true", "False", "yes", "roc", "beeswarm",
                                  "0.5", "1e400", "-inf", "nan", "1_0", "0x10", "", "\u0661"]) | (
     st.text(max_size=12).map(lambda t: "".join(t.splitlines())))
-# one key of each kind _apply_config converts, and a command line that runs once
-# the value is accepted and then fails on its missing input file (exit 4)
+# one key of each kind of flag a config value is parsed as, and a command line that runs
+# once the value is accepted and then fails on its missing input file (exit 4)
 CONFIG_KEYS = {
     "int": ("num_rounds", ["train", "--data", "{dir}/absent.csv", "--out-model", "{dir}/m.json",
                            "--seed", "0"]),
@@ -544,6 +544,9 @@ CONFIG_KEYS = {
     "store-true": ("roc_band", ["evaluate", "--model", "{dir}/absent.json",
                                 "--data", "{dir}/absent.csv", "--out-prefix", "{dir}/e_",
                                 "--seed", "1"]),
+    "path": ("out", ["predict", "--model", "{dir}/absent.json", "--data", "{dir}/absent.csv"]),
+    "fractions": ("fractions", ["simulate-bias", "--data", "{dir}/absent.csv",
+                                "--out-dir", "{dir}/bias", "--seed", "1"]),
 }
 
 
