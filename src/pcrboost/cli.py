@@ -272,15 +272,6 @@ def _remove(names) -> None:
             os.remove(name)
 
 
-@contextlib.contextmanager
-def _staged(*paths: str):
-    """Stage `paths` on their own: moved into place at the block's end."""
-    staging = _Staging()
-    with staging(*paths) as tmps:
-        yield tmps
-    staging.commit()
-
-
 def _run(args, parser, started: float) -> None:
     """Run the command, then write its manifest: outputs and manifest move into place together."""
     staging = _Staging()
@@ -297,7 +288,7 @@ def _run(args, parser, started: float) -> None:
         }
         with staging(manifest_path) as (tmp,), open(tmp, "w", encoding="utf-8",
                                                     newline="\n") as fh:
-            json.dump(manifest, fh, indent=2, default=str)
+            json.dump(manifest, fh, indent=2)
             fh.write("\n")
     except BaseException:
         staging.discard()
@@ -305,7 +296,7 @@ def _run(args, parser, started: float) -> None:
     staging.commit()
 
 
-def cmd_synth(args, parser, stage=_staged):
+def cmd_synth(args, parser, stage):
     if args.marginals:
         marginals = marginals_from(_load_dataset(args.marginals))
         inputs = [args.marginals]
@@ -318,7 +309,7 @@ def cmd_synth(args, parser, stage=_staged):
     return inputs, [args.out], args.out + ".manifest.json"
 
 
-def cmd_train(args, parser, stage=_staged):
+def cmd_train(args, parser, stage):
     from .gbm import TrainConfig
 
     ds = _load_dataset(args.data)
@@ -331,7 +322,7 @@ def cmd_train(args, parser, stage=_staged):
     return [args.data], [args.out_model], args.out_model + ".manifest.json"
 
 
-def cmd_predict(args, parser, stage=_staged):
+def cmd_predict(args, parser, stage):
     import numpy as np
 
     model = _load_model(args.model)
@@ -345,23 +336,23 @@ def cmd_predict(args, parser, stage=_staged):
     return [args.model, args.data], [args.out], args.out + ".manifest.json"
 
 
-def cmd_explain(args, parser, stage=_staged):
+def cmd_explain(args, parser, stage):
     from .dataset import FEATURE_NAMES, PATTERNS
 
     model = _load_model(args.model)
     ds = _load_dataset(args.data)
-    base_value, codes, phis, inverse = explain_dataset(model, ds)
+    base_value, phis = explain_dataset(model, ds)
     base_value = fmt_real(base_value)  # one cell text for every row
-    rows = PatternRows([[(name, int(x[f]), float(phi[f]), base_value)
-                         for f, name in enumerate(FEATURE_NAMES)]
-                        for x, phi in zip(PATTERNS[codes], phis)], inverse)
+    # as in predict: one block of rows per pattern, each record writing its code's block
+    rows = PatternRows([[(name, x[f], phi[f], base_value) for f, name in enumerate(FEATURE_NAMES)]
+                        for x, phi in zip(PATTERNS.tolist(), phis.tolist())], ds.codes)
     with stage(args.out) as (tmp,):
         write_csv(tmp, ["record_index", "feature", "feature_value", "shap_value", "base_value"],
                   rows)
     return [args.model, args.data], [args.out], args.out + ".manifest.json"
 
 
-def cmd_evaluate(args, parser, stage=_staged):
+def cmd_evaluate(args, parser, stage):
     from .metrics import THRESHOLD_REPORT_FIELDS, bootstrap
 
     if args.bootstrap and args.seed is None:
@@ -402,7 +393,7 @@ def cmd_evaluate(args, parser, stage=_staged):
     return [args.model, args.data], outputs, args.out_prefix + "manifest.json"
 
 
-def cmd_simulate_bias(args, parser, stage=_staged):
+def cmd_simulate_bias(args, parser, stage):
     from .dataset import FEATURE_NAMES, BiasSimConfig
 
     ds = _load_dataset(args.data)
@@ -432,15 +423,15 @@ def cmd_simulate_bias(args, parser, stage=_staged):
     return [args.data], outputs, os.path.join(args.out_dir, "manifest.json")
 
 
-def _read_cells(path: str, columns: tuple[str, ...], by_tail: bool):
+def _read_cells(path: str, columns: tuple[str, ...]):
     """A plot CSV's distinct rows as their named cells, and each record's index among them.
 
     As in csv.DictReader: blank rows are skipped, a repeated name reads its last
     column and a short row's missing cells are None. A csv or UTF-8 error anywhere
-    wins over every bad cell. by_tail keys records by their text after the first comma.
+    wins over every bad cell.
     """
     with open(path, encoding="utf-8", newline="") as fh:
-        header, rows, ids, _, error = read_table(fh, columns if by_tail else None)
+        header, rows, ids, _, error = read_table(fh, columns)
     if header is None and error is None or header is not None and not set(columns) <= set(header):
         raise DataFormatError(f"malformed input CSV: need columns {sorted(columns)}")
     if error is not None:
@@ -474,7 +465,7 @@ def _beeswarm_strips(path: str) -> list[tuple]:
     from .dataset import FEATURE_NAMES
     from .plots import rank_features
 
-    rows, ids = _read_cells(path, ("feature", "shap_value", "feature_value"), True)
+    rows, ids = _read_cells(path, ("feature", "shap_value", "feature_value"))
     if not ids:
         raise DataFormatError("malformed input CSV: no SHAP rows")
     # each distinct row checked once, in file order (the first bad row is named)
@@ -496,17 +487,16 @@ def _beeswarm_strips(path: str) -> list[tuple]:
     return [(name, *strips[name]) for name in rank_features(means)]
 
 
-def cmd_plot(args, parser, stage=_staged):
+def cmd_plot(args, parser, stage):
     inputs = [args.in_path]
     if args.band and args.kind != "roc":
         parser.error("--band applies only to --kind roc")
     if args.kind == "beeswarm":
         if args.seed is None:
             parser.error("missing required flag --seed (needed for beeswarm)")
-        parts = beeswarm_svg_parts(_beeswarm_strips(args.in_path), seed=args.seed,
-                                   title="SHAP beeswarm")
+        parts = beeswarm_svg_parts(_beeswarm_strips(args.in_path), seed=args.seed)
     else:
-        rows, ids = _read_cells(args.in_path, ("fpr", "sensitivity", "ppv"), False)
+        rows, ids = _read_cells(args.in_path, ("fpr", "sensitivity", "ppv"))
         # each distinct row's point checked once, in file order
         if args.kind == "roc":
             if not ids:
@@ -516,21 +506,21 @@ def cmd_plot(args, parser, stage=_staged):
             band = None
             if args.band:
                 columns = ("fpr", "tpr_lo", "tpr_hi")
-                band_rows, band_ids = _read_cells(args.band, columns, False)
+                band_rows, band_ids = _read_cells(args.band, columns)
                 if not band_ids:
                     raise DataFormatError("malformed input CSV: no ROC band rows")
                 band = tuple([values[i] for i in band_ids]  # checked a column at a time
                              for values in ([_real(row[j], name) for row in band_rows]
                                             for j, name in enumerate(columns)))
                 inputs.append(args.band)
-            parts = [render_curve_svg(points, kind="roc", title="ROC curve", band=band)]
+            parts = [render_curve_svg(points, kind="roc", band=band)]
         else:
             points = [ppv != "" and (_real(tpr, "sensitivity"), _real(ppv, "ppv"))
                       for _, tpr, ppv in rows]
             points = [points[i] for i in ids if points[i]]
             if not points:
                 raise DataFormatError("malformed input CSV: no defined precision values")
-            parts = [render_curve_svg(points, kind="pr", title="Precision-recall curve")]
+            parts = [render_curve_svg(points, kind="pr")]
     # rendered as it is written, under a temporary name: a failure leaves no partial SVG
     with stage(args.out) as (tmp,), open(tmp, "w", encoding="utf-8", newline="\n") as fh:
         fh.writelines(parts)

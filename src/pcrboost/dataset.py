@@ -53,6 +53,9 @@ PATTERNS = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1, bitord
 PATTERNS.flags.writeable = False
 # 2^f for each feature f: a 0/1 row's dot product with these is its pattern code
 _BIT_VALUES = (1 << np.arange(N_FEATURES)).astype(np.uint8)
+# the lattice layout: entry sum(a_f * LATTICE_STEPS[f]), with a_f = 0 or 1 fixing
+# feature f and a_f = 2 leaving it free; Python ints, for list and memoryview indexing
+LATTICE_STEPS = tuple(3 ** f for f in range(N_FEATURES))
 
 
 def lattice_sums(per_pattern) -> np.ndarray:
@@ -60,16 +63,16 @@ def lattice_sums(per_pattern) -> np.ndarray:
 
     The patterns are the last axis; leading axes are kept, so several
     tables are summed in one pass with the same additions as one at a time.
-    Entry sum(a_f * 3**f) of the 3^8 result, with a_f = 0 or 1 fixing feature
-    f and a_f = 2 leaving it free, sums the patterns that match the fixed
-    features; the last entry (all free) is the total. Each of the 8 steps
-    appends one feature's sum along its axis as that axis's third index.
+    Entry sum(a_f * LATTICE_STEPS[f]) of the 3^8 result sums the patterns
+    that match the fixed features; the last entry (all free) is the total.
+    Each of the 8 steps appends one feature's sum along its axis as that
+    axis's third index.
     """
     table = np.asarray(per_pattern)
     lead = table.shape[:-1]
     for f in range(N_FEATURES):
         # axes: the leading axes, the pattern bits above f, bit f, the 3^f assignments below f
-        t = table.reshape(*lead, -1, 2, 3 ** f)
+        t = table.reshape(*lead, -1, 2, LATTICE_STEPS[f])
         table = np.concatenate([t, t[..., :1, :] + t[..., 1:, :]], axis=-2)
     return table.reshape(*lead, -1)
 

@@ -24,7 +24,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .dataset import FEATURE_NAMES, N_FEATURES, PATTERNS, Dataset, lattice_sums, pattern_codes
+from .dataset import (FEATURE_NAMES, LATTICE_STEPS, N_FEATURES, PATTERNS, Dataset, lattice_sums,
+                      pattern_codes)
 from .errors import ContractError, DataFormatError
 from .formatting import fmt_real
 
@@ -86,9 +87,19 @@ class TreeNode:
         return self.feature is None
 
     def n_leaves(self) -> int:
-        if self.is_leaf:
-            return 1
-        return self.left.n_leaves() + self.right.n_leaves()
+        return sum(1 for _ in _leaves(self))
+
+
+def _leaves(tree):
+    """(mask, bits, value) of each leaf: the code bits split on above it, and its branches' bits."""
+    stack = [(tree, 0, 0)]
+    while stack:
+        node, mask, bits = stack.pop()
+        if node.is_leaf:
+            yield mask, bits, node.value
+        else:
+            m = 1 << node.feature
+            stack += [(node.left, mask | m, bits), (node.right, mask | m, bits | m)]
 
 
 def sigmoid(raw):
@@ -158,39 +169,26 @@ def _leaf_rows(trees) -> np.ndarray:
     A leaf fixes the features split on above it (each at most once, as
     `load_model` requires), so code c reaches it exactly when c & mask == bits.
     """
-    where, values = [], []  # (tree, mask, bits) and value of every leaf
-    for t, tree in enumerate(trees):
-        stack = [(tree, 0, 0)]
-        while stack:
-            node, mask, bits = stack.pop()
-            if node.is_leaf:
-                where.append((t, mask, bits))
-                values.append(node.value)
-            else:
-                m = 1 << node.feature
-                stack += [(node.left, mask | m, bits), (node.right, mask | m, bits | m)]
-    owner, mask, bits = np.array(where, dtype=np.int64).reshape(-1, 3).T
+    # (tree, mask, bits, value) of every leaf; the ints are exact in float64
+    leaves = np.array([(t, *leaf) for t, tree in enumerate(trees) for leaf in _leaves(tree)],
+                      dtype=np.float64).reshape(-1, 4)
+    owner, mask, bits = leaves[:, :3].T.astype(np.int64)
     leaf, code = np.nonzero((np.arange(len(PATTERNS)) & mask[:, None]) == bits[:, None])
     rows = np.empty((len(trees), len(PATTERNS)), dtype=np.float64)
-    rows[owner[leaf], code] = np.array(values, dtype=np.float64)[leaf]
+    rows[owner[leaf], code] = leaves[leaf, 3]
     return rows
-
-
-# lattice index of the root (every feature free), and each feature's index step
-_ROOT = 3 ** N_FEATURES - 1
-_STEPS = tuple(3 ** f for f in range(N_FEATURES))
 
 
 def _best_split(i, G, H, N, cfg: TrainConfig):
     """(gain, feature) of lattice node i's best split if its gain is > 0, else (0.0, None).
 
-    A free feature f splits i into i - 2 * 3**f (f = 0) and i - 3**f (f = 1);
+    A free feature f, with s = LATTICE_STEPS[f], splits i into i - 2s (f = 0) and i - s (f = 1);
     G, H and N are the lattice sums of the gradients, hessians and records.
     """
     lam = cfg.l2_lambda
     parent_term = G[i] * G[i] / (H[i] + lam)
     best_gain, best_feature = 0.0, None
-    for f, step in enumerate(_STEPS):
+    for f, step in enumerate(LATTICE_STEPS):
         left, right = i - 2 * step, i - step
         if i // step % 3 != 2 or min(N[left], N[right]) < cfg.min_samples_leaf:
             continue
@@ -206,8 +204,9 @@ def _best_split(i, G, H, N, cfg: TrainConfig):
 
 def _grow_tree(G, H, N, cfg: TrainConfig) -> TreeNode:
     """One leaf-wise tree over the lattice sums of one round."""
+    root = 2 * sum(LATTICE_STEPS)  # every feature free
     splits = {}  # lattice index of each internal node -> its feature
-    leaves = [(_ROOT, *_best_split(_ROOT, G, H, N, cfg))]  # (index, gain, feature)
+    leaves = [(root, *_best_split(root, G, H, N, cfg))]  # (index, gain, feature)
     while len(leaves) < cfg.max_leaves:
         # leaves are in creation order, and max keeps the earlier leaf on ties
         k = max(range(len(leaves)), key=lambda k: leaves[k][1])
@@ -215,7 +214,7 @@ def _grow_tree(G, H, N, cfg: TrainConfig) -> TreeNode:
         if f is None:
             break
         splits[i] = f
-        for child in (i - 2 * _STEPS[f], i - _STEPS[f]):
+        for child in (i - 2 * LATTICE_STEPS[f], i - LATTICE_STEPS[f]):
             leaves.append((child, *_best_split(child, G, H, N, cfg)))
 
     def finalize(i) -> TreeNode:
@@ -226,11 +225,11 @@ def _grow_tree(G, H, N, cfg: TrainConfig) -> TreeNode:
                                     "use a lower --learning-rate or fewer --num-rounds")
             value = -cfg.learning_rate * G[i] / (H[i] + cfg.l2_lambda)
             return TreeNode(cover=H[i], value=value)
-        left = finalize(i - 2 * _STEPS[f])
-        right = finalize(i - _STEPS[f])
+        left = finalize(i - 2 * LATTICE_STEPS[f])
+        right = finalize(i - LATTICE_STEPS[f])
         return TreeNode(cover=left.cover + right.cover, feature=f, left=left, right=right)
 
-    return finalize(_ROOT)
+    return finalize(root)
 
 
 def fit(ds: Dataset, cfg: TrainConfig) -> Model:

@@ -22,9 +22,10 @@ _VALUE_COLORS = {0: "#2e7bd6", 1: "#d64a2e"}
 # np.linspace(0, 1, 6) written out: curve charts load no NumPy
 _TICKS = (0.0, 0.2, 0.4, 0.6000000000000001, 0.8, 1.0)
 
-_AXIS_LABELS = {
-    "roc": ("False positive rate", "True positive rate"),
-    "pr": ("Recall", "Precision"),
+# each curve kind's title and axis labels
+_LABELS = {
+    "roc": ("ROC curve", "False positive rate", "True positive rate"),
+    "pr": ("Precision-recall curve", "Recall", "Precision"),
 }
 
 
@@ -48,13 +49,13 @@ def _svg_open(width, height) -> str:
     )
 
 
-def render_curve_svg(points, *, kind: str, title: str, band=None) -> str:
+def render_curve_svg(points, *, kind: str, band=None) -> str:
     """ROC or PR polyline with axes; optional (grid, lo, hi) TPR band under it."""
-    if kind not in _AXIS_LABELS:
+    if kind not in _LABELS:
         raise ContractError(f"unknown plot kind: {kind}")
     if not points:
         raise ContractError("no curve points")
-    x_label, y_label = _AXIS_LABELS[kind]
+    title, x_label, y_label = _LABELS[kind]
     px = lambda x: _ML + x * (_CURVE_W - _ML - _MR)
     py = lambda y: _CURVE_H - _MB - y * (_CURVE_H - _MT - _MB)
 
@@ -93,7 +94,7 @@ def render_curve_svg(points, *, kind: str, title: str, band=None) -> str:
     return "\n".join(parts)
 
 
-def beeswarm_svg_parts(strips, *, seed: int, title: str):
+def beeswarm_svg_parts(strips, *, seed: int):
     """The beeswarm document: its head, one "\n"-terminated block per strip, its tail.
 
     `strips` are (feature, shap_values, feature_values) triples in drawing
@@ -112,7 +113,7 @@ def beeswarm_svg_parts(strips, *, seed: int, title: str):
 
     rng = np.random.Generator(np.random.PCG64(seed))
     parts = [_svg_open(_CURVE_W, height)]
-    parts.append(_text(_CURVE_W / 2, 22, title, size=14))
+    parts.append(_text(_CURVE_W / 2, 22, "SHAP beeswarm", size=14))
     zero_x = px(0.0)
     parts.append(
         f'<line x1="{_f(zero_x)}" y1="{_MT}" x2="{_f(zero_x)}" '

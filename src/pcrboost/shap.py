@@ -12,8 +12,8 @@ So each tree is walked once into a value table over that lattice, whatever
 the rows, and each feature's Shapley terms are a table on it. A coalition's
 terms at every pattern are one basic slice of that table, so the model's
 256-pattern table is a sum of slices in coalition order, taken for a block
-of trees at once and added up tree by tree. It is built once per `Model`;
-`explain` and `explain_dataset` read its rows.
+of trees at once and added up tree by tree. It is built once per `Model`:
+`explain` reads one row of it, `explain_dataset` returns it whole.
 """
 
 from __future__ import annotations
@@ -23,9 +23,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import N_FEATURES, PATTERNS, Dataset, pattern_codes
+from .dataset import LATTICE_STEPS, N_FEATURES, PATTERNS, Dataset, pattern_codes
 from .errors import ContractError
-from .gbm import Model, require_finite
+from .gbm import Model, _leaves, require_finite
 
 # Shapley weight for adding a feature to a coalition of size k
 _WEIGHT = np.array(
@@ -34,10 +34,9 @@ _WEIGHT = np.array(
         for k in range(N_FEATURES)
     ]
 )
-# lattice index sum(a_f * 3**f) with a_f = 2 meaning free, as in `dataset.lattice_sums`;
-# axis N_FEATURES - 1 - f of its (3,)*8 view holds a_f
-_STEPS = 3 ** np.arange(N_FEATURES)
-_DIGITS = np.arange(3 ** N_FEATURES)[:, None] // _STEPS % 3
+# each lattice entry's digits a_f (2 = free; see `dataset.LATTICE_STEPS`);
+# axis N_FEATURES - 1 - f of the lattice's (3,)*8 view holds a_f
+_DIGITS = np.arange(3 ** N_FEATURES)[:, None] // np.array(LATTICE_STEPS) % 3
 # weight of a lattice entry's term: the coalition it fixes, less the feature being added,
 # shaped to broadcast over a (3,)*8 x trees block
 _COEF = _WEIGHT[np.maximum((_DIGITS != 2).sum(axis=1) - 1, 0)].reshape((3,) * N_FEATURES + (1,))
@@ -108,6 +107,7 @@ def _phi_table(model: Model):
         for t in range(size):
             phis += block_phis[:, :, t]
     require_finite("SHAP", base, phis)
+    phis.flags.writeable = False  # shared by every reader of the model's table
     return base, phis
 
 
@@ -118,16 +118,9 @@ def _tree_values(tree) -> np.ndarray:
     innermost axes, so each leaf's add runs over long contiguous stretches; in
     any axis order every entry gets the same products and sums.
     """
-    uses = [0] * N_FEATURES  # per feature, the leaves below its splits
-    stack = [(tree, ())]
-    while stack:
-        node, path = stack.pop()
-        if node.is_leaf:
-            for f in path:
-                uses[f] += 1
-        else:
-            stack += [(child, path + (node.feature,)) for child in (node.left, node.right)]
-    axis = {f: i for i, f in enumerate(sorted(range(N_FEATURES), key=uses.__getitem__))}
+    masks = [mask for mask, _, _ in _leaves(tree)]  # a feature's uses: the leaves below it
+    order = sorted(range(N_FEATURES), key=lambda f: sum(mask >> f & 1 for mask in masks))
+    axis = {f: i for i, f in enumerate(order)}
     V = np.zeros((3,) * N_FEATURES)
     stack = [(tree, np.ones((1,) * N_FEATURES))]
     while stack:
@@ -161,9 +154,7 @@ def explain(model: Model, record) -> ShapExplanation:
 
 
 def explain_dataset(model: Model, ds: Dataset):
-    """(base_value, distinct pattern codes ascending, their (p,8) phis, each record's index)."""
+    """(base_value, (256, 8) phis): the model's table, whose row ds.codes[r] explains record r."""
     if len(ds) == 0:
         raise ContractError("empty dataset")
-    codes, inverse = np.unique(ds.codes, return_inverse=True)
-    base, table = model._shap_table
-    return base, codes, table[codes], inverse
+    return model._shap_table

@@ -470,9 +470,9 @@ def _mean_abs(phis: np.ndarray) -> dict[str, float]:
 
 
 def explain_records(model: Model, ds: Dataset):
-    """`explain_dataset`'s per-pattern result broadcast to records: (base_value, (n,8) phis)."""
-    base, _, phis, inverse = explain_dataset(model, ds)
-    return base, phis[inverse]
+    """`explain_dataset`'s 256-pattern table read by `ds.codes`: (base_value, (n,8) phis)."""
+    base, phis = explain_dataset(model, ds)
+    return base, phis[ds.codes]
 
 
 def mean_abs_shap(model: Model, ds: Dataset) -> list[RankedFeature]:
@@ -528,7 +528,7 @@ def reference_write_shap(path, ds: Dataset, base_value: float, phis: np.ndarray)
     )
 
 
-def reference_render_beeswarm_svg(points, *, seed: int, title: str) -> str:
+def reference_render_beeswarm_svg(points, *, seed: int) -> str:
     """The beeswarm drawn one point at a time, one scalar jitter draw per point."""
     if not points:
         raise ContractError("no beeswarm points")
@@ -548,7 +548,7 @@ def reference_render_beeswarm_svg(points, *, seed: int, title: str) -> str:
 
     rng = np.random.Generator(np.random.PCG64(seed))
     parts = [_svg_open(_CURVE_W, height)]
-    parts.append(_text(_CURVE_W / 2, 22, title, size=14))
+    parts.append(_text(_CURVE_W / 2, 22, "SHAP beeswarm", size=14))
     zero_x = px(0.0)
     parts.append(
         f'<line x1="{_f(zero_x)}" y1="{_MT}" x2="{_f(zero_x)}" '
@@ -633,7 +633,7 @@ def reference_curve_svg(path, kind: str, band_path=None) -> str:
                 [_float_cell(r, "tpr_lo") for r in band_rows],
                 [_float_cell(r, "tpr_hi") for r in band_rows],
             )
-        return render_curve_svg(points, kind="roc", title="ROC curve", band=band)
+        return render_curve_svg(points, kind="roc", band=band)
     points = []
     for r in rows:
         if r["ppv"] == "":
@@ -641,7 +641,7 @@ def reference_curve_svg(path, kind: str, band_path=None) -> str:
         points.append((_float_cell(r, "sensitivity"), _float_cell(r, "ppv")))
     if not points:
         raise DataFormatError("malformed input CSV: no defined precision values")
-    return render_curve_svg(points, kind="pr", title="Precision-recall curve")
+    return render_curve_svg(points, kind="pr")
 
 
 def reference_beeswarm_svg(path, seed: int) -> str:
@@ -670,7 +670,7 @@ def reference_beeswarm_svg(path, seed: int) -> str:
         for name in rank_features(means)
         for value, feature_value in by_feature[name]
     ]
-    return reference_render_beeswarm_svg(points, seed=seed, title="SHAP beeswarm")
+    return reference_render_beeswarm_svg(points, seed=seed)
 
 
 def reference_read_table(text, needed):

@@ -21,7 +21,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from pcrboost import formatting
-from pcrboost.cli import _read_config, cmd_plot, main
+from pcrboost.cli import _read_config, _Staging, cmd_plot, main
 from pcrboost.dataset import CSV_HEADER, FEATURE_NAMES, Dataset, load_csv, save_csv
 from pcrboost.errors import DataFormatError, PcrboostError
 from pcrboost.formatting import _READ_CHUNK, read_table
@@ -194,15 +194,19 @@ def streamed_shap_text(draw):
 
 def plot_beeswarm(path):
     out = path.with_name("beeswarm.svg")
+    staging = _Staging()
     cmd_plot(argparse.Namespace(kind="beeswarm", in_path=str(path), out=str(out), seed=1,
-                                band=None), None)
+                                band=None), None, staging)
+    staging.commit()
     return out.read_bytes()
 
 
 def plot_curve(path, kind, band_path):
     out = path.with_name("curve.svg")
+    staging = _Staging()
     cmd_plot(argparse.Namespace(kind=kind, in_path=str(path), out=str(out), seed=None,
-                                band=band_path and str(band_path)), None)
+                                band=band_path and str(band_path)), None, staging)
+    staging.commit()
     return out.read_bytes()
 
 

@@ -23,23 +23,24 @@ BOTTOM, TOP = 425.0, 40.0
 
 class TestCurveSvg:
     def test_roc_polyline_hits_mapped_corners(self):
-        svg = render_curve_svg([(0, 0), (0, 1), (1, 1)], kind="roc", title="t")
+        svg = render_curve_svg([(0, 0), (0, 1), (1, 1)], kind="roc")
         corners = (
             f"{LEFT:.2f},{BOTTOM:.2f} {LEFT:.2f},{TOP:.2f} {RIGHT:.2f},{TOP:.2f}"
         )
         assert f'<polyline points="{corners}"' in svg
 
     def test_structure_and_labels(self):
-        svg = render_curve_svg([(0, 0), (1, 1)], kind="roc", title="ROC title")
+        svg = render_curve_svg([(0, 0), (1, 1)], kind="roc")
         assert svg.startswith("<svg ")
         assert svg.endswith("</svg>\n")
         assert "\r" not in svg
-        assert ">ROC title</text>" in svg
+        assert ">ROC curve</text>" in svg
         assert ">False positive rate</text>" in svg
         assert ">True positive rate</text>" in svg
 
     def test_pr_axis_labels(self):
-        svg = render_curve_svg([(0, 1), (1, 0.5)], kind="pr", title="t")
+        svg = render_curve_svg([(0, 1), (1, 0.5)], kind="pr")
+        assert ">Precision-recall curve</text>" in svg
         assert ">Recall</text>" in svg
         assert ">Precision</text>" in svg
 
@@ -47,26 +48,23 @@ class TestCurveSvg:
         grid = np.linspace(0, 1, 11)
         lo = np.clip(grid - 0.1, 0, 1)
         hi = np.clip(grid + 0.1, 0, 1)
-        plain = render_curve_svg([(0, 0), (1, 1)], kind="roc", title="t")
-        banded = render_curve_svg([(0, 0), (1, 1)], kind="roc", title="t",
-                                  band=(grid, lo, hi))
+        plain = render_curve_svg([(0, 0), (1, 1)], kind="roc")
+        banded = render_curve_svg([(0, 0), (1, 1)], kind="roc", band=(grid, lo, hi))
         assert "<polygon" not in plain
         assert banded.count("<polygon") == 1
         assert "#aecde3" in banded
 
     def test_byte_identical_across_calls(self):
         pts = [(0, 0), (0.25, 0.8), (1, 1)]
-        assert render_curve_svg(pts, kind="roc", title="x") == render_curve_svg(
-            pts, kind="roc", title="x"
-        )
+        assert render_curve_svg(pts, kind="roc") == render_curve_svg(pts, kind="roc")
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ContractError, match="unknown plot kind"):
-            render_curve_svg([(0, 0)], kind="bar", title="t")
+            render_curve_svg([(0, 0)], kind="bar")
 
     def test_empty_points_rejected(self):
         with pytest.raises(ContractError, match="no curve points"):
-            render_curve_svg([], kind="roc", title="t")
+            render_curve_svg([], kind="roc")
 
 
 @pytest.fixture(scope="module")
@@ -83,8 +81,8 @@ def small_strips(small_points):
     return beeswarm_strips(small_points)
 
 
-def render(strips, *, seed, title="t"):
-    return "".join(beeswarm_svg_parts(strips, seed=seed, title=title))
+def render(strips, *, seed):
+    return "".join(beeswarm_svg_parts(strips, seed=seed))
 
 
 class TestBeeswarmSvg:
@@ -117,19 +115,20 @@ class TestBeeswarmSvg:
         assert svg.count("<rect") == 1 + 2  # background + two legend swatches
         assert ">value 0</text>" in svg and ">value 1</text>" in svg
         assert ">SHAP value (log-odds)</text>" in svg
+        assert ">SHAP beeswarm</text>" in svg
 
     def test_empty_points_rejected(self):
         # raised before the head is yielded, so a writer has nothing to write
         with pytest.raises(ContractError, match="no beeswarm points"):
-            next(beeswarm_svg_parts([], seed=0, title="t"))
+            next(beeswarm_svg_parts([], seed=0))
 
     @pytest.mark.parametrize("seed", [1, 9])
     def test_matches_point_by_point_reference(self, small_points, small_strips, seed):
-        assert render(small_strips, seed=seed, title="x") == reference_render_beeswarm_svg(
-            small_points, seed=seed, title="x")
+        assert render(small_strips, seed=seed) == reference_render_beeswarm_svg(
+            small_points, seed=seed)
 
     def test_head_one_block_per_strip_and_tail(self, small_strips):
-        blocks = list(beeswarm_svg_parts(small_strips, seed=1, title="t"))
+        blocks = list(beeswarm_svg_parts(small_strips, seed=1))
         assert len(blocks) == len(small_strips) + 2
         assert all(block.endswith("\n") for block in blocks)
         assert blocks[-1].endswith("</svg>\n")

@@ -192,9 +192,9 @@ class TestOneAnswerPerPattern:
         model = random_model(rng, n_trees=5)
         _, phis = _phi_table(model)
         ds = Dataset(pattern_codes(PATTERNS[[77] * 4]), np.zeros(4, dtype=np.uint8))
-        _, codes, single, _ = explain_dataset(model, ds)
-        assert codes.tolist() == [77]
-        assert np.array_equal(single, phis[[77]])
+        _, table = explain_dataset(model, ds)
+        assert table.tobytes() == phis.tobytes()
+        assert np.array_equal(table[ds.codes], phis[[77] * 4])
 
 
 class TestTopDownMatchesPerLeafReference:
@@ -283,10 +283,9 @@ class TestRowsDoNotDependOnTheirBatch:
         for size in (1, 2, 3, 121, 217):
             chosen = rng.permutation(256)[:size]
             ds = Dataset(pattern_codes(PATTERNS[chosen]), np.zeros(size, dtype=np.uint8))
-            got_base, codes, phis, _ = explain_dataset(model, ds)
+            got_base, phis = explain_dataset(model, ds)
             assert got_base == base
-            assert codes.tolist() == sorted(chosen.tolist())
-            assert phis.tobytes() == table[codes].tobytes(), size
+            assert phis[ds.codes].tobytes() == table[chosen].tobytes(), size
 
     def test_explain_reads_one_table_per_model(self, rng):
         model = random_model(rng, n_trees=4)
@@ -304,14 +303,13 @@ class TestExplainPatterns:
         model = random_model(rng, n_trees=3)
         X = PATTERNS[rng.choice([3, 77, 140, 255], size=50)]
         ds = Dataset(pattern_codes(X), rng.integers(0, 2, size=50, dtype=np.uint8))
-        base, codes, phis, inverse = explain_dataset(model, ds)
-        assert codes.tolist() == [3, 77, 140, 255]
-        assert np.array_equal(codes[inverse], pattern_codes(X))
-        ref_base, ref_phis = reference_explain_matrix(model, PATTERNS[codes])
-        assert base == ref_base and np.array_equal(phis, ref_phis)
+        base, table = explain_dataset(model, ds)
+        assert table.shape == (len(PATTERNS), 8)
+        ref_base, ref_phis = reference_explain_matrix(model, X)
+        assert base == ref_base and np.array_equal(table[ds.codes], ref_phis)
         record_base, record_phis = explain_records(model, ds)
         assert record_base == base
-        assert np.array_equal(record_phis, phis[inverse])
+        assert np.array_equal(record_phis, ref_phis)
 
     def test_empty_dataset_rejected(self, rng):
         ds = Dataset(pattern_codes(np.zeros((0, 8), dtype=np.uint8)), np.zeros(0, dtype=np.uint8))
