@@ -56,10 +56,6 @@ unique_thresholds = _deferred("metrics", "unique_thresholds")
 beeswarm_svg_parts = _deferred("plots", "beeswarm_svg_parts")
 render_curve_svg = _deferred("plots", "render_curve_svg")
 
-# train's tuning flags; cmd_train fills those not given from TrainConfig's defaults
-_TRAIN_FLAGS = ("num_rounds", "learning_rate", "max_leaves", "min_samples_leaf",
-                "l2_lambda", "min_split_gain")
-
 
 def _fractions_arg(raw: str):
     tokens = [t for t in raw.split(",") if t]
@@ -310,12 +306,16 @@ def cmd_synth(args, parser, stage):
 
 
 def cmd_train(args, parser, stage):
+    from dataclasses import fields
+
     from .gbm import TrainConfig
 
     ds = _load_dataset(args.data)
-    given = {name: getattr(args, name) for name in _TRAIN_FLAGS if getattr(args, name) is not None}
-    cfg = TrainConfig(seed=args.seed, **given)
-    vars(args).update({name: getattr(cfg, name) for name in _TRAIN_FLAGS})  # manifest echo
+    # a tuning flag not given takes TrainConfig's default
+    given = {f.name: vars(args)[f.name] for f in fields(TrainConfig)
+             if vars(args)[f.name] is not None}
+    cfg = TrainConfig(**given)
+    vars(args).update(vars(cfg))  # the manifest echoes every resolved hyperparameter
     text = save_model(fit(ds, cfg))
     with stage(args.out_model) as (tmp,), open(tmp, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(text)
@@ -353,7 +353,7 @@ def cmd_explain(args, parser, stage):
 
 
 def cmd_evaluate(args, parser, stage):
-    from .metrics import THRESHOLD_REPORT_FIELDS, bootstrap
+    from .metrics import ThresholdReport, bootstrap
 
     if args.bootstrap and args.seed is None:
         parser.error("missing required flag --seed (needed when --bootstrap > 0)")
@@ -368,18 +368,15 @@ def cmd_evaluate(args, parser, stage):
     # every statistic that can fail is computed before the first file is written
     if args.bootstrap:
         result = bootstrap(sl, args.bootstrap, args.alpha, seed=args.seed)
-        summary = [
-            ("auroc", result.auroc.point, result.auroc.lo, result.auroc.hi),
-            ("auprc", result.aupr.point, result.aupr.lo, result.aupr.hi),
-        ]
+        summary = [("auroc", *result.auroc), ("auprc", *result.aupr)]
     else:
         summary = [
             ("auroc", auroc(sl), None, None),
             ("auprc", aupr(sl), None, None),
         ]
     tables = [
-        ("thresholds.csv", list(THRESHOLD_REPORT_FIELDS),
-         [threshold_report(sl, float(t)).row() for t in unique_thresholds(sl)]),
+        ("thresholds.csv", list(ThresholdReport._fields),
+         [threshold_report(sl, float(t)) for t in unique_thresholds(sl)]),
         ("summary.csv", ["metric", "point", "lo", "hi"], summary),
     ]
     if args.roc_band:
@@ -394,13 +391,13 @@ def cmd_evaluate(args, parser, stage):
 
 
 def cmd_simulate_bias(args, parser, stage):
-    from .dataset import FEATURE_NAMES, BiasSimConfig
+    from .dataset import FEATURE_NAMES
 
     ds = _load_dataset(args.data)
-    variants = [(token, simulate_bias(ds, BiasSimConfig(drop_fraction=fraction, seed=args.seed)))
+    variants = [(token, simulate_bias(ds, fraction, args.seed))
                 for token, fraction in args.fractions]
 
-    def rate_or_none(d, feature: str):
+    def reporter_rate(d, feature: str):
         try:
             return reporter_positive_rate(d, feature)
         except ContractError:
@@ -409,8 +406,8 @@ def cmd_simulate_bias(args, parser, stage):
     header = ["feature", "input"] + [f"drop_{token}" for token, _ in args.fractions]
     rows = []
     for feature in FEATURE_NAMES:
-        row = [feature, rate_or_none(ds, feature)]
-        row += [rate_or_none(out, feature) for _, out in variants]
+        row = [feature, reporter_rate(ds, feature)]
+        row += [reporter_rate(out, feature) for _, out in variants]
         rows.append(tuple(row))
     outputs = [os.path.join(args.out_dir, f"biased_{token}.csv") for token, _ in variants]
     outputs.append(os.path.join(args.out_dir, "reporter_rates.csv"))

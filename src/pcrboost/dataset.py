@@ -150,16 +150,12 @@ class Dataset:
 
 @dataclass(frozen=True)
 class MarginalTable:
-    """Class-conditional feature rates plus the class counts behind them."""
+    """Class-conditional feature rates, in schema order."""
 
     rate_given_positive: np.ndarray
     rate_given_negative: np.ndarray
-    n_positive: int
-    n_negative: int
 
     def __post_init__(self):
-        if self.n_positive < 0 or self.n_negative < 0:
-            raise ContractError("class counts must be nonnegative")
         for name in ("rate_given_positive", "rate_given_negative"):
             rates = np.array(getattr(self, name), dtype=np.float64, copy=True)
             if rates.shape != (N_FEATURES,):
@@ -168,23 +164,6 @@ class MarginalTable:
                 raise ContractError("rates outside [0,1]")
             rates.flags.writeable = False
             object.__setattr__(self, name, rates)
-
-    def rate(self, feature: str, label: int) -> float:
-        i = FEATURE_NAMES.index(feature)
-        rates = self.rate_given_positive if label == 1 else self.rate_given_negative
-        return float(rates[i])
-
-
-@dataclass(frozen=True)
-class BiasSimConfig:
-    """Parameters of the under-reporting simulation."""
-
-    drop_fraction: float
-    seed: int
-
-    def __post_init__(self):
-        if not 0.0 <= self.drop_fraction <= 1.0:
-            raise ContractError("drop_fraction must be in [0,1]")
 
 
 def load_csv(source) -> Dataset:
@@ -250,7 +229,7 @@ def marginals_from(ds: Dataset) -> MarginalTable:
     if n_pos == 0 or n_neg == 0:
         raise ContractError("degenerate class balance: one class absent")
     true_counts = PATTERNS.T @ counts  # (8, 2): feature = 1, by label
-    return MarginalTable(true_counts[:, 1] / n_pos, true_counts[:, 0] / n_neg, n_pos, n_neg)
+    return MarginalTable(true_counts[:, 1] / n_pos, true_counts[:, 0] / n_neg)
 
 
 def synthesize(m: MarginalTable, n_pos: int, n_neg: int, seed: int) -> Dataset:
@@ -292,19 +271,21 @@ def asymptomatic_negative_indices(ds: Dataset) -> np.ndarray:
     return np.flatnonzero((ds.y == 0) & (ds.codes & symptoms == 0))
 
 
-def simulate_bias(ds: Dataset, cfg: BiasSimConfig) -> Dataset:
+def simulate_bias(ds: Dataset, drop_fraction: float, seed: int) -> Dataset:
     """Remove a seeded uniformly random drop_fraction of asymptomatic negatives.
 
     The presumed under-reporters are the negative-labeled records whose five
     symptom features are all 0; all other records are retained in order.
     """
+    if not 0.0 <= drop_fraction <= 1.0:  # false for NaN too
+        raise ContractError("drop_fraction must be in [0,1]")
     if len(ds) == 0:
         raise ContractError("empty dataset")
     candidates = asymptomatic_negative_indices(ds)
-    n_drop = int(len(candidates) * cfg.drop_fraction + 0.5)
+    n_drop = int(len(candidates) * drop_fraction + 0.5)
     keep = np.ones(len(ds), dtype=bool)
     if n_drop:
-        rng = np.random.Generator(np.random.PCG64(cfg.seed))
+        rng = np.random.Generator(np.random.PCG64(seed))
         dropped = rng.choice(candidates, size=n_drop, replace=False)
         keep[dropped] = False
     return ds.take(np.flatnonzero(keep))
@@ -331,5 +312,5 @@ def reference_marginals() -> MarginalTable:
     n_pos, n_neg = _class_totals(counts)
     rows = [counts["features"][name]["true"] for name in FEATURE_NAMES]
     return MarginalTable([row["positive_n"] / n_pos for row in rows],
-                         [row["negative_n"] / n_neg for row in rows], n_pos, n_neg)
+                         [row["negative_n"] / n_neg for row in rows])
 

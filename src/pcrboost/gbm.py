@@ -91,14 +91,17 @@ class TreeNode:
 
 
 def _leaves(tree):
-    """(mask, bits, value) of each leaf: the code bits split on above it, and its branches' bits."""
+    """(mask, bits, value) of each reachable leaf: its path's split bits and branch bits."""
     stack = [(tree, 0, 0)]
     while stack:
         node, mask, bits = stack.pop()
         if node.is_leaf:
             yield mask, bits, node.value
+            continue
+        m = 1 << node.feature
+        if mask & m:  # split on again: only the branch that agrees with bits is reachable
+            stack.append((node.right if bits & m else node.left, mask, bits))
         else:
-            m = 1 << node.feature
             stack += [(node.left, mask | m, bits), (node.right, mask | m, bits | m)]
 
 
@@ -166,8 +169,8 @@ def require_finite(what: str, *tables) -> None:
 def _leaf_rows(trees) -> np.ndarray:
     """(len(trees), 256): the leaf value each pattern code reaches in each tree.
 
-    A leaf fixes the features split on above it (each at most once, as
-    `load_model` requires), so code c reaches it exactly when c & mask == bits.
+    A reachable leaf fixes the features split on above it, so code c reaches it
+    exactly when c & mask == bits.
     """
     # (tree, mask, bits, value) of every leaf; the ints are exact in float64
     leaves = np.array([(t, *leaf) for t, tree in enumerate(trees) for leaf in _leaves(tree)],

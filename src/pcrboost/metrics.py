@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -81,9 +81,11 @@ class ScoredLabels:
         return int(self._fp[-1])
 
 
-@dataclass(frozen=True)
-class ThresholdReport:
-    """Confusion counts and derived rates at one threshold (rule: score >= t)."""
+class ThresholdReport(NamedTuple):
+    """Confusion counts and derived rates at one threshold (rule: score >= t).
+
+    The fields are the thresholds CSV's columns, in order.
+    """
 
     threshold: float
     tp: int
@@ -99,23 +101,13 @@ class ThresholdReport:
     fpr: float
     fdr: float
 
-    def row(self) -> tuple:
-        return tuple(getattr(self, name) for name in THRESHOLD_REPORT_FIELDS)
 
-
-THRESHOLD_REPORT_FIELDS = tuple(f.name for f in fields(ThresholdReport))
-
-
-@dataclass(frozen=True)
-class BootstrapCI:
+class BootstrapCI(NamedTuple):
     """Percentile bootstrap interval around a point estimate."""
 
     point: float
     lo: float
     hi: float
-    n_resamples: int
-    alpha: float
-    seed: int
 
 
 class BootstrapResult(NamedTuple):
@@ -324,10 +316,7 @@ def bootstrap(
 
     def interval(point: float, values: list[float]) -> BootstrapCI:
         lo, hi = _percentiles(np.array(values), quantiles)
-        return BootstrapCI(
-            point=point, lo=float(lo), hi=float(hi), n_resamples=n_resamples,
-            alpha=alpha, seed=seed,
-        )
+        return BootstrapCI(point, float(lo), float(hi))
 
     tpr_lo, tpr_hi = _percentiles(curves[:len(roc_values)], quantiles)
     return BootstrapResult(

@@ -19,7 +19,7 @@ of trees at once and added up tree by tree. It is built once per `Model`:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -51,8 +51,7 @@ _SLABS = [[_SLAB[m] for m in range(1 << N_FEATURES) if m >> f & 1] for f in rang
 _BLOCK = 25
 
 
-@dataclass(frozen=True)
-class ShapExplanation:
+class ShapExplanation(NamedTuple):
     """Additive attribution of one record's raw prediction.
 
     base_value + contributions.sum() equals predict_raw within 1e-9

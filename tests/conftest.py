@@ -770,7 +770,7 @@ def reference_marginals_from(ds: Dataset) -> MarginalTable:
         raise ContractError("degenerate class balance: one class absent")
     pos_counts = ds.X[ds.y == 1].sum(axis=0, dtype=np.int64)
     neg_counts = ds.X[ds.y == 0].sum(axis=0, dtype=np.int64)
-    return MarginalTable(pos_counts / n_pos, neg_counts / n_neg, n_pos, n_neg)
+    return MarginalTable(pos_counts / n_pos, neg_counts / n_neg)
 
 
 def reference_reporter_positive_rate(ds: Dataset, feature: str) -> float:

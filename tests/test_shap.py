@@ -30,6 +30,7 @@ from conftest import (
     reference_explain_matrix,
     scalar_shapley,
     shapley_brute_force,
+    tree_value_scalar,
 )
 
 
@@ -271,6 +272,30 @@ class TestBlocksMatchPerLeafReference:
         ref_base, ref_phis = reference_explain_matrix(model, PATTERNS)
         assert np.float64(base).tobytes() == np.float64(ref_base).tobytes()
         assert table.tobytes() == ref_phis.tobytes()
+
+
+class TestFeatureRepeatedOnAPath:
+    """A leaf below a repeated split that no code reaches adds nothing to the raw-score table."""
+
+    def test_unreachable_leaf_is_not_scored(self):
+        # x0 = 1 goes right at the root; the left subtree's right leaf (5.0) is unreachable
+        inner = TreeNode(cover=2.0, feature=0, left=TreeNode(cover=1.0, value=1.0),
+                         right=TreeNode(cover=1.0, value=5.0))
+        root = TreeNode(cover=3.0, feature=0, left=inner, right=TreeNode(cover=1.0, value=-2.0))
+        model = Model(0.0, (root,), TrainConfig())
+        assert model.predict_raw(PATTERNS[1]) == tree_value_scalar(root, PATTERNS[1]) == -2.0
+        for x in PATTERNS:
+            assert model.predict_raw(x) == tree_value_scalar(root, x)
+            assert_local_accuracy(model, explain(model, x), x)
+
+    @settings(max_examples=15)
+    @given(ensembles())
+    def test_raw_table_is_routing_bit_for_bit(self, model):
+        # base plus each tree's routed leaf, added in tree order as the table adds them
+        want = np.full(len(PATTERNS), model.base_score)
+        for tree in model.trees:
+            want += [tree_value_scalar(tree, x) for x in PATTERNS]
+        assert model._raw_table.tobytes() == want.tobytes()
 
 
 class TestRowsDoNotDependOnTheirBatch:
