@@ -223,73 +223,57 @@ def _load_model(path: str):
 class _Staging:
     """A run's output files, written under temporary names and moved into place together.
 
-    Calling it stages `paths` for a with-block, which writes every temporary
-    file; `commit` then moves all staged files onto their paths. On any
-    failure the temporaries and every path the commit created are removed,
-    so a failed run leaves no new output behind.
+    Calling it claims a temporary name for each of `paths`, records it and
+    returns the names, which the caller writes; `moves` is the run's one list
+    of outputs, in staging order. `commit` moves every staged file onto its
+    path. `discard` removes the temporaries and every path the commit
+    created, so a failed run leaves no new output behind.
     """
 
     def __init__(self):
         self.moves: list[tuple[str, str]] = []  # (temporary, path)
+        self.created: list[str] = []
 
-    @contextlib.contextmanager
-    def __call__(self, *paths: str):
-        tmps = []
-        try:
-            for path in paths:
-                tmp = f"{path}.{os.getpid()}.tmp"
-                open(tmp, "x").close()  # claimed first, so no one else's file is replaced or removed
-                tmps.append(tmp)
-            yield tmps
-        except BaseException:
-            _remove(tmps)
-            raise
-        self.moves += zip(tmps, paths)
+    def __call__(self, *paths: str) -> list[str]:
+        tmps = [f"{path}.{os.getpid()}.tmp" for path in paths]
+        for tmp, path in zip(tmps, paths):
+            open(tmp, "x").close()  # claimed first, so no one else's file is replaced or removed
+            self.moves.append((tmp, path))
+        return tmps
 
     def commit(self) -> None:
-        created = []
-        try:
-            for tmp, path in self.moves:
-                if not os.path.lexists(path):
-                    created.append(path)
-                os.replace(tmp, path)
-        except BaseException:
-            self.discard()
-            _remove(created)
-            raise
+        for tmp, path in self.moves:
+            if not os.path.lexists(path):
+                self.created.append(path)
+            os.replace(tmp, path)
 
     def discard(self) -> None:
-        _remove([tmp for tmp, _ in self.moves])
-
-
-def _remove(names) -> None:
-    for name in names:
-        with contextlib.suppress(OSError):
-            os.remove(name)
+        for name in [tmp for tmp, _ in self.moves] + self.created:
+            with contextlib.suppress(OSError):
+                os.remove(name)
 
 
 def _run(args, parser, started: float) -> None:
     """Run the command, then write its manifest: outputs and manifest move into place together."""
     staging = _Staging()
     try:
-        inputs, outputs, manifest_path = _HANDLERS[args.command](args, parser, staging)
+        inputs, manifest_path = _HANDLERS[args.command](args, parser, staging)
         manifest = {
             "command": args.command,
             "tool_version": __version__,
             "parameters": {k: v for k, v in vars(args).items() if k not in ("command", "config")},
             "inputs": inputs,
-            "outputs": outputs,
+            "outputs": [path for _, path in staging.moves],
             "seed": getattr(args, "seed", None),
             "duration_seconds": time.perf_counter() - started,
         }
-        with staging(manifest_path) as (tmp,), open(tmp, "w", encoding="utf-8",
-                                                    newline="\n") as fh:
+        with open(staging(manifest_path)[0], "w", encoding="utf-8", newline="\n") as fh:
             json.dump(manifest, fh, indent=2)
             fh.write("\n")
+        staging.commit()
     except BaseException:
         staging.discard()
         raise
-    staging.commit()
 
 
 def cmd_synth(args, parser, stage):
@@ -300,9 +284,9 @@ def cmd_synth(args, parser, stage):
         marginals = reference_marginals()
         inputs = []
     ds = synthesize(marginals, args.n_pos, args.n_neg, args.seed)
-    with stage(args.out) as (tmp,), open(tmp, "wb") as fh:
+    with open(stage(args.out)[0], "wb") as fh:
         save_csv(ds, fh)
-    return inputs, [args.out], args.out + ".manifest.json"
+    return inputs, args.out + ".manifest.json"
 
 
 def cmd_train(args, parser, stage):
@@ -317,9 +301,9 @@ def cmd_train(args, parser, stage):
     cfg = TrainConfig(**given)
     vars(args).update(vars(cfg))  # the manifest echoes every resolved hyperparameter
     text = save_model(fit(ds, cfg))
-    with stage(args.out_model) as (tmp,), open(tmp, "w", encoding="utf-8", newline="\n") as fh:
+    with open(stage(args.out_model)[0], "w", encoding="utf-8", newline="\n") as fh:
         fh.write(text)
-    return [args.data], [args.out_model], args.out_model + ".manifest.json"
+    return [args.data], args.out_model + ".manifest.json"
 
 
 def cmd_predict(args, parser, stage):
@@ -331,9 +315,8 @@ def cmd_predict(args, parser, stage):
     by_code = np.zeros(256)
     by_code[ds.codes] = model.predict_proba(ds.X)
     rows = PatternRows([[(float(score),)] for score in by_code], ds.codes)
-    with stage(args.out) as (tmp,):
-        write_csv(tmp, ["record_index", "score"], rows)
-    return [args.model, args.data], [args.out], args.out + ".manifest.json"
+    write_csv(stage(args.out)[0], ["record_index", "score"], rows)
+    return [args.model, args.data], args.out + ".manifest.json"
 
 
 def cmd_explain(args, parser, stage):
@@ -346,10 +329,9 @@ def cmd_explain(args, parser, stage):
     # as in predict: one block of rows per pattern, each record writing its code's block
     rows = PatternRows([[(name, x[f], phi[f], base_value) for f, name in enumerate(FEATURE_NAMES)]
                         for x, phi in zip(PATTERNS.tolist(), phis.tolist())], ds.codes)
-    with stage(args.out) as (tmp,):
-        write_csv(tmp, ["record_index", "feature", "feature_value", "shap_value", "base_value"],
-                  rows)
-    return [args.model, args.data], [args.out], args.out + ".manifest.json"
+    write_csv(stage(args.out)[0],
+              ["record_index", "feature", "feature_value", "shap_value", "base_value"], rows)
+    return [args.model, args.data], args.out + ".manifest.json"
 
 
 def cmd_evaluate(args, parser, stage):
@@ -383,11 +365,10 @@ def cmd_evaluate(args, parser, stage):
         grid, lo, hi = result.roc_band
         tables.append(("roc_band.csv", ["fpr", "tpr_lo", "tpr_hi"],
                        [(float(g), float(l), float(h)) for g, l, h in zip(grid, lo, hi)]))
-    outputs = [args.out_prefix + name for name, _, _ in tables]
-    with stage(*outputs) as tmps:
-        for tmp, (_, header, rows) in zip(tmps, tables):
-            write_csv(tmp, header, rows)
-    return [args.model, args.data], outputs, args.out_prefix + "manifest.json"
+    tmps = stage(*[args.out_prefix + name for name, _, _ in tables])
+    for tmp, (_, header, rows) in zip(tmps, tables):
+        write_csv(tmp, header, rows)
+    return [args.model, args.data], args.out_prefix + "manifest.json"
 
 
 def cmd_simulate_bias(args, parser, stage):
@@ -409,15 +390,14 @@ def cmd_simulate_bias(args, parser, stage):
         row = [feature, reporter_rate(ds, feature)]
         row += [reporter_rate(out, feature) for _, out in variants]
         rows.append(tuple(row))
-    outputs = [os.path.join(args.out_dir, f"biased_{token}.csv") for token, _ in variants]
-    outputs.append(os.path.join(args.out_dir, "reporter_rates.csv"))
     os.makedirs(args.out_dir, exist_ok=True)
-    with stage(*outputs) as tmps:
-        for tmp, (_, out) in zip(tmps, variants):
-            with open(tmp, "wb") as fh:
-                save_csv(out, fh)
-        write_csv(tmps[-1], header, rows)
-    return [args.data], outputs, os.path.join(args.out_dir, "manifest.json")
+    names = [f"biased_{token}.csv" for token, _ in variants] + ["reporter_rates.csv"]
+    *biased, rates = stage(*[os.path.join(args.out_dir, name) for name in names])
+    for tmp, (_, out) in zip(biased, variants):
+        with open(tmp, "wb") as fh:
+            save_csv(out, fh)
+    write_csv(rates, header, rows)
+    return [args.data], os.path.join(args.out_dir, "manifest.json")
 
 
 def _read_cells(path: str, columns: tuple[str, ...]):
@@ -519,9 +499,9 @@ def cmd_plot(args, parser, stage):
                 raise DataFormatError("malformed input CSV: no defined precision values")
             parts = [render_curve_svg(points, kind="pr")]
     # rendered as it is written, under a temporary name: a failure leaves no partial SVG
-    with stage(args.out) as (tmp,), open(tmp, "w", encoding="utf-8", newline="\n") as fh:
+    with open(stage(args.out)[0], "w", encoding="utf-8", newline="\n") as fh:
         fh.writelines(parts)
-    return inputs, [args.out], args.out + ".manifest.json"
+    return inputs, args.out + ".manifest.json"
 
 
 _HANDLERS = {

@@ -5,6 +5,11 @@ calibrated to the published class-conditional marginals of the Israeli
 Ministry of Health RT-PCR symptom survey, computes reporter-positive
 rates, and produces the under-reporting bias simulation variants.
 
+Every record is one of 256 patterns with one of 2 labels, so a dataset's
+statistics come from its (256, 2) count table `Dataset.counts`, counted
+once on first read: the class counts, `marginals_from`,
+`reporter_positive_rate` and `gbm.fit` read it, not the records.
+
 All randomness in this package uses NumPy's PCG64 generator with one
 explicit seed per operation; see the README for the policy.
 """
@@ -121,10 +126,13 @@ class Dataset:
         X.flags.writeable = False
         return X
 
-    @property
-    def cells(self) -> np.ndarray:
-        """Each record's cell 2 * code + label of the 512-cell (pattern, label) table."""
-        return 2 * self.codes.astype(np.intp) + self.y
+    @cached_property
+    def counts(self) -> np.ndarray:
+        """(256, 2) int64 (pattern, label) count table: counts[code, label] records."""
+        cells = 2 * self.codes.astype(np.int64) + self.y  # cell 2 * code + label
+        counts = np.bincount(cells, minlength=2 * len(PATTERNS)).reshape(-1, 2)
+        counts.flags.writeable = False
+        return counts
 
     def __len__(self) -> int:
         return self.codes.shape[0]
@@ -137,11 +145,11 @@ class Dataset:
 
     @property
     def n_positive(self) -> int:
-        return int(np.sum(self.y == 1))
+        return int(self.counts[:, 1].sum())
 
     @property
     def n_negative(self) -> int:
-        return int(np.sum(self.y == 0))
+        return int(self.counts[:, 0].sum())
 
     def take(self, indices: np.ndarray) -> "Dataset":
         """Sub-dataset at the given record indices, in the given order."""
@@ -214,21 +222,19 @@ def load_csv(source) -> Dataset:
 
 def save_csv(ds: Dataset, dest) -> None:
     """Write the documented CSV (LF newlines, ASCII 0/1 cells) to a binary stream."""
-    # the 512 body lines, indexed by cell code (2 * pattern code + label)
-    cells = np.arange(2 << N_FEATURES)
-    rows = np.column_stack([PATTERNS[cells >> 1], cells & 1]).tolist()
-    lines = np.array([",".join(map(str, row)) + "\n" for row in rows], dtype=object)
+    # the 512 body lines, indexed as the count table is: [pattern code, label]
+    lines = np.array([[",".join(map(str, x)) + f",{label}\n" for label in (0, 1)]
+                      for x in PATTERNS.tolist()], dtype=object)
     dest.write((",".join(CSV_HEADER) + "\n").encode("ascii"))
-    dest.write("".join(lines[ds.cells]).encode("ascii"))
+    dest.write("".join(lines[ds.codes, ds.y]).encode("ascii"))
 
 
 def marginals_from(ds: Dataset) -> MarginalTable:
     """Class-conditional feature rates: count(feature=1 and class) / count(class)."""
-    counts = np.bincount(ds.cells, minlength=2 << N_FEATURES).reshape(-1, 2)  # code, label
-    n_neg, n_pos = counts.sum(axis=0).tolist()
+    n_neg, n_pos = ds.counts.sum(axis=0).tolist()
     if n_pos == 0 or n_neg == 0:
         raise ContractError("degenerate class balance: one class absent")
-    true_counts = PATTERNS.T @ counts  # (8, 2): feature = 1, by label
+    true_counts = PATTERNS.T @ ds.counts  # (8, 2): feature = 1, by label; integer, no BLAS
     return MarginalTable(true_counts[:, 1] / n_pos, true_counts[:, 0] / n_neg)
 
 
@@ -257,12 +263,10 @@ def synthesize(m: MarginalTable, n_pos: int, n_neg: int, seed: int) -> Dataset:
 
 def reporter_positive_rate(ds: Dataset, feature: str) -> float:
     """Among records reporting the feature, the fraction with a positive label."""
-    reporters = PATTERNS[:, FEATURE_NAMES.index(feature)] == 1
-    counts = np.bincount(ds.cells, minlength=2 << N_FEATURES).reshape(-1, 2)[reporters]
-    n_reporters = int(counts.sum())
-    if n_reporters == 0:
+    n_neg, n_pos = (PATTERNS[:, FEATURE_NAMES.index(feature)] @ ds.counts).tolist()
+    if n_neg + n_pos == 0:
         raise ContractError(f"feature never reported: {feature}")
-    return int(counts[:, 1].sum()) / n_reporters
+    return n_pos / (n_neg + n_pos)
 
 
 def asymptomatic_negative_indices(ds: Dataset) -> np.ndarray:

@@ -1,13 +1,15 @@
 """Gradient-boosted decision trees on binary logistic loss.
 
 Second-order (Newton) boosting with leaf-wise tree growth over the 8
-binary features, plus the JSON model document read/write path. Every tree
-node is a partial assignment of the features, so training reads each
-node's gradient, hessian and record sums from a per-round table over the
-3^8 of them and is bitwise deterministic: the sums are fixed-order array
-additions (no BLAS), ties break on the lower feature index and the
-earlier-created leaf, and the model document serializes reals at 17
-significant digits. Prediction reads a 256-entry table built from the leaves.
+binary features, plus the JSON model document read/write path. Training
+reads the dataset's (pattern, label) count table `Dataset.counts`, never
+its records. Every tree node is a partial assignment of the features, so
+each node's gradient, hessian and record sums come from a per-round table
+over the 3^8 of them, and training is bitwise deterministic: the sums are
+fixed-order array additions (no BLAS), ties break on the lower feature
+index and the earlier-created leaf, and the model document serializes
+reals at 17 significant digits. Prediction reads a 256-entry table built
+from the leaves.
 
 Each round sums its gradient and hessian tables in one `lattice_sums` pass
 and reads them through memoryviews, whose items are plain Python floats, so
@@ -251,13 +253,10 @@ def fit(ds: Dataset, cfg: TrainConfig) -> Model:
         raise ContractError("single-class dataset")
     p_bar = n_pos / len(ds)
     base_score = math.log(p_bar / (1.0 - p_bar))
-    # cell 2 * code + label of the (pattern, label) count table; only present cells train
-    table = np.bincount(ds.cells, minlength=2 << N_FEATURES)
-    N = lattice_sums(table[0::2] + table[1::2]).tolist()
-    cells = np.flatnonzero(table)
-    count = table[cells]
-    codes = cells >> 1
-    yf = (cells & 1).astype(np.float64)
+    N = lattice_sums(ds.counts.sum(axis=1)).tolist()
+    codes, labels = np.nonzero(ds.counts)  # only the present (pattern, label) cells train
+    count = ds.counts[codes, labels]
+    yf = labels.astype(np.float64)
     raw = np.full(len(PATTERNS), base_score, dtype=np.float64)  # per pattern
     trees = []
     for _ in range(cfg.num_rounds):

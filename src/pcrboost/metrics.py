@@ -36,7 +36,8 @@ class ScoredLabels:
     The table is built once, here: `_thresholds` holds the distinct scores
     in descending order, `_tp` and `_fp` the cumulative true- and
     false-positive counts at each of them after a leading 0 (nothing
-    predicted positive), and `_cells` each record's index into `_thresholds`.
+    predicted positive), and `_codes` each record's cell of that table:
+    2 x (its score's index into `_thresholds`) + its label.
     """
 
     scores: np.ndarray
@@ -44,7 +45,7 @@ class ScoredLabels:
     _thresholds: np.ndarray = field(init=False, repr=False, compare=False)
     _tp: np.ndarray = field(init=False, repr=False, compare=False)
     _fp: np.ndarray = field(init=False, repr=False, compare=False)
-    _cells: np.ndarray = field(init=False, repr=False, compare=False)
+    _codes: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         scores = np.array(self.scores, dtype=np.float64, copy=True)
@@ -59,11 +60,11 @@ class ScoredLabels:
         if not np.all(np.isfinite(scores)):
             raise ContractError("non-finite score")
         ascending, inverse = np.unique(scores, return_inverse=True)
-        cells = ascending.size - 1 - inverse.reshape(-1)
-        tp, fp = _cumulate(_cell_counts(2 * cells + labels, ascending.size))
+        codes = 2 * (ascending.size - 1 - inverse.reshape(-1)) + labels
+        tp, fp = _cumulate(_cell_counts(codes, ascending.size))
         table = {
             "scores": scores, "labels": labels, "_thresholds": ascending[::-1],
-            "_tp": tp, "_fp": fp, "_cells": cells,
+            "_tp": tp, "_fp": fp, "_codes": codes,
         }
         for name, value in table.items():
             value.flags.writeable = False
@@ -284,7 +285,6 @@ def bootstrap(
     except ContractError as exc:
         raise ContractError(f"metric undefined on original sample: {exc}") from None
     n, n_cells = len(sl), len(sl._thresholds)
-    codes = 2 * sl._cells + sl.labels
     grid = np.linspace(0.0, 1.0, _BAND_POINTS)
     parent = np.random.SeedSequence(seed)
     roc_values, pr_values = [], []
@@ -294,7 +294,7 @@ def bootstrap(
                 for child in parent.spawn(min(_BLOCK, n_resamples - start))]
         pr_open = np.ones(len(rngs), dtype=bool)  # children still owing an auPRC value
         for _ in range(_MAX_DRAWS):
-            counts = np.stack([_cell_counts(codes[rng.integers(0, n, size=n)], n_cells)
+            counts = np.stack([_cell_counts(sl._codes[rng.integers(0, n, size=n)], n_cells)
                                for rng in rngs])
             tp, fp = _cumulate(counts)
             has_pos, has_neg = tp[:, -1] > 0, fp[:, -1] > 0

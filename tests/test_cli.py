@@ -1091,6 +1091,43 @@ class TestManifestStaging:
             assert (out_dir / name).read_bytes() == b"old bytes\n"
 
 
+class TestStagingFailures:
+    """A run that fails while claiming a temporary name or moving its outputs into place leaves
+    no fresh output, temporary or manifest behind, and never touches a file it did not make."""
+
+    @staticmethod
+    def evaluate(pipeline, prefix):
+        return run("evaluate", "--model", pipeline / "model.json", "--data",
+                   pipeline / "data.csv", "--out-prefix", prefix, "--bootstrap", "0")
+
+    def test_taken_temporary_name_is_left_alone(self, pipeline, tmp_path, capsys):
+        prefix = f"{tmp_path}/eval_"
+        stranger = tmp_path / f"eval_summary.csv.{os.getpid()}.tmp"
+        stranger.write_bytes(b"not ours\n")
+        capsys.readouterr()
+        assert self.evaluate(pipeline, prefix) == 4
+        assert capsys.readouterr().err.startswith("pcrboost: I/O error: [Errno 17]")
+        assert [p.name for p in tmp_path.iterdir()] == [stranger.name]
+        assert stranger.read_bytes() == b"not ours\n"
+
+    def test_failed_move_removes_every_fresh_output(self, pipeline, tmp_path, capsys,
+                                                    monkeypatch):
+        replace, moved = os.replace, []
+
+        def replace_once(src, dst):
+            if moved:
+                raise OSError(errno.EXDEV, os.strerror(errno.EXDEV))
+            moved.append(dst)
+            replace(src, dst)
+
+        monkeypatch.setattr(cli.os, "replace", replace_once)
+        capsys.readouterr()
+        assert self.evaluate(pipeline, f"{tmp_path}/eval_") == 4
+        assert capsys.readouterr().err.startswith("pcrboost: I/O error: [Errno 18]")
+        assert len(moved) == 1 and moved[0].startswith(f"{tmp_path}/eval_")
+        assert list(tmp_path.iterdir()) == []
+
+
 class TestProcessExit:
     """A pcrboost process flushes its streams and ends with os._exit: nothing it prints is
     lost, and its exit code and outputs are those of main(), which in-process callers still

@@ -29,6 +29,7 @@ from pcrboost.dataset import (
 from pcrboost.errors import ContractError, DataFormatError
 from conftest import (
     from_class_counts,
+    make_dataset,
     reference_asymptomatic_negative_indices,
     reference_dataset,
     reference_load_csv,
@@ -212,6 +213,46 @@ class TestDatasetRecord:
         assert by_table == by_reader == ds
         for loaded in (by_table, by_reader):
             assert loaded.codes.dtype == loaded.y.dtype == np.uint8
+
+
+def counts_oracle(ds: Dataset) -> np.ndarray:
+    """The (pattern, label) count table, counted one record at a time."""
+    counts = np.zeros((256, 2), dtype=np.int64)
+    for code, label in zip(ds.codes.tolist(), ds.y.tolist()):
+        counts[code, label] += 1
+    return counts
+
+
+class TestCounts:
+    """Dataset.counts is the (256, 2) table counts[code, label], built once and read-only."""
+
+    def datasets(self, rng):
+        ds = make_dataset(rng, 3000)
+        buf = io.BytesIO()
+        save_csv(ds, buf)
+        yield ds
+        yield make_dataset(rng, 1)
+        yield Dataset(np.zeros(0, dtype=np.uint8), np.zeros(0, dtype=np.uint8))
+        yield ds.take(rng.integers(0, len(ds), size=700))
+        yield simulate_bias(ds, 0.6, seed=4)
+        yield load_csv(buf.getvalue())
+
+    def test_equals_per_record_oracle(self, rng):
+        for ds in self.datasets(rng):
+            assert ds.counts.shape == (256, 2) and ds.counts.dtype == np.int64
+            assert np.array_equal(ds.counts, counts_oracle(ds))
+
+    def test_class_counts_are_its_column_sums(self, rng):
+        for ds in self.datasets(rng):
+            assert ds.n_negative == ds.counts[:, 0].sum() == np.sum(ds.y == 0)
+            assert ds.n_positive == ds.counts[:, 1].sum() == np.sum(ds.y == 1)
+
+    def test_read_only_and_built_once(self, rng):
+        ds = make_dataset(rng, 200)
+        assert ds.counts is ds.counts
+        with pytest.raises(ValueError):
+            ds.counts[0, 0] = 7
+        assert np.array_equal(ds.counts, counts_oracle(ds))
 
 
 def column_scan_case(name: str, rng) -> Dataset:
