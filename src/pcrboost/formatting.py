@@ -135,12 +135,11 @@ def read_table(text, needed) -> tuple:
             carry = body.pop() if chunk else ""
             # a tail is never empty: a line with none is keyed by LF and the line
             keys = [line.partition(",")[2] or "\n" + line for line in body] if tail else body
-            at = 0
-            for key in dict.fromkeys(keys):
-                if key not in index:
-                    at = keys.index(key, at)
-                    index[key] = add(_cells(body[at]), len(ids) + at + 2)
-            ids.extend(map(index.__getitem__, keys))
+            for line, key in zip(body, keys):
+                row = index.get(key)
+                if row is None:
+                    row = index[key] = add(_cells(line), len(ids) + 2)
+                ids.append(row)
     except csv.Error as exc:
         error = str(exc)
     except UnicodeDecodeError:

@@ -280,10 +280,8 @@ def bootstrap(
         raise ContractError(f"n_resamples must be in [100, {limit}]")
     if not 0.0 < alpha < 1.0:
         raise ContractError("alpha must be in (0, 1)")
-    try:
-        _require_both_classes(sl)
-    except ContractError as exc:
-        raise ContractError(f"metric undefined on original sample: {exc}") from None
+    if sl.n_positive == 0 or sl.n_negative == 0:
+        raise ContractError("metric undefined on original sample: single-class input")
     n, n_cells = len(sl), len(sl._thresholds)
     grid = np.linspace(0.0, 1.0, _BAND_POINTS)
     parent = np.random.SeedSequence(seed)

@@ -35,7 +35,8 @@ from pcrboost.metrics import (
     bootstrap,
 )
 from pcrboost.shap import explain
-from conftest import (
+from oracles import (
+    PIPELINE,
     explain_records,
     mean_abs_shap,
     pair_count_auroc,
@@ -188,23 +189,6 @@ def test_criterion_08_feature_ranking_matches_oracle(desk_scale):
     assert [r.feature for r in ranking] == [FEATURE_NAMES[i] for i in order]
     for r in ranking:
         assert abs(r.mean_abs_shap - means[FEATURE_NAMES.index(r.feature)]) <= 1e-12
-
-
-PIPELINE = (
-    ("synth", "--n-pos", "300", "--n-neg", "1200", "--seed", "9", "--out", "data.csv"),
-    ("train", "--data", "data.csv", "--out-model", "model.json", "--seed", "0",
-     "--num-rounds", "30"),
-    ("predict", "--model", "model.json", "--data", "data.csv", "--out", "scores.csv"),
-    ("explain", "--model", "model.json", "--data", "data.csv", "--out", "shap.csv"),
-    ("evaluate", "--model", "model.json", "--data", "data.csv", "--out-prefix",
-     "eval_", "--bootstrap", "200", "--seed", "5", "--roc-band"),
-    ("simulate-bias", "--data", "data.csv", "--out-dir", "bias", "--seed", "3"),
-    ("plot", "--kind", "roc", "--in", "eval_thresholds.csv", "--band",
-     "eval_roc_band.csv", "--out", "roc.svg"),
-    ("plot", "--kind", "pr", "--in", "eval_thresholds.csv", "--out", "pr.svg"),
-    ("plot", "--kind", "beeswarm", "--in", "shap.csv", "--seed", "7",
-     "--out", "beeswarm.svg"),
-)
 
 
 def child_env() -> dict[str, str]:

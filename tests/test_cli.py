@@ -24,13 +24,13 @@ from pcrboost.dataset import (
 )
 from pcrboost.gbm import Model, TrainConfig, TreeNode, load_model, save_model
 from pcrboost.metrics import ScoredLabels, auroc
-from conftest import (
+from oracles import (
+    PIPELINE,
     reference_beeswarm_svg,
     reference_explain_matrix,
     reference_write_scores,
     reference_write_shap,
 )
-from test_acceptance import PIPELINE, child_env
 
 SYNTH = ["synth", "--n-pos", "200", "--n-neg", "800", "--seed", "3"]
 
@@ -834,6 +834,17 @@ class TestTopLevel:
                    "--out-model", tmp_path / "m.json", "--seed", "0") == 4
 
 
+def clean_env() -> dict[str, str]:
+    # a child's environment from PATH, HOME and PYTHONPATH only, the absolute source
+    # directory first: no PYTHONUNBUFFERED or OPENBLAS_NUM_THREADS comes from the host
+    src_dir = os.path.dirname(os.path.dirname(os.path.realpath(cli.__file__)))
+    env = {name: os.environ[name] for name in ("PATH", "HOME") if name in os.environ}
+    inherited = os.environ.get("PYTHONPATH")
+    env["PYTHONPATH"] = src_dir + (os.pathsep + inherited if inherited else "")
+    env["PYTHONDONTWRITEBYTECODE"] = "1"  # else children write src/pcrboost/__pycache__
+    return env
+
+
 # runs main() in a fresh interpreter and prints the modules it imported;
 # argv[1] "no-numpy" makes any `import numpy` fail
 IMPORTS_CHILD = """
@@ -851,7 +862,7 @@ def imported_modules(argv, cwd, numpy=True) -> set[str]:
     proc = subprocess.run(
         [sys.executable, "-c", IMPORTS_CHILD, "numpy" if numpy else "no-numpy",
          *map(str, argv)],
-        cwd=cwd, env=child_env(), capture_output=True, text=True,
+        cwd=cwd, env=clean_env(), capture_output=True, text=True,
     )
     assert proc.returncode == 0, proc.stderr
     return set(json.loads(proc.stdout))
@@ -912,7 +923,7 @@ class TestStartUp:
         modules = imported_modules(argv, tmp_path)
         bare = subprocess.run(
             [sys.executable, "-c", "import sys, numpy; print('numpy.ma' in sys.modules)"],
-            env=child_env(), capture_output=True, text=True, check=True,
+            env=clean_env(), capture_output=True, text=True, check=True,
         )
         assert "numpy.ma" not in modules or bare.stdout.strip() == "True"
 
@@ -944,8 +955,7 @@ class TestBlasThreads:
 
     @staticmethod
     def child(code, argv, cwd, blas_threads=None):
-        env = child_env()
-        env.pop("OPENBLAS_NUM_THREADS", None)
+        env = clean_env()
         if blas_threads is not None:
             env["OPENBLAS_NUM_THREADS"] = blas_threads
         proc = subprocess.run([sys.executable, "-c", code, *map(str, argv)],
@@ -1136,8 +1146,7 @@ class TestProcessExit:
     @staticmethod
     def child(*argv, cwd, stdout=subprocess.PIPE, code=None):
         # without PYTHONUNBUFFERED: a buffered stream that is never flushed prints nothing
-        env = child_env()
-        env.pop("PYTHONUNBUFFERED", None)
+        env = clean_env()
         command = ["-c", code] if code else ["-m", "pcrboost.cli"]
         return subprocess.run([sys.executable, *command, *map(str, argv)], cwd=cwd, env=env,
                               stdout=stdout, stderr=subprocess.PIPE, text=True)

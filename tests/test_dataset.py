@@ -27,7 +27,7 @@ from pcrboost.dataset import (
     synthesize,
 )
 from pcrboost.errors import ContractError, DataFormatError
-from conftest import (
+from oracles import (
     from_class_counts,
     make_dataset,
     reference_asymptomatic_negative_indices,

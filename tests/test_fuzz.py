@@ -26,7 +26,7 @@ from pcrboost.dataset import CSV_HEADER, FEATURE_NAMES, Dataset, load_csv, save_
 from pcrboost.errors import DataFormatError, PcrboostError
 from pcrboost.formatting import _READ_CHUNK, read_table
 from pcrboost.gbm import Model, load_model, save_model
-from conftest import (
+from oracles import (
     make_dataset,
     random_model,
     reference_beeswarm_svg,

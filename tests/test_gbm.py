@@ -29,7 +29,7 @@ from pcrboost.gbm import (
     save_model,
     sigmoid,
 )
-from conftest import (
+from oracles import (
     make_dataset,
     random_model,
     reference_fit,

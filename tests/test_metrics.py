@@ -21,7 +21,7 @@ from pcrboost.metrics import (
     unique_thresholds,
 )
 
-from conftest import pair_count_auroc, pr_curve, reference_bootstrap, roc_curve
+from oracles import pair_count_auroc, pr_curve, reference_bootstrap, roc_curve
 
 
 def step_sum_aupr(sl: ScoredLabels) -> float:

@@ -9,7 +9,7 @@ from pcrboost.dataset import FEATURE_NAMES, Dataset, pattern_codes
 from pcrboost.errors import ContractError
 from pcrboost.gbm import TrainConfig, fit
 from pcrboost.plots import beeswarm_svg_parts, render_curve_svg
-from conftest import (
+from oracles import (
     beeswarm_points,
     beeswarm_strips,
     make_dataset,

@@ -19,7 +19,7 @@ from pcrboost.dataset import (
 from pcrboost.errors import ContractError
 from pcrboost.gbm import Model, TrainConfig, TreeNode, fit
 from pcrboost.shap import _phi_table, explain, explain_dataset
-from conftest import (
+from oracles import (
     BeeswarmPoint,
     assert_local_accuracy,
     beeswarm_points,
