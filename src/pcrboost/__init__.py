@@ -5,7 +5,7 @@ Submodules:
     gbm      - second-order boosting, prediction, model JSON persistence
     shap     - exact coalition-enumeration SHAP
     metrics  - auROC/auPRC, threshold panels, percentile bootstrap with ROC band
-    plots    - deterministic SVG rendering (curves, beeswarm) and feature ranking order
+    plots    - deterministic SVG rendering (curves, beeswarm)
     cli      - the `pcrboost` command-line pipeline
 """
 

@@ -408,7 +408,7 @@ def _read_cells(path: str, columns: tuple[str, ...]):
     wins over every bad cell.
     """
     with open(path, encoding="utf-8", newline="") as fh:
-        header, rows, ids, _, error = read_table(fh, columns)
+        header, rows, ids, error = read_table(fh, columns)
     if header is None and error is None or header is not None and not set(columns) <= set(header):
         raise DataFormatError(f"malformed input CSV: need columns {sorted(columns)}")
     if error is not None:
@@ -436,11 +436,13 @@ def _real(text, name: str) -> float:
 
 
 def _beeswarm_strips(path: str) -> list[tuple]:
-    """A SHAP CSV's (feature, SHAP values, feature values) strips, by descending mean |SHAP|."""
+    """A SHAP CSV's (feature, SHAP values, feature values) strips, by descending mean |SHAP|.
+
+    Equal means keep schema order: the feature earlier in FEATURE_NAMES is drawn first.
+    """
     import numpy as np
 
     from .dataset import FEATURE_NAMES
-    from .plots import rank_features
 
     rows, ids = _read_cells(path, ("feature", "shap_value", "feature_value"))
     if not ids:
@@ -461,7 +463,8 @@ def _beeswarm_strips(path: str) -> list[tuple]:
     # and a pairwise or count x |v| sum rounds otherwise; each can flip a near-tie
     means = {name: np.add.accumulate(np.abs(values))[-1] / len(values)
              for name, (values, _) in strips.items()}
-    return [(name, *strips[name]) for name in rank_features(means)]
+    ranked = sorted(means, key=lambda name: (-means[name], FEATURE_NAMES.index(name)))
+    return [(name, *strips[name]) for name in ranked]
 
 
 def cmd_plot(args, parser, stage):

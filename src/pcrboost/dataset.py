@@ -156,7 +156,7 @@ class Dataset:
         return Dataset(self.codes[indices], self.y[indices])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MarginalTable:
     """Class-conditional feature rates, in schema order."""
 
@@ -189,7 +189,7 @@ def load_csv(source) -> Dataset:
         source = io.BytesIO(source)
     text = io.TextIOWrapper(source, encoding="utf-8-sig", newline="")
     try:
-        header, rows, ids, lines, error = read_table(text, None)
+        header, rows, ids, error = read_table(text, None)
     finally:
         text.detach()
     if header is None:
@@ -205,12 +205,13 @@ def load_csv(source) -> Dataset:
     positions = [header.index(name) for name in CSV_HEADER]
 
     cells = []  # each distinct row's cells, in schema order
-    for row, line in zip(rows, lines):
+    for k, row in enumerate(rows):
         if len(row) != len(CSV_HEADER):
-            raise DataFormatError(f"line {line}: expected {len(CSV_HEADER)} cells, got {len(row)}")
+            raise DataFormatError(f"line {ids.index(k) + 2}: "
+                                  f"expected {len(CSV_HEADER)} cells, got {len(row)}")
         bad = next((row[pos] for pos in positions if row[pos] not in ("0", "1")), None)
         if bad is not None:
-            raise DataFormatError(f"line {line}: non-binary value {bad!r}")
+            raise DataFormatError(f"line {ids.index(k) + 2}: non-binary value {bad!r}")
         cells.append([row[pos] == "1" for pos in positions])
     if error is not None:
         raise DataFormatError(f"malformed CSV: {error}")
@@ -301,19 +302,14 @@ def reference_counts() -> dict:
     return json.loads(payload.read_text(encoding="utf-8"))
 
 
-def _class_totals(counts: dict) -> tuple[int, int]:
+def reference_marginals() -> MarginalTable:
+    """MarginalTable from the bundled survey counts (the default generator source)."""
+    counts = reference_counts()
     # Only the sex, age and contact rows sum consistently in the source;
     # class totals are fixed from the sex rows.
     sex = counts["features"]["sex_male"]
     n_pos = sex["true"]["positive_n"] + sex["false"]["positive_n"]
     n_neg = sex["true"]["negative_n"] + sex["false"]["negative_n"]
-    return n_pos, n_neg
-
-
-def reference_marginals() -> MarginalTable:
-    """MarginalTable from the bundled survey counts (the default generator source)."""
-    counts = reference_counts()
-    n_pos, n_neg = _class_totals(counts)
     rows = [counts["features"][name]["true"] for name in FEATURE_NAMES]
     return MarginalTable([row["positive_n"] / n_pos for row in rows],
                          [row["negative_n"] / n_neg for row in rows])

@@ -95,25 +95,22 @@ def write_csv(path, header: list[str], rows) -> None:
 
 
 def read_table(text, needed) -> tuple:
-    """Read a CSV text stream as csv.reader would: (header, rows, ids, lines, error).
+    """Read a CSV text stream as csv.reader would: the 4-tuple (header, rows, ids, error).
 
     rows: the distinct records as tuples of cells, in order of first appearance;
-    ids: each record's index into rows; lines: each row's first line (the header is
-    line 1, each record one line); error: the csv error, or "not UTF-8 text", that
-    ended the reading, else None. With needed (the columns read) given and none of
-    them first, records are keyed by their text after the first comma, and each
-    row's first cell is None. A chunk with no quote, CR, NUL or line over csv's
-    field limit is split on LF; from the first other one, the rest goes through csv.
+    ids: each record's index into rows, so row k is first on line ids.index(k) + 2 (the
+    header is line 1, each record one line); error: the csv error, or "not UTF-8 text",
+    that ended the reading, else None. With needed (the columns read) given and none of
+    them first, records are keyed by their text after the first comma, and each row's
+    first cell is None. A chunk with no quote, CR, NUL or line over csv's field limit is
+    split on LF; from the first other one, the rest goes through csv.
     """
     limit = csv.field_size_limit()
-    header, ids, lines, index, row_ids, error = None, [], [], {}, {}, None
+    header, ids, index, row_ids, error = None, [], {}, {}, None
 
-    def add(cells: tuple, line: int) -> int:
+    def add(cells: tuple) -> int:
         row = (None,) + cells[1:] if tail and cells else cells
-        if row not in row_ids:
-            row_ids[row] = len(row_ids)
-            lines.append(line)
-        return row_ids[row]
+        return row_ids.setdefault(row, len(row_ids))
 
     try:
         first = text.readline()  # as csv.reader takes the header: one decode of 8 KiB
@@ -130,7 +127,7 @@ def read_table(text, needed) -> tuple:
                 # readline ends the unfinished line, or joins a CR to its LF
                 head = io.StringIO(block + text.readline(), newline="")
                 for row in csv.reader(chain(head, text)):
-                    ids.append(add(tuple(row), len(ids) + 2))
+                    ids.append(add(tuple(row)))
                 break
             carry = body.pop() if chunk else ""
             # a tail is never empty: a line with none is keyed by LF and the line
@@ -138,13 +135,13 @@ def read_table(text, needed) -> tuple:
             for line, key in zip(body, keys):
                 row = index.get(key)
                 if row is None:
-                    row = index[key] = add(_cells(line), len(ids) + 2)
+                    row = index[key] = add(_cells(line))
                 ids.append(row)
     except csv.Error as exc:
         error = str(exc)
     except UnicodeDecodeError:
         error = "not UTF-8 text"
-    return header, list(row_ids), ids, lines, error
+    return header, list(row_ids), ids, error
 
 
 def _plain(text: str) -> bool:

@@ -29,7 +29,7 @@ _BAND_POINTS = 101
 _BLOCK = 128
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ScoredLabels:
     """Parallel per-record scores and binary labels, plus their count table.
 
@@ -42,10 +42,10 @@ class ScoredLabels:
 
     scores: np.ndarray
     labels: np.ndarray
-    _thresholds: np.ndarray = field(init=False, repr=False, compare=False)
-    _tp: np.ndarray = field(init=False, repr=False, compare=False)
-    _fp: np.ndarray = field(init=False, repr=False, compare=False)
-    _codes: np.ndarray = field(init=False, repr=False, compare=False)
+    _thresholds: np.ndarray = field(init=False, repr=False)
+    _tp: np.ndarray = field(init=False, repr=False)
+    _fp: np.ndarray = field(init=False, repr=False)
+    _codes: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         scores = np.array(self.scores, dtype=np.float64, copy=True)
@@ -165,11 +165,6 @@ def _average_precision(tp: np.ndarray, fp: np.ndarray) -> list[float]:
     return [float(np.sum(row[kept])) for row, kept in zip(terms, filled)]
 
 
-def _roc_points(tp: np.ndarray, fp: np.ndarray):
-    """(fpr, tpr) from (0, 0) through every descending cell, along the last axis."""
-    return fp / fp[..., -1:], tp / tp[..., -1:]
-
-
 def _percentiles(values: np.ndarray, quantiles) -> list:
     """NumPy's default ("linear") quantiles of values along axis 0.
 
@@ -195,25 +190,17 @@ def _percentiles(values: np.ndarray, quantiles) -> list:
     return out
 
 
-def _require_both_classes(sl: ScoredLabels) -> None:
-    if sl.n_positive == 0 or sl.n_negative == 0:
-        raise ContractError("single-class input")
-
-
-def _require_positive(sl: ScoredLabels) -> None:
-    if sl.n_positive == 0:
-        raise ContractError("no positives")
-
-
 def auroc(sl: ScoredLabels) -> float:
     """Mann-Whitney auROC: mean pair credit (1 win, 0.5 tie), exact."""
-    _require_both_classes(sl)
+    if sl.n_positive == 0 or sl.n_negative == 0:
+        raise ContractError("single-class input")
     return float(_auroc(sl._tp, sl._fp))
 
 
 def aupr(sl: ScoredLabels) -> float:
     """Average precision: sum of (delta recall x precision) over unique thresholds."""
-    _require_positive(sl)
+    if sl.n_positive == 0:
+        raise ContractError("no positives")
     return _average_precision(sl._tp[None], sl._fp[None])[0]
 
 
@@ -301,8 +288,8 @@ def bootstrap(
             done = has_pos & has_neg
             tp, fp = tp[done], fp[done]
             # an empty cell repeats the previous point, which moves no interpolated value
-            for row, (fpr, tpr) in enumerate(zip(*_roc_points(tp, fp)), len(roc_values)):
-                curves[row] = np.interp(grid, fpr, tpr)
+            for i, (fpr, tpr) in enumerate(zip(fp / fp[:, -1:], tp / tp[:, -1:]), len(roc_values)):
+                curves[i] = np.interp(grid, fpr, tpr)
             roc_values += _auroc(tp, fp).tolist()
             rngs = [rng for rng, finished in zip(rngs, done.tolist()) if not finished]
             pr_open = (pr_open & ~has_pos)[~done]

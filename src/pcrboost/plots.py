@@ -151,10 +151,3 @@ def beeswarm_svg_parts(strips, *, seed: int):
         yield (_text(_ML - 8, cy + 4, feature, anchor="end", size=11) + "\n"
                + ("%s%.2f%s\n" * len(x)) % tuple(circles.tolist()))
     yield _text((_ML + _CURVE_W - _MR) / 2, height - 12, "SHAP value (log-odds)") + "\n</svg>\n"
-
-
-def rank_features(means: dict[str, float]) -> list[str]:
-    """Feature names by descending mean |SHAP|, schema order breaking ties."""
-    from .dataset import FEATURE_NAMES
-
-    return sorted(means, key=lambda name: (-means[name], FEATURE_NAMES.index(name)))

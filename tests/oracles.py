@@ -21,7 +21,6 @@ from pcrboost.dataset import (
     SYMPTOM_FEATURES,
     Dataset,
     MarginalTable,
-    _class_totals,
     pattern_codes,
     reference_counts,
 )
@@ -37,9 +36,6 @@ from pcrboost.gbm import (
 )
 from pcrboost.metrics import (
     ScoredLabels,
-    _require_both_classes,
-    _require_positive,
-    _roc_points,
     aupr,
     auroc,
 )
@@ -56,7 +52,6 @@ from pcrboost.plots import (
     _f,
     _svg_open,
     _text,
-    rank_features,
     render_curve_svg,
 )
 from pcrboost.shap import explain_dataset
@@ -99,7 +94,9 @@ def from_class_counts(
 def reference_dataset() -> Dataset:
     """`dataset.reference_counts` realized exactly as a Dataset (99,232 records)."""
     counts = reference_counts()
-    n_pos, n_neg = _class_totals(counts)
+    sex = counts["features"]["sex_male"]  # the class totals, as dataset.reference_marginals
+    n_pos = sex["true"]["positive_n"] + sex["false"]["positive_n"]
+    n_neg = sex["true"]["negative_n"] + sex["false"]["negative_n"]
     pos_true = {f: counts["features"][f]["true"]["positive_n"] for f in FEATURE_NAMES}
     neg_true = {f: counts["features"][f]["true"]["negative_n"] for f in FEATURE_NAMES}
     return from_class_counts(pos_true, neg_true, n_pos, n_neg)
@@ -457,18 +454,22 @@ def explain_records(model: Model, ds: Dataset):
 
 
 def mean_abs_shap(model: Model, ds: Dataset) -> list[RankedFeature]:
-    """`plots.rank_features` of each feature's mean |phi| over ds: descending, schema-index ties."""
+    """The beeswarm's ranking (`cli._beeswarm_strips`) of each feature's mean |phi| over ds:
+    descending, schema-index ties."""
     _, phis = explain_records(model, ds)
     means = _mean_abs(phis)
-    return [RankedFeature(name, means[name]) for name in rank_features(means)]
+    ranked = sorted(means, key=lambda name: (-means[name], FEATURE_NAMES.index(name)))
+    return [RankedFeature(name, means[name]) for name in ranked]
 
 
 def beeswarm_points(model: Model, ds: Dataset) -> list[BeeswarmPoint]:
     """`plots.beeswarm_svg_parts`' points: one (feature, shap_value, feature_value) triple per
-    record x feature, by feature in mean-abs-SHAP ranking order, records in dataset order."""
+    record x feature, by feature in the beeswarm's ranking (`cli._beeswarm_strips`: mean |SHAP|
+    descending, schema-index ties), records in dataset order."""
     _, phis = explain_records(model, ds)
+    means = _mean_abs(phis)
     points = []
-    for name in rank_features(_mean_abs(phis)):
+    for name in sorted(means, key=lambda name: (-means[name], FEATURE_NAMES.index(name))):
         i = FEATURE_NAMES.index(name)
         for r in range(len(ds)):
             points.append(
@@ -623,7 +624,8 @@ def reference_curve_svg(path, kind: str, band_path=None) -> str:
 
 
 def reference_beeswarm_svg(path, seed: int) -> str:
-    """`cli.cmd_plot` --kind beeswarm on a SHAP CSV read row by row through csv.DictReader."""
+    """`cli.cmd_plot` --kind beeswarm on a SHAP CSV read row by row through csv.DictReader,
+    features in the beeswarm's ranking: mean |SHAP| descending, schema-index ties."""
     rows = _read_table(str(path), {"feature", "shap_value", "feature_value"})
     if not rows:
         raise DataFormatError("malformed input CSV: no SHAP rows")
@@ -645,7 +647,7 @@ def reference_beeswarm_svg(path, seed: int) -> str:
         means[name] = total / len(pts)
     points = [
         (name, value, feature_value)
-        for name in rank_features(means)
+        for name in sorted(means, key=lambda name: (-means[name], FEATURE_NAMES.index(name)))
         for value, feature_value in by_feature[name]
     ]
     return reference_render_beeswarm_svg(points, seed=seed)
@@ -657,20 +659,19 @@ def reference_read_table(text, needed):
     Each record is keyed by its cells, or, with needed given and none of them
     first, by its cells after the first (read as None); a blank row keys as ().
     """
-    header, rows, ids, lines, error = None, {}, [], [], None
+    header, rows, ids, error = None, {}, [], None
     reader = csv.reader(io.StringIO(text, newline=""))
     try:
         header = next(reader, None)
         tail = needed is not None and bool(header) and header[0] not in needed
-        for lineno, row in enumerate(reader, start=2):
+        for row in reader:
             key = (None, *row[1:]) if tail and row else tuple(row)
             if key not in rows:
                 rows[key] = len(rows)
-                lines.append(lineno)
             ids.append(rows[key])
     except csv.Error as exc:
         error = str(exc)
-    return header, list(rows), ids, lines, error
+    return header, list(rows), ids, error
 
 
 def reference_load_csv(source) -> Dataset:
@@ -786,8 +787,9 @@ class Curve:
 def roc_curve(sl: ScoredLabels) -> Curve:
     """`metrics.ScoredLabels`' ROC: (0,0), then (fpr, tpr, threshold) per unique
     threshold, descending."""
-    _require_both_classes(sl)
-    fpr, tpr = _roc_points(sl._tp, sl._fp)
+    if sl.n_positive == 0 or sl.n_negative == 0:
+        raise ContractError("single-class input")
+    fpr, tpr = sl._fp / sl._fp[-1], sl._tp / sl._tp[-1]
     points = [(0.0, 0.0, math.inf)]
     points += zip(fpr[1:].tolist(), tpr[1:].tolist(), sl._thresholds.tolist())
     return Curve(kind="roc", points=tuple(points))
@@ -796,7 +798,8 @@ def roc_curve(sl: ScoredLabels) -> Curve:
 def pr_curve(sl: ScoredLabels) -> Curve:
     """`metrics.ScoredLabels`' PR: (recall, precision, threshold) per unique threshold,
     descending."""
-    _require_positive(sl)
+    if sl.n_positive == 0:
+        raise ContractError("no positives")
     tp, pp = sl._tp[1:], sl._tp[1:] + sl._fp[1:]
     points = zip((tp / tp[-1]).tolist(), (tp / pp).tolist(), sl._thresholds.tolist())
     return Curve(kind="pr", points=tuple(points))

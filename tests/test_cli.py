@@ -430,6 +430,15 @@ class TestTrainModes:
         assert sorted(p.name for p in tmp_path.iterdir()) == [
             "survey_test.csv", "survey_test.csv.manifest.json"]
 
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    def test_min_samples_leaf_below_one_writes_no_model(self, pipeline, tmp_path, capsys, value):
+        capsys.readouterr()
+        assert run("train", "--data", pipeline / "data.csv", "--out-model", tmp_path / "m.json",
+                   "--seed", "0", "--num-rounds", "3", "--min-samples-leaf", value) == 3
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "min_samples_leaf must be >= 1" in err
+        assert list(tmp_path.iterdir()) == []
+
     def test_manifest_echoes_every_resolved_hyperparameter(self, pipeline, tmp_path):
         m = tmp_path / "m.json"
         assert run("train", "--data", pipeline / "data.csv", "--out-model", m,
@@ -487,6 +496,15 @@ class TestConfigFiles:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith("pcrboost: error: ")
         assert list(tmp_path.iterdir()) == [cfg]
+
+    @pytest.mark.parametrize("name", ["absent.cfg", "."])  # missing, and a directory
+    def test_unreadable_config_is_one_error_line(self, pipeline, tmp_path, capsys, name):
+        capsys.readouterr()
+        assert run("train", "--data", pipeline / "data.csv", "--out-model",
+                   tmp_path / "m.json", "--seed", "0", "--config", tmp_path / name) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("pcrboost: error: cannot read config file")
+        assert list(tmp_path.iterdir()) == []
 
     def test_abbreviated_flag_is_usage_error(self, pipeline, tmp_path):
         assert run("train", "--data", pipeline / "data.csv", "--out-model",
@@ -709,6 +727,24 @@ class TestSimulateBias:
         assert err.count("\n") == 1 and err.startswith("pcrboost: I/O error: ")
         assert sorted(out_dir.iterdir()) == before
 
+    def test_feature_never_reported_leaves_empty_cells(self, tmp_path):
+        # every pattern without cough, once per label: only cough is never reported
+        cough = 1 << FEATURE_NAMES.index("cough")
+        codes = np.array([c for c in range(256) if not c & cough] * 2)
+        data = tmp_path / "no_cough.csv"
+        with open(data, "wb") as fh:
+            save_csv(Dataset(codes, np.repeat([1, 0], len(codes) // 2)), fh)
+        assert run("simulate-bias", "--data", data, "--out-dir", tmp_path / "b",
+                   "--seed", "1") == 0
+        rows = read_rows(tmp_path / "b" / "reporter_rates.csv")
+        assert [r["feature"] for r in rows] == list(FEATURE_NAMES)
+        for row in rows:
+            rates = [row[name] for name in ("input", "drop_0.25", "drop_0.5", "drop_0.75")]
+            if row["feature"] == "cough":
+                assert rates == [""] * 4
+            else:
+                assert all(rates), row
+
     def test_bad_fraction_rejected(self, pipeline, tmp_path):
         assert run("simulate-bias", "--data", pipeline / "data.csv",
                    "--out-dir", tmp_path / "b", "--seed", "1",
@@ -805,6 +841,19 @@ class TestTopLevel:
             for command in ("predict", "explain"):
                 assert run(command, "--model", bad, "--data", pipeline / "data.csv",
                            "--out", tmp_path / "out.csv") == 2, (command, variant[:80])
+
+    @pytest.mark.parametrize("trees", [None, 5, "trees", {"value": 0.5, "cover": 1.0}],
+                             ids=["null", "number", "string", "object"])
+    def test_trees_not_an_array_is_format_error(self, pipeline, tmp_path, capsys, trees):
+        doc = json.loads((pipeline / "model.json").read_text())
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(dict(doc, trees=trees)))
+        capsys.readouterr()
+        assert run("predict", "--model", bad, "--data", pipeline / "data.csv",
+                   "--out", tmp_path / "out.csv") == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "trees must be an array" in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.json"]
 
     @pytest.mark.parametrize("leaves, commands", [
         # finite raw scores, but the SHAP terms overflow to +inf in one tree and -inf in the other

@@ -398,6 +398,12 @@ class TestMarginals:
         with pytest.raises(ContractError, match="rates outside"):
             MarginalTable(np.full(8, 1.2), np.zeros(8))
 
+    @pytest.mark.parametrize("shape", [(7,), (9,), (1, 8), ()], ids=str)
+    def test_rate_shape_enforced(self, shape):
+        for rates in ((np.zeros(shape), np.zeros(8)), (np.zeros(8), np.zeros(shape))):
+            with pytest.raises(ContractError, match=r"rates must have shape \(8,\)"):
+                MarginalTable(*rates)
+
     def test_reference_dataset_realizes_counts(self):
         counts = reference_counts()["features"]
         ds = reference_dataset()
@@ -432,6 +438,11 @@ class TestSynthesize:
     def test_empty_request_rejected(self):
         with pytest.raises(ContractError):
             synthesize(reference_marginals(), 0, 0, seed=1)
+
+    @pytest.mark.parametrize("n_pos, n_neg", [(-1, 5), (5, -1), (-1, -1)])
+    def test_negative_class_count_rejected(self, n_pos, n_neg):
+        with pytest.raises(ContractError, match="class counts must be nonnegative"):
+            synthesize(reference_marginals(), n_pos, n_neg, seed=1)
 
     def test_round_trip_concentration(self, rng):
         ds = Dataset(
@@ -522,6 +533,11 @@ class TestSimulateBias:
     def test_drop_fraction_bounds(self):
         with pytest.raises(ContractError, match="drop_fraction"):
             simulate_bias(Dataset(np.zeros(0), np.zeros(0)), 1.5, seed=0)
+
+    @pytest.mark.parametrize("fraction", [0.0, 0.5, 1.0])
+    def test_empty_dataset_rejected(self, fraction):
+        with pytest.raises(ContractError, match="empty dataset"):
+            simulate_bias(Dataset(np.zeros(0), np.zeros(0)), fraction, seed=0)
 
 
 class TestReferenceTable:

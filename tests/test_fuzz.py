@@ -438,7 +438,7 @@ class TestReadTable:
     @example("a,b\nx,1\r", None, 8, 10)
     @example("a,b\n1,x\n2,x\n,x\n\n2", ("b",), 2, 25)
     def test_matches_one_csv_reader_pass(self, text, needed, chunk, limit):
-        # the same header, rows, ids, lines and error at any chunk size and field limit:
+        # the same header, rows, ids and error at any chunk size and field limit:
         # a chunk boundary may split a line, a CR from its LF or a quoted cell
         saved = csv.field_size_limit(limit)
         try:

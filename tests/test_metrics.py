@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from pcrboost import metrics
+from pcrboost.dataset import reference_marginals
 from pcrboost.errors import ContractError
 from pcrboost.metrics import (
     BootstrapCI,
@@ -75,6 +76,14 @@ class TestScoredLabels:
     def test_class_counts(self):
         sl = ScoredLabels([0.1, 0.2, 0.3], [1, 0, 1])
         assert (sl.n_positive, sl.n_negative) == (2, 1)
+
+    def test_equality_is_identity_and_never_raises(self):
+        # generated __eq__ would compare the array fields and raise on their truth value
+        for make in (lambda: ScoredLabels([0.1, 0.2, 0.3], [1, 0, 1]), reference_marginals):
+            value = make()
+            assert value == value
+            assert not value == make()
+            assert value != make()
 
 
 class TestAuroc:
