@@ -225,14 +225,16 @@ class _Staging:
 
     Calling it claims a temporary name for each of `paths`, records it and
     returns the names, which the caller writes; `moves` is the run's one list
-    of outputs, in staging order. `commit` moves every staged file onto its
-    path. `discard` removes the temporaries and every path the commit
-    created, so a failed run leaves no new output behind.
+    of outputs, in staging order. `commit` hard-links every existing path
+    aside, then moves every staged file onto its path. `discard` puts the
+    old files back and removes the temporaries and every path the commit
+    created, so a failed run leaves its outputs as they were.
     """
 
     def __init__(self):
         self.moves: list[tuple[str, str]] = []  # (temporary, path)
         self.created: list[str] = []
+        self.kept: list[tuple[str, str]] = []  # (link to an existing path's file, path)
 
     def __call__(self, *paths: str) -> list[str]:
         tmps = [f"{path}.{os.getpid()}.tmp" for path in paths]
@@ -243,12 +245,23 @@ class _Staging:
 
     def commit(self) -> None:
         for tmp, path in self.moves:
+            if os.path.lexists(path):  # a link never replaces a file: one already there fails it
+                os.link(path, tmp + ".old", follow_symlinks=False)
+                self.kept.append((tmp + ".old", path))
+        for tmp, path in self.moves:
             if not os.path.lexists(path):
                 self.created.append(path)
             os.replace(tmp, path)
+        for old, _ in self.kept:  # every output is in place: the old files go
+            with contextlib.suppress(OSError):
+                os.remove(old)
 
     def discard(self) -> None:
-        for name in [tmp for tmp, _ in self.moves] + self.created:
+        # a path not yet replaced is the same file as its link, which os.replace leaves alone
+        for old, path in self.kept:
+            with contextlib.suppress(OSError):
+                os.replace(old, path)
+        for name in [tmp for tmp, _ in self.moves] + self.created + [old for old, _ in self.kept]:
             with contextlib.suppress(OSError):
                 os.remove(name)
 

@@ -17,9 +17,11 @@ from itertools import chain
 
 # 17 significant digits: the smallest count that round-trips every float64.
 _REAL_FMT = "%.17g"
-# PatternRows bytes are built and written this many records at a time, so the
-# whole file (23 MB for 47,401 records' SHAP rows) is never held at once
-_CHUNK_RECORDS = 4096
+# PatternRows text is built and written in chunks of about this many characters, so
+# the whole file (23 MB for 47,401 records' SHAP rows) is never held at once; a chunk
+# of a few MB is mapped afresh by malloc and unmapped after its write, one page fault
+# per 4 KiB, where a chunk this size reuses the same heap pages
+_CHUNK_BYTES = 1 << 17
 # read_table reads a table's text this many characters at a time: the survey-scale
 # beeswarm child peaks near 62 MB, where a whole-file read took it to about 102 MB
 _READ_CHUNK = 1 << 16
@@ -64,16 +66,20 @@ class PatternRows:
         return sum(len(self.pattern_rows[p]) for p in self.inverse)
 
     def chunks(self):
-        """The UTF-8 CSV bytes of these rows, _CHUNK_RECORDS records at a time.
+        """The UTF-8 CSV bytes of these rows, in chunks of at most _CHUNK_BYTES characters.
 
-        Each chunk is one list of record texts, joined once and encoded once.
+        A chunk holds as many records as fit the longest pattern's text, indices included,
+        and at least one; it is one list of record texts, joined once and encoded once.
         """
         # str(r).join(("", s1, s2)) == f"{r}{s1}{r}{s2}": one join per record
         blocks = [("",) + tuple("," + _line(row) for row in rows) for rows in self.pattern_rows]
-        for start in range(0, len(self.inverse), _CHUNK_RECORDS):
+        digits = len(str(len(self.inverse) - 1))
+        longest = max((sum(map(len, block)) + digits * (len(block) - 1) for block in blocks),
+                      default=0)
+        step = max(1, _CHUNK_BYTES // max(1, longest))
+        for start in range(0, len(self.inverse), step):
             yield "".join([str(r).join(blocks[p]) for r, p in
-                           enumerate(self.inverse[start:start + _CHUNK_RECORDS], start)]
-                          ).encode("utf-8")
+                           enumerate(self.inverse[start:start + step], start)]).encode("utf-8")
 
 
 def _line(row) -> str:
@@ -100,17 +106,18 @@ def read_table(text, needed) -> tuple:
     rows: the distinct records as tuples of cells, in order of first appearance;
     ids: each record's index into rows, so row k is first on line ids.index(k) + 2 (the
     header is line 1, each record one line); error: the csv error, or "not UTF-8 text",
-    that ended the reading, else None. With needed (the columns read) given and none of
-    them first, records are keyed by their text after the first comma, and each row's
-    first cell is None. A chunk with no quote, CR, NUL or line over csv's field limit is
+    that ended the reading, else None. With needed (the columns read) given, records are
+    keyed by their text without the first column not needed, and that cell of each row
+    that has it is None. A chunk with no quote, CR, NUL or line over csv's field limit is
     split on LF; from the first other one, the rest goes through csv.
     """
     limit = csv.field_size_limit()
     header, ids, index, row_ids, error = None, [], {}, {}, None
 
     def add(cells: tuple) -> int:
-        row = (None,) + cells[1:] if tail and cells else cells
-        return row_ids.setdefault(row, len(row_ids))
+        if skip is not None and len(cells) > skip:
+            cells = cells[:skip] + (None,) + cells[skip + 1:]
+        return row_ids.setdefault(cells, len(row_ids))
 
     try:
         first = text.readline()  # as csv.reader takes the header: one decode of 8 KiB
@@ -118,7 +125,9 @@ def read_table(text, needed) -> tuple:
             header = _cells(first.removesuffix("\n")) if first else None
         else:
             header = next(csv.reader(chain([first], text)), None)
-        tail = needed is not None and bool(header) and header[0] not in needed
+        # the first column not needed, if any
+        skip = None if needed is None else next(
+            (j for j, name in enumerate(header or ()) if name not in needed), None)
         carry = ""
         for chunk in chain(iter(partial(text.read, _READ_CHUNK), ""), [""]):  # "" ends a last line
             block = carry + chunk
@@ -129,9 +138,13 @@ def read_table(text, needed) -> tuple:
                 for row in csv.reader(chain(head, text)):
                     ids.append(add(tuple(row)))
                 break
+            if skip == 0:  # a tail is never empty: a line with none is keyed by LF and the line
+                keys = [line.partition(",")[2] or "\n" + line for line in body]
+            elif skip:
+                keys = [_emptied(line, skip) for line in body]
+            else:
+                keys = body
             carry = body.pop() if chunk else ""
-            # a tail is never empty: a line with none is keyed by LF and the line
-            keys = [line.partition(",")[2] or "\n" + line for line in body] if tail else body
             for line, key in zip(body, keys):
                 row = index.get(key)
                 if row is None:
@@ -147,6 +160,14 @@ def read_table(text, needed) -> tuple:
 def _plain(text: str) -> bool:
     """True if csv.reader reads text as split on LF and comma: no quote, CR or NUL."""
     return '"' not in text and "\r" not in text and "\0" not in text
+
+
+def _emptied(line: str, j: int) -> str:
+    """line with cell j emptied and its commas kept; a line without cell j as it is."""
+    cells = line.split(",", j + 1)
+    if len(cells) > j:
+        cells[j] = ""
+    return ",".join(cells)
 
 
 def _cells(line: str) -> tuple:

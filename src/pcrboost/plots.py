@@ -19,6 +19,10 @@ _GRID = "#d9d9d9"
 _AXIS = "#333333"
 _VALUE_COLORS = {0: "#2e7bd6", 1: "#d64a2e"}
 
+# a beeswarm strip's circles are formatted and yielded this many at a time: a survey-scale
+# strip (47,401 circles) formatted whole is a few MB of text and its Python objects
+_SLICE_CIRCLES = 2048
+
 # np.linspace(0, 1, 6) written out: curve charts load no NumPy
 _TICKS = (0.0, 0.2, 0.4, 0.6000000000000001, 0.8, 1.0)
 
@@ -95,12 +99,14 @@ def render_curve_svg(points, *, kind: str, band=None) -> str:
 
 
 def beeswarm_svg_parts(strips, *, seed: int):
-    """The beeswarm document: its head, one "\n"-terminated block per strip, its tail.
+    """The beeswarm document: its head, each strip's "\n"-terminated blocks, its tail.
 
     `strips` are (feature, shap_values, feature_values) triples in drawing
     order (mean |SHAP| descending, as `plot --kind beeswarm` ranks the
     features of a SHAP CSV), each strip's points in input order. A point's
-    fill encodes its 0/1 feature value. A writer holds one block at a time.
+    fill encodes its 0/1 feature value. A strip's first block opens with its
+    label, and each block holds at most _SLICE_CIRCLES circles, so a writer
+    holds a bounded text at a time.
     """
     import numpy as np
 
@@ -146,8 +152,12 @@ def beeswarm_svg_parts(strips, *, seed: int):
         off = np.maximum(-max_off, np.minimum(max_off, off))
         distinct_x, x_index = np.unique(x, return_inverse=True)
         heads = np.array([f'<circle cx="{_f(v)}" cy="' for v in distinct_x.tolist()], dtype=object)
-        # a circle is its x's head, its cy and its fill's tail: one format call per strip
-        circles = np.array([heads[x_index], cy + off, fills[cells]], dtype=object).T.ravel()
-        yield (_text(_ML - 8, cy + 4, feature, anchor="end", size=11) + "\n"
-               + ("%s%.2f%s\n" * len(x)) % tuple(circles.tolist()))
+        label = _text(_ML - 8, cy + 4, feature, anchor="end", size=11) + "\n"
+        for start in range(0, len(x), _SLICE_CIRCLES):
+            part = slice(start, start + _SLICE_CIRCLES)
+            # a circle is its x's head, its cy and its fill's tail: one format call per slice
+            circles = np.array([heads[x_index[part]], cy + off[part], fills[cells[part]]],
+                               dtype=object).T.ravel()
+            yield label + ("%s%.2f%s\n" * (len(circles) // 3)) % tuple(circles.tolist())
+            label = ""
     yield _text((_ML + _CURVE_W - _MR) / 2, height - 12, "SHAP value (log-odds)") + "\n</svg>\n"

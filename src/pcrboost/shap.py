@@ -144,10 +144,7 @@ def explain(model: Model, record) -> ShapExplanation:
     Reads the record's row of the model's 256-pattern table, built on the
     first call; a row does not depend on the batch it is computed in.
     """
-    x = np.asarray(record)
-    if x.ndim != 1:
-        raise ContractError(f"feature vector length must be {N_FEATURES}")
-    code = pattern_codes(x[None, :])[0]
+    code = pattern_codes(np.asarray(record)[None])[0]  # refuses every record but a vector
     base, phis = model._shap_table
     return ShapExplanation(base_value=base, contributions=phis[code].copy())
 

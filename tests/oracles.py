@@ -656,16 +656,18 @@ def reference_beeswarm_svg(path, seed: int) -> str:
 def reference_read_table(text, needed):
     """`formatting.read_table` as one csv.reader pass over the whole text.
 
-    Each record is keyed by its cells, or, with needed given and none of them
-    first, by its cells after the first (read as None); a blank row keys as ().
+    Each record is keyed by its cells, with needed given the first cell whose
+    column is not needed read as None; a blank row keys as ().
     """
     header, rows, ids, error = None, {}, [], None
     reader = csv.reader(io.StringIO(text, newline=""))
     try:
         header = next(reader, None)
-        tail = needed is not None and bool(header) and header[0] not in needed
+        unneeded = [j for j, name in enumerate(header or ()) if needed and name not in needed]
         for row in reader:
-            key = (None, *row[1:]) if tail and row else tuple(row)
+            key = tuple(row)
+            if unneeded and len(row) > unneeded[0]:
+                key = (*row[:unneeded[0]], None, *row[unneeded[0] + 1:])
             if key not in rows:
                 rows[key] = len(rows)
             ids.append(rows[key])

@@ -28,6 +28,7 @@ from oracles import (
     PIPELINE,
     reference_beeswarm_svg,
     reference_explain_matrix,
+    reference_read_table,
     reference_write_scores,
     reference_write_shap,
 )
@@ -643,6 +644,36 @@ class TestBeeswarmBytes:
         assert run("plot", "--kind", "beeswarm", "--in", shap, "--seed", 6, "--out", out) == 0
         assert out.read_bytes() == expected
 
+    def test_first_two_columns_swapped(self, pipeline, tmp_path, monkeypatch):
+        # feature,record_index,...: the first column not needed is the second, so each
+        # record is keyed by its line without it, as the file as written is without its
+        # first, and each distinct key's line is split once
+        cells, split = formatting._cells, []
+
+        def counted(line):
+            split.append(line)
+            return cells(line)
+
+        monkeypatch.setattr(formatting, "_cells", counted)
+        written = pipeline / "shap.csv"
+        swapped = tmp_path / "shap.csv"
+        text = "".join(f"{b},{a},{rest}" for a, b, rest in (
+            line.split(",", 2) for line in written.read_text().splitlines(keepends=True)))
+        swapped.write_text(text)
+        needed = ("feature", "shap_value", "feature_value")
+        with open(written, encoding="utf-8", newline="") as a, \
+                open(swapped, encoding="utf-8", newline="") as b:
+            as_written, got = formatting.read_table(a, needed), formatting.read_table(b, needed)
+        header, rows, ids, error = got
+        assert (list(header), rows, ids, error) == reference_read_table(text, needed)
+        assert len(rows) == len(as_written[1]) < len(ids) and ids == as_written[2]
+        assert len(split) == 2 * (1 + len(rows))  # a header and each row's line, per file
+        assert cli._read_cells(swapped, needed) == cli._read_cells(written, needed)
+        self.assert_matches_oracle(swapped, 7, tmp_path)
+        svg = (tmp_path / "beeswarm.svg").read_bytes()
+        self.assert_matches_oracle(written, 7, tmp_path)
+        assert (tmp_path / "beeswarm.svg").read_bytes() == svg
+
     @staticmethod
     def write_shap(pipeline, path, keep):
         """The pipeline's SHAP CSV with each record's rows replaced by `keep(record, rows)`."""
@@ -1185,6 +1216,39 @@ class TestStagingFailures:
         assert capsys.readouterr().err.startswith("pcrboost: I/O error: [Errno 18]")
         assert len(moved) == 1 and moved[0].startswith(f"{tmp_path}/eval_")
         assert list(tmp_path.iterdir()) == []
+
+    def test_replaced_outputs_leave_no_link_behind(self, pipeline, tmp_path):
+        prefix = f"{tmp_path}/eval_"
+        assert self.evaluate(pipeline, prefix) == 0
+        first = sorted(tmp_path.iterdir())
+        assert self.evaluate(pipeline, prefix) == 0
+        assert sorted(tmp_path.iterdir()) == first
+
+    @pytest.mark.parametrize("existing", [("thresholds.csv", "manifest.json"),
+                                          ("thresholds.csv", "summary.csv", "manifest.json")])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_failed_move_restores_every_replaced_output(self, pipeline, tmp_path, capsys,
+                                                        monkeypatch, k, existing):
+        # evaluate moves three files into place; the k-th move fails, after k - 1 replaced
+        # their outputs, and every output that existed is put back with its old bytes
+        for name in existing:
+            (tmp_path / f"eval_{name}").write_bytes(f"old {name}\n".encode())
+        replace, calls = os.replace, []
+
+        def replace_kth(src, dst):
+            calls.append(dst)
+            if len(calls) == k:
+                raise OSError(errno.EXDEV, os.strerror(errno.EXDEV))
+            replace(src, dst)
+
+        monkeypatch.setattr(cli.os, "replace", replace_kth)
+        capsys.readouterr()
+        assert self.evaluate(pipeline, f"{tmp_path}/eval_") == 4
+        assert capsys.readouterr().err.startswith("pcrboost: I/O error: [Errno 18]")
+        assert len(calls) >= k
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(f"eval_{n}" for n in existing)
+        for name in existing:
+            assert (tmp_path / f"eval_{name}").read_bytes() == f"old {name}\n".encode()
 
 
 class TestProcessExit:

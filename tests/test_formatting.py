@@ -83,13 +83,36 @@ class TestPatternRows:
                         b"4,cough,1,0.10000000000000001,-2.5\n4,fever,0,,-2.5\n")
 
     def test_chunks_split_on_record_boundaries(self, monkeypatch):
+        # the longest record is pattern 0's: 49 characters of rows and two 1-digit indices
         rows = self.rows()
         whole = b"".join(rows.chunks())
-        for size in (1, 2, 4, 5, 100):
-            monkeypatch.setattr(formatting, "_CHUNK_RECORDS", size)
+        for budget, count in ((1, 5), (51, 5), (101, 5), (102, 3), (153, 2), (255, 1)):
+            monkeypatch.setattr(formatting, "_CHUNK_BYTES", budget)
             chunks = list(rows.chunks())
-            assert len(chunks) == -(-5 // size)
+            assert len(chunks) == count
             assert b"".join(chunks) == whole
+
+    def test_record_longer_than_the_budget_is_a_chunk_of_its_own(self):
+        long_row = ("x" * formatting._CHUNK_BYTES,)
+        rows = PatternRows([[long_row], [(1.5,)]], np.array([0, 1, 0]))
+        chunks = list(rows.chunks())
+        assert chunks == [f"0,{long_row[0]}\n".encode(), b"1,1.5\n", f"2,{long_row[0]}\n".encode()]
+
+    def test_many_records_fill_chunks_within_the_budget(self, rng, tmp_path):
+        # SHAP-like: 8 rows per pattern, 5,000 records of 4-digit indices
+        names = ["cough", "fever", "loss_of_smell", "sore_throat"] * 2
+        pattern_rows = [[(name, int(rng.integers(2)), float(v), -2.25)
+                         for name, v in zip(names, rng.normal(size=8))] for _ in range(40)]
+        rows = PatternRows(pattern_rows, rng.integers(0, 40, size=5000))
+        chunks = list(rows.chunks())
+        assert len(chunks) > 10
+        assert all(len(chunk) <= formatting._CHUNK_BYTES for chunk in chunks)
+        assert all(len(chunk) > formatting._CHUNK_BYTES // 2 for chunk in chunks[:-1])
+        header = ["record_index", "feature", "feature_value", "shap_value", "base_value"]
+        expanded = [(r, *row) for r, p in enumerate(rows.inverse) for row in pattern_rows[p]]
+        write_csv(tmp_path / "fast.csv", header, rows)
+        write_csv(tmp_path / "slow.csv", header, expanded)
+        assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "slow.csv").read_bytes()
 
     def test_no_records_writes_header_only(self, tmp_path):
         path = tmp_path / "empty.csv"

@@ -433,10 +433,11 @@ class TestStreamedBeeswarmReader:
 class TestReadTable:
     @given(st.lists(st.sampled_from(["a", "b", ",", ",", "\n", "\n", '"', "\r", "\r\n", "\0",
                                      "x" * 30, "1"]), max_size=40).map("".join),
-           st.sampled_from([None, ("b",), ("a", "b")]), st.sampled_from([1, 2, 3, 5, 8, 64]),
-           st.sampled_from([10, 25, csv.field_size_limit()]))
+           st.sampled_from([None, ("a",), ("b",), ("a", "b")]),
+           st.sampled_from([1, 2, 3, 5, 8, 64]), st.sampled_from([10, 25, csv.field_size_limit()]))
     @example("a,b\nx,1\r", None, 8, 10)
     @example("a,b\n1,x\n2,x\n,x\n\n2", ("b",), 2, 25)
+    @example("a,b,c\nx,1,2\ny,1,2\nx,3\nx\n\nx,1,\nx,2,\nx,3,2", ("a", "c"), 4, 25)
     def test_matches_one_csv_reader_pass(self, text, needed, chunk, limit):
         # the same header, rows, ids and error at any chunk size and field limit:
         # a chunk boundary may split a line, a CR from its LF or a quoted cell

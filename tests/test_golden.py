@@ -9,6 +9,9 @@ in `golden_digests.json`.
 
 A changed digest is a changed output: it is listed in CHANGES.md and README
 "Determinism", and the file is never rewritten to turn a failing run green.
+NumPy picks its `exp` code by CPU at run time, and the digests of model.json
+and of every output read from it hold for the dispatch targets they were
+recorded under; a failure names the run's targets beside the recorded ones.
 To record a deliberate change, run `PYTHONPATH=src python tests/test_golden.py`.
 """
 
@@ -65,8 +68,13 @@ def digests(root: Path) -> dict[str, str]:
 
 
 def environment() -> dict[str, str]:
+    try:  # NumPy 2
+        from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+    except ImportError:  # NumPy 1
+        from numpy.core._multiarray_umath import __cpu_dispatch__, __cpu_features__
     return {"platform": platform.platform(), "python": platform.python_version(),
-            "numpy": np.__version__}
+            "numpy": np.__version__,
+            "numpy_cpu_dispatch": " ".join(f for f in __cpu_dispatch__ if __cpu_features__.get(f))}
 
 
 @pytest.mark.parametrize("seed", SEEDS)

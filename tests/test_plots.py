@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from pcrboost import plots
 from pcrboost.dataset import FEATURE_NAMES, Dataset, pattern_codes
 from pcrboost.errors import ContractError
 from pcrboost.gbm import TrainConfig, fit
@@ -135,3 +136,23 @@ class TestBeeswarmSvg:
         for block, (feature, values, _) in zip(blocks[1:-1], small_strips):
             assert block.startswith("<text ") and f">{feature}</text>" in block
             assert block.count("<circle") == len(values)
+
+    @pytest.mark.parametrize("size", [1, 2])
+    def test_strips_in_slices_of_circles(self, small_strips, small_points, monkeypatch, size):
+        # 3 points a strip: each strip's label opens its first slice
+        monkeypatch.setattr(plots, "_SLICE_CIRCLES", size)
+        blocks = list(beeswarm_svg_parts(small_strips, seed=1))
+        assert len(blocks) == 2 + len(small_strips) * -(-3 // size)
+        assert all(block.count("<circle") <= size for block in blocks[1:-1])
+        assert "".join(blocks) == reference_render_beeswarm_svg(small_points, seed=1)
+
+    def test_strip_longer_than_one_slice(self, rng):
+        n = 2 * plots._SLICE_CIRCLES + 5
+        points = [("cough", v, c) for v, c in zip(rng.normal(size=n).tolist(),
+                                                    rng.integers(0, 2, size=n).tolist())]
+        points += [("fever", 0.5, 1), ("fever", -0.25, 0)]
+        strips = beeswarm_strips(points)
+        blocks = list(beeswarm_svg_parts(strips, seed=3))
+        assert [block.count("<circle") for block in blocks] == [
+            0, plots._SLICE_CIRCLES, plots._SLICE_CIRCLES, 5, 2, 0]
+        assert "".join(blocks) == reference_render_beeswarm_svg(points, seed=3)

@@ -152,7 +152,7 @@ class TestClosedForms:
                 explain(model, x)
 
     def test_record_that_is_not_a_vector(self, rng):
-        # a 2-D batch of one record, and a scalar, which would otherwise raise IndexError
+        # a 2-D batch of one record, and a scalar: pattern_codes refuses each as a non-vector
         model = random_model(rng, n_trees=1)
         for record in (np.zeros((1, 8), dtype=np.uint8), np.uint8(0)):
             with pytest.raises(ContractError, match="feature vector length must be 8"):
