@@ -8,7 +8,10 @@ import io
 import itertools
 import json
 import math
+import re
+import shlex
 from dataclasses import dataclass
+from pathlib import Path
 from types import SimpleNamespace
 from typing import NamedTuple
 
@@ -23,6 +26,8 @@ from pcrboost.dataset import (
     MarginalTable,
     pattern_codes,
     reference_counts,
+    reference_marginals,
+    synthesize,
 )
 from pcrboost.errors import ContractError, DataFormatError
 from pcrboost.formatting import fmt_real, write_csv
@@ -893,3 +898,57 @@ PIPELINE = (
     ("plot", "--kind", "beeswarm", "--in", "shap.csv", "--seed", "7",
      "--out", "beeswarm.svg"),
 )
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+_TENTH = ("--n-pos", "--n-neg", "--bootstrap")
+
+
+def quickstart_commands() -> list[list[str]]:
+    """README `## Quick start`: its `sh` block's `pcrboost` commands, as `cli.main` argv lists.
+
+    Comment lines are dropped and `\\` continuations joined before a line counts.
+    """
+    section = README.read_text(encoding="utf-8").split("\n## Quick start\n", 1)[1]
+    block = re.search(r"```sh\n(.*?)```", section, re.DOTALL).group(1)
+    text = "\n".join(line for line in block.splitlines() if not line.lstrip().startswith("#"))
+    return [shlex.split(line)[1:] for line in text.replace("\\\n", " ").splitlines()
+            if line.startswith("pcrboost ")]
+
+
+def tenth_scale_quickstart(seed: int) -> list[list[str]]:
+    """The quick start at a tenth of its scale, for run `seed` (as perfbench derives its seeds).
+
+    `--n-pos`, `--n-neg` and `--bootstrap` are floor-divided by 10. `train`'s `--seed k` is a
+    config echo and becomes `seed + k`; a randomized command's `--seed k` becomes
+    `1000 * seed + k`.
+    """
+    commands = quickstart_commands()
+    for argv in commands:
+        for i in range(1, len(argv)):
+            if argv[i - 1] in _TENTH:
+                argv[i] = str(int(argv[i]) // 10)
+            elif argv[i - 1] == "--seed":
+                argv[i] = str((seed if argv[0] == "train" else 1000 * seed) + int(argv[i]))
+    return commands
+
+
+def quickstart_step(seed: int, *words: str) -> list[str]:
+    """The one command of `tenth_scale_quickstart(seed)` that holds every word in `words`."""
+    (argv,) = [argv for argv in tenth_scale_quickstart(seed) if set(words) <= set(argv)]
+    return argv
+
+
+def option(argv, flag: str) -> str:
+    """The value that follows `flag` in argv."""
+    return argv[argv.index(flag) + 1]
+
+
+def quickstart_training(seed: int) -> tuple[Dataset, TrainConfig]:
+    """`gbm.fit`'s inputs in a tenth-scale quick start: the training set `synth` writes, and the
+    config `train` echoes (default hyperparameters)."""
+    train = quickstart_step(seed, "train")
+    synth = quickstart_step(seed, "synth", option(train, "--data"))
+    ds = synthesize(reference_marginals(), int(option(synth, "--n-pos")),
+                    int(option(synth, "--n-neg")), seed=int(option(synth, "--seed")))
+    return ds, TrainConfig(seed=int(option(train, "--seed")))

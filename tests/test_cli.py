@@ -26,6 +26,8 @@ from pcrboost.gbm import Model, TrainConfig, TreeNode, load_model, save_model
 from pcrboost.metrics import ScoredLabels, auroc
 from oracles import (
     PIPELINE,
+    option,
+    quickstart_step,
     reference_beeswarm_svg,
     reference_explain_matrix,
     reference_read_table,
@@ -561,6 +563,45 @@ class TestPerPatternWriters:
             assert (tmp_path / out).read_bytes() == (tmp_path / ref).read_bytes(), out
 
 
+def record_blocks(path, rows_per_record: int) -> list[tuple]:
+    """A per-record CSV's body as one (record_index cells, other cells) pair per record."""
+    cells = [line.split(",", 1) for line in path.read_text(encoding="utf-8").splitlines()[1:]]
+    return [tuple(zip(*cells[i:i + rows_per_record]))
+            for i in range(0, len(cells), rows_per_record)]
+
+
+class TestRecordPermutation:
+    """Permuting test.csv's records moves each record's rows with it and changes no table."""
+
+    def test_outputs_move_with_their_records(self, pipeline, tmp_path, monkeypatch, rng):
+        # the seed-1 tenth-scale quick start's test set
+        monkeypatch.chdir(tmp_path)
+        assert run(*quickstart_step(1, "synth", "test.csv")) == 0
+        with open("test.csv", "rb") as fh:
+            ds = load_csv(fh)
+        perm = rng.permutation(len(ds))
+        with open("permuted.csv", "wb") as fh:
+            save_csv(ds.take(perm), fh)
+        model = pipeline / "model.json"
+        for stem in ("test", "permuted"):
+            data = f"{stem}.csv"
+            assert run("predict", "--model", model, "--data", data,
+                       "--out", f"{stem}_scores.csv") == 0
+            assert run("explain", "--model", model, "--data", data,
+                       "--out", f"{stem}_shap.csv") == 0
+            assert run("evaluate", "--model", model, "--data", data,
+                       "--out-prefix", f"{stem}_eval_", "--bootstrap", "0") == 0
+        for name in ("eval_thresholds.csv", "eval_summary.csv"):
+            assert (tmp_path / f"test_{name}").read_bytes() == \
+                (tmp_path / f"permuted_{name}").read_bytes(), name
+        for name, rows_per_record in (("scores.csv", 1), ("shap.csv", len(FEATURE_NAMES))):
+            want = record_blocks(tmp_path / f"test_{name}", rows_per_record)
+            got = record_blocks(tmp_path / f"permuted_{name}", rows_per_record)
+            assert len(want) == len(ds)
+            assert [index for index, _ in got] == [index for index, _ in want], name
+            assert [values for _, values in got] == [want[r][1] for r in perm], name
+
+
 class TestBeeswarmBytes:
     """plot --kind beeswarm against the row-by-row reader and per-point renderer, byte for byte."""
 
@@ -579,15 +620,15 @@ class TestBeeswarmBytes:
         seed = int(plot[plot.index("--seed") + 1])
         self.assert_matches_oracle(tmp_path / plot[plot.index("--in") + 1], seed, tmp_path)
 
-    def test_quickstart_scale(self, pipeline, tmp_path):
-        # the quick start's test set at a tenth of the survey's scale: 37,912 rows
-        data = tmp_path / "test.csv"
-        assert run("synth", "--n-pos", "362", "--n-neg", "4377", "--seed", "1002",
-                   "--out", data) == 0
-        shap = tmp_path / "shap.csv"
-        assert run("explain", "--model", pipeline / "model.json", "--data", data,
+    def test_quickstart_scale(self, pipeline, tmp_path, monkeypatch):
+        # the seed-1 tenth-scale quick start's test set (37,912 SHAP rows) and beeswarm seed
+        monkeypatch.chdir(tmp_path)
+        assert run(*quickstart_step(1, "synth", "test.csv")) == 0
+        plot = quickstart_step(1, "beeswarm")
+        shap = tmp_path / option(plot, "--in")
+        assert run("explain", "--model", pipeline / "model.json", "--data", "test.csv",
                    "--out", shap) == 0
-        self.assert_matches_oracle(shap, 1004, tmp_path)
+        self.assert_matches_oracle(shap, int(option(plot, "--seed")), tmp_path)
 
     def test_single_pattern(self, pipeline, tmp_path):
         data = tmp_path / "data.csv"

@@ -1,11 +1,13 @@
-"""The README's library example runs as written."""
+"""The README's examples run as written: the library example, and the quick start's flags."""
 
 from __future__ import annotations
 
 import re
-from pathlib import Path
 
-README = Path(__file__).resolve().parent.parent / "README.md"
+import pytest
+
+from pcrboost.cli import build_parser
+from oracles import README, quickstart_commands, tenth_scale_quickstart
 
 
 def test_library_use_example_runs(capsys):
@@ -14,3 +16,17 @@ def test_library_use_example_runs(capsys):
     code = re.search(r"```python\n(.*?)```", section, re.DOTALL).group(1)
     exec(compile(code, f"{README}:Library use", "exec"), {"__name__": "readme_example"})
     assert capsys.readouterr().out
+
+
+@pytest.mark.parametrize("scale", ["as_written", "tenth"])
+def test_quick_start_commands_parse(scale):
+    # a mistyped or renamed flag fails here, also where no golden digest covers the command
+    commands = quickstart_commands() if scale == "as_written" else tenth_scale_quickstart(1)
+    assert commands
+    parser, _ = build_parser()
+    for argv in commands:
+        try:
+            args = parser.parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"README quick start: `pcrboost {' '.join(argv)}` does not parse")
+        assert args.command == argv[0]

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 
@@ -14,8 +15,6 @@ from pcrboost.dataset import (
     Dataset,
     lattice_sums,
     pattern_codes,
-    reference_marginals,
-    synthesize,
 )
 from pcrboost.errors import ContractError, DataFormatError
 from pcrboost.gbm import (
@@ -31,6 +30,7 @@ from pcrboost.gbm import (
 )
 from oracles import (
     make_dataset,
+    quickstart_training,
     random_model,
     reference_fit,
     reference_save_model,
@@ -262,8 +262,8 @@ class TestPrediction:
         assert model.predict_raw(x) == model.predict_raw(x[None, :])[0]
 
     def test_a_record_does_not_depend_on_its_batch(self, rng):
-        # a random model, and the model of the seed-1 benchmark set-ups
-        bench = fit(synthesize(reference_marginals(), 476, 4706, seed=1001), TrainConfig(seed=1))
+        # a random model, and the seed-1 tenth-scale quick start's model
+        bench = fit(*quickstart_training(1))
         for model in (random_model(rng, n_trees=6), bench):
             raw, proba = model.predict_raw(PATTERNS), model.predict_proba(PATTERNS)
             for code, x in enumerate(PATTERNS):
@@ -445,9 +445,8 @@ class TestCountTableTrainer:
         compare_with_per_record_oracle(ds, cfg)
 
     def test_matches_per_record_oracle_at_benchmark_shape(self):
-        # the quickstart benchmark's training set: 5,182 records, default config
-        ds = synthesize(reference_marginals(), 476, 4706, seed=1001)
-        assert compare_with_per_record_oracle(ds, TrainConfig()) is None
+        # the seed-1 tenth-scale quick start's training set (5,182 records) and config
+        assert compare_with_per_record_oracle(*quickstart_training(1)) is None
 
     def test_equal_gains_in_two_leaves_split_the_earlier_leaf(self, rng):
         # the feature-0 = 1 half mirrors the feature-0 = 0 half with every label
@@ -531,12 +530,48 @@ class TestTrainingDynamics:
         cfg = TrainConfig(num_rounds=10)
         m1, m2 = fit(ds, cfg), fit(ds_perm, cfg)
         X = rng.integers(0, 2, size=(200, 8), dtype=np.uint8)
-        assert np.allclose(m1.predict_raw(X), m2.predict_raw(X), atol=1e-9)
+        assert np.array_equal(m1.predict_raw(X), m2.predict_raw(X))
+        assert save_model(m1) == save_model(m2)  # training reads only the count table
 
     def test_fit_is_deterministic(self, rng):
         ds = make_dataset(rng, 350, p_pos=0.4)
         cfg = TrainConfig(num_rounds=8)
         assert save_model(fit(ds, cfg)) == save_model(fit(ds, cfg))
+
+
+def assert_replicated(node: TreeNode, copy: TreeNode, k: int) -> None:
+    """copy is node's tree bit for bit, with every cover exactly k times node's."""
+    assert copy.cover == k * node.cover
+    assert copy.feature == node.feature
+    if node.is_leaf:
+        assert copy.value.hex() == node.value.hex()
+    else:
+        assert_replicated(node.left, copy.left, k)
+        assert_replicated(node.right, copy.right, k)
+
+
+class TestReplication:
+    """k copies of every record, with l2_lambda, min_samples_leaf and min_split_gain times k,
+    grow the same trees: every sum, gain and hessian is exactly k times the original when
+    k is a power of two (k = 3 is not exact in binary)."""
+
+    @pytest.mark.parametrize("k", [2, 4])
+    @pytest.mark.parametrize("config", [
+        {},
+        {"max_leaves": 31, "min_samples_leaf": 3, "l2_lambda": 0.5, "min_split_gain": 0.25},
+    ], ids=["defaults", "31_leaves"])
+    def test_same_trees_with_k_times_the_cover(self, k, config):
+        ds, cfg = quickstart_training(1)
+        cfg = dataclasses.replace(cfg, **config)
+        scaled = dataclasses.replace(cfg, l2_lambda=k * cfg.l2_lambda,
+                                     min_samples_leaf=k * cfg.min_samples_leaf,
+                                     min_split_gain=k * cfg.min_split_gain)
+        model = fit(ds, cfg)
+        copies = fit(Dataset(np.repeat(ds.codes, k), np.repeat(ds.y, k)), scaled)
+        assert copies.base_score.hex() == model.base_score.hex()
+        assert len(copies.trees) == len(model.trees) == cfg.num_rounds
+        for tree, copy in zip(model.trees, copies.trees):
+            assert_replicated(tree, copy, k)
 
 
 class TestPersistence:

@@ -1,11 +1,10 @@
 """Golden digests: the README quick start, at a tenth of its scale, writes fixed bytes.
 
-Each seed runs the quick start's commands in process through `cli.main`:
-two synthesized datasets (476/4,706 and 362/4,377 records), a default
-training, predict, explain, an evaluation with a tenth of its resamples and
-the ROC band, three charts and the reporting-bias study. The sha256 of every
-output file except the manifests (whose durations vary) must equal its entry
-in `golden_digests.json`.
+Each seed runs the commands of README "Quick start" in process through `cli.main`, as
+`oracles.tenth_scale_quickstart` derives them: record counts and resamples a tenth of
+the README's, every seed derived from the run's seed. The sha256 of every output file
+except the manifests (whose durations vary) must equal its entry in `golden_digests.json`,
+so an edit to a quick-start command changes a digest and fails here.
 
 A changed digest is a changed output: it is listed in CHANGES.md and README
 "Determinism", and the file is never rewritten to turn a failing run green.
@@ -27,35 +26,19 @@ import numpy as np
 import pytest
 
 from pcrboost.cli import main
+from oracles import tenth_scale_quickstart
 
 GOLDEN = Path(__file__).with_name("golden_digests.json")
 SEEDS = (1, 2, 3)
 
 
 def quickstart(root: Path, seed: int) -> None:
-    """The README quick start in `root`; seeds derive from `seed` as in perfbench."""
-    base = 1000 * seed
-    commands = [
-        ["synth", "--n-pos", "476", "--n-neg", "4706", "--seed", base + 1, "--out", "train.csv"],
-        ["synth", "--n-pos", "362", "--n-neg", "4377", "--seed", base + 2, "--out", "test.csv"],
-        ["train", "--data", "train.csv", "--out-model", "model.json", "--seed", seed],
-        ["predict", "--model", "model.json", "--data", "test.csv", "--out", "scores.csv"],
-        ["explain", "--model", "model.json", "--data", "test.csv", "--out", "shap.csv"],
-        ["evaluate", "--model", "model.json", "--data", "test.csv", "--out-prefix", "eval_",
-         "--bootstrap", "100", "--seed", base + 7, "--roc-band"],
-        ["plot", "--kind", "roc", "--in", "eval_thresholds.csv", "--band", "eval_roc_band.csv",
-         "--out", "roc.svg"],
-        ["plot", "--kind", "pr", "--in", "eval_thresholds.csv", "--out", "pr.svg"],
-        ["plot", "--kind", "beeswarm", "--in", "shap.csv", "--seed", base + 4,
-         "--out", "beeswarm.svg"],
-        ["simulate-bias", "--data", "test.csv", "--out-dir", "bias", "--seed", base + 3,
-         "--fractions", "0.25,0.5,0.75"],
-    ]
+    """The README quick start in `root`, at a tenth of its scale, for run `seed`."""
     cwd = os.getcwd()
     os.chdir(root)  # relative paths, as typed in the README
     try:
-        for argv in commands:
-            assert main([str(a) for a in argv]) == 0, argv
+        for argv in tenth_scale_quickstart(seed):
+            assert main(argv) == 0, argv
     finally:
         os.chdir(cwd)
 

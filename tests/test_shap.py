@@ -26,6 +26,7 @@ from oracles import (
     explain_records,
     make_dataset,
     mean_abs_shap,
+    quickstart_training,
     random_model,
     reference_explain_matrix,
     scalar_shapley,
@@ -309,8 +310,8 @@ class TestRowsDoNotDependOnTheirBatch:
     """A pattern's phis are the same bits in every batch: `explain`'s per-model table relies on it."""
 
     def test_subsets_equal_the_pattern_table(self, rng):
-        # the training set and the model of the seed-1 benchmark set-ups
-        model = fit(synthesize(reference_marginals(), 476, 4706, seed=1001), TrainConfig(seed=1))
+        # the seed-1 tenth-scale quick start's model
+        model = fit(*quickstart_training(1))
         base, table = _phi_table(model)
         for size in (1, 2, 3, 121, 217):
             chosen = rng.permutation(256)[:size]
