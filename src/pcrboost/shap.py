@@ -14,12 +14,19 @@ terms at every pattern are one basic slice of that table, so the model's
 256-pattern table is a sum of slices in coalition order, taken for a block
 of trees at once and added up tree by tree. It is built once per `Model`:
 `explain` reads one row of it, `explain_dataset` returns it whole.
+
+Each tree's share of the table is independent until that ordered sum. So a
+process with one OS thread and a second usable CPU forks one worker for the
+second half of a model of more than one block of trees; the worker sends each
+tree's share back as raw float64 bytes, and the sum runs in tree order as
+before. The table's bytes are the same on either path.
 """
 
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
+import os
+from typing import NamedTuple, NoReturn
 
 import numpy as np
 
@@ -74,14 +81,108 @@ def _phi_table(model: Model):
     and a pattern's phi_f sums, in mask order, the terms at its assignment
     over each coalition holding f.
 
-    Trees go in blocks of up to _BLOCK, their tables side by side on a last
-    axis, so each term table and each coalition's slab add covers the whole
-    block. Every tree gets the additions of a tree-by-tree pass in the same
-    order, and its (256, 8) result is added to the table in tree order.
+    Each tree's all-free value and (256, 8) result are added to the base and
+    the table in tree order, wherever they were computed (see _terms).
     """
     phis = np.zeros((len(PATTERNS), N_FEATURES))
     base = float(model.base_score)
-    trees = model.trees
+    for value, table in _terms(model.trees):
+        base += value
+        phis += table
+    require_finite("SHAP", base, phis)
+    phis.flags.writeable = False  # shared by every reader of the model's table
+    return base, phis
+
+
+def _terms(trees):
+    """_tree_terms of every tree, in tree order; a forked worker computes the second half.
+
+    The worker sends its trees' values, then their tables, as raw float64
+    bytes over one pipe: no pickle, and no multiprocessing import. If it exits
+    non-zero or sends short data, this process computes that half itself, so
+    an error surfaces as it does on the serial path. The worker is always reaped.
+    """
+    half, rest = trees[:len(trees) // 2], trees[len(trees) // 2:]
+    worker = _fork(rest) if _may_fork(len(trees)) else None
+    if worker is None:
+        yield from _tree_terms(trees)
+        return
+    pid, reader = worker
+    try:
+        yield from _tree_terms(half)
+        with open(reader, "rb", closefd=False) as pipe:
+            sent = np.frombuffer(pipe.read(), dtype=np.float64)
+    finally:
+        os.close(reader)  # a worker still writing gets EPIPE and exits
+        status = os.waitpid(pid, 0)[1]
+    if status or sent.size != len(rest) * (1 + len(PATTERNS) * N_FEATURES):
+        yield from _tree_terms(rest)
+        return
+    values, tables = np.split(sent, [len(rest)])
+    yield from zip(values.tolist(), tables.reshape(len(rest), len(PATTERNS), N_FEATURES))
+
+
+def _may_fork(n_trees: int) -> bool:
+    """Split the trees across two processes: more than one block of them, a second usable
+    CPU, and this process running one OS thread (fork copies only the calling thread, and
+    Python 3.12 warns when a multi-threaded process forks)."""
+    if n_trees <= _BLOCK or not hasattr(os, "fork"):
+        return False
+    try:
+        threads = len(os.listdir("/proc/self/task"))
+    except OSError:  # not Linux: the thread count is unknown
+        return False
+    return threads == 1 and len(os.sched_getaffinity(0)) > 1
+
+
+def _fork(trees):
+    """Start the worker on `trees`: (its pid, the pipe's read end), or None when no pipe or
+    process is to be had (EMFILE, EAGAIN, ENOMEM), and this process computes every tree."""
+    try:
+        reader, writer = os.pipe()
+    except OSError:
+        return None
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(reader)
+        os.close(writer)
+        return None
+    if pid == 0:
+        _work(trees, reader, writer)
+    os.close(writer)
+    return pid, reader
+
+
+def _work(trees, reader: int, writer: int) -> NoReturn:
+    """The forked worker: write _tree_terms(trees) to the pipe, then end with os._exit.
+
+    It never returns, so no caller's cleanup, atexit handler or inherited
+    stdio buffer runs in it.
+    """
+    code = 1
+    try:
+        os.close(reader)
+        values = np.empty(len(trees))
+        tables = np.empty((len(trees), len(PATTERNS), N_FEATURES))
+        for t, (value, table) in enumerate(_tree_terms(trees)):
+            values[t], tables[t] = value, table
+        with open(writer, "wb") as pipe:
+            pipe.write(values)
+            pipe.write(tables)
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _tree_terms(trees):
+    """Each tree's all-free lattice value and (256, 8) phis, in tree order (see _phi_table).
+
+    Trees go in blocks of up to _BLOCK, their tables side by side on a last
+    axis, so each term table and each coalition's slab add covers the whole
+    block. Every tree gets the additions of a tree-by-tree pass in the same
+    order. A yielded table is a view that the next block overwrites.
+    """
     lattice = np.empty((3,) * N_FEATURES + (min(len(trees), _BLOCK),))
     term, sums = np.empty_like(lattice), np.empty((2,) * N_FEATURES + lattice.shape[-1:])
     block_phis = np.empty((len(PATTERNS), N_FEATURES, lattice.shape[-1]))
@@ -91,7 +192,6 @@ def _phi_table(model: Model):
         V, T, S = lattice[..., :size], term[..., :size], sums[..., :size]
         for t, tree in enumerate(block):
             V[..., t] = _tree_values(tree)
-            base += float(V[(2,) * N_FEATURES + (t,)])
         for f in range(N_FEATURES):
             axis = N_FEATURES - 1 - f
             free = V[(slice(None),) * axis + (slice(2, 3),)]
@@ -104,10 +204,7 @@ def _phi_table(model: Model):
                 S += T[slab]
             block_phis[:, f, :size] = S.reshape(len(PATTERNS), size)
         for t in range(size):
-            phis += block_phis[:, :, t]
-    require_finite("SHAP", base, phis)
-    phis.flags.writeable = False  # shared by every reader of the model's table
-    return base, phis
+            yield float(V[(2,) * N_FEATURES + (t,)]), block_phis[:, :, t]
 
 
 def _tree_values(tree) -> np.ndarray:

@@ -8,6 +8,7 @@ import io
 import itertools
 import json
 import math
+import os
 import re
 import shlex
 from dataclasses import dataclass
@@ -17,6 +18,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+import pcrboost
 from pcrboost.dataset import (
     CSV_HEADER,
     FEATURE_NAMES,
@@ -952,3 +954,14 @@ def quickstart_training(seed: int) -> tuple[Dataset, TrainConfig]:
     ds = synthesize(reference_marginals(), int(option(synth, "--n-pos")),
                     int(option(synth, "--n-neg")), seed=int(option(synth, "--seed")))
     return ds, TrainConfig(seed=int(option(train, "--seed")))
+
+
+def clean_env() -> dict[str, str]:
+    """A child's environment from PATH, HOME and PYTHONPATH only, the absolute source directory
+    first: no PYTHONUNBUFFERED or OPENBLAS_NUM_THREADS comes from the host."""
+    src_dir = os.path.dirname(os.path.dirname(os.path.realpath(pcrboost.__file__)))
+    env = {name: os.environ[name] for name in ("PATH", "HOME") if name in os.environ}
+    inherited = os.environ.get("PYTHONPATH")
+    env["PYTHONPATH"] = src_dir + (os.pathsep + inherited if inherited else "")
+    env["PYTHONDONTWRITEBYTECODE"] = "1"  # else children write src/pcrboost/__pycache__
+    return env

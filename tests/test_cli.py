@@ -26,6 +26,7 @@ from pcrboost.gbm import Model, TrainConfig, TreeNode, load_model, save_model
 from pcrboost.metrics import ScoredLabels, auroc
 from oracles import (
     PIPELINE,
+    clean_env,
     option,
     quickstart_step,
     reference_beeswarm_svg,
@@ -953,17 +954,6 @@ class TestTopLevel:
     def test_missing_input_file_is_io_error(self, tmp_path):
         assert run("train", "--data", tmp_path / "absent.csv",
                    "--out-model", tmp_path / "m.json", "--seed", "0") == 4
-
-
-def clean_env() -> dict[str, str]:
-    # a child's environment from PATH, HOME and PYTHONPATH only, the absolute source
-    # directory first: no PYTHONUNBUFFERED or OPENBLAS_NUM_THREADS comes from the host
-    src_dir = os.path.dirname(os.path.dirname(os.path.realpath(cli.__file__)))
-    env = {name: os.environ[name] for name in ("PATH", "HOME") if name in os.environ}
-    inherited = os.environ.get("PYTHONPATH")
-    env["PYTHONPATH"] = src_dir + (os.pathsep + inherited if inherited else "")
-    env["PYTHONDONTWRITEBYTECODE"] = "1"  # else children write src/pcrboost/__pycache__
-    return env
 
 
 # runs main() in a fresh interpreter and prints the modules it imported;

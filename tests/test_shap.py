@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,12 +21,13 @@ from pcrboost.dataset import (
     synthesize,
 )
 from pcrboost.errors import ContractError
-from pcrboost.gbm import Model, TrainConfig, TreeNode, fit
+from pcrboost.gbm import Model, TrainConfig, TreeNode, fit, load_model, save_model
 from pcrboost.shap import _phi_table, explain, explain_dataset
 from oracles import (
     BeeswarmPoint,
     assert_local_accuracy,
     beeswarm_points,
+    clean_env,
     explain_records,
     make_dataset,
     mean_abs_shap,
@@ -425,3 +430,112 @@ class TestDegenerateTrees:
     def test_oracle_path_rejects_zero_cover(self):
         with pytest.raises(ContractError, match="degenerate tree cover"):
             shapley_brute_force(self.zero_cover_model(), np.zeros(8, dtype=np.uint8))
+
+
+# Runs shap._phi_table in a fresh interpreter with one OS thread, on the model document in
+# argv[1] changed by the mode in argv[2], and prints how often os.fork was called, whether
+# a child process is left unreaped, and the table's bytes (hex) or the ContractError text.
+# Modes: "as-is"; "short", whose worker sends too few bytes and exits 0; "fork-fails",
+# where os.fork raises EAGAIN; "zero-cover", whose second-half tree has a zero internal
+# cover; "few-trees" (the first _BLOCK trees) and "second-thread", where os.fork fails if
+# called.
+SPLIT_CHILD = """
+import errno, os, sys, threading
+from pcrboost import shap
+from pcrboost.errors import ContractError
+from pcrboost.gbm import Model, TreeNode, load_model
+
+assert len(os.listdir("/proc/self/task")) == 1, "the child must start with one thread"
+model = load_model(open(sys.argv[1], encoding="utf-8").read())
+trees, mode, forks = model.trees, sys.argv[2], []
+fork = os.fork
+
+def counted_fork():
+    forks.append(mode)
+    if mode in ("few-trees", "second-thread"):
+        raise AssertionError("os.fork called")
+    if mode == "fork-fails":
+        raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
+    return fork()
+
+os.fork = counted_fork
+if mode == "short":
+    def short_work(trees, reader, writer):
+        os.close(reader)
+        os.write(writer, bytes(len(trees) * 8))
+        os._exit(0)
+    shap._work = short_work
+if mode == "zero-cover":
+    zero = TreeNode(cover=0.0, feature=0, left=TreeNode(cover=0.0, value=1.0),
+                    right=TreeNode(cover=0.0, value=-1.0))
+    k = len(trees) // 2 + 1
+    trees = trees[:k] + (zero,) + trees[k + 1:]
+if mode == "few-trees":
+    trees = trees[:shap._BLOCK]
+stop = threading.Event()
+if mode == "second-thread":
+    threading.Thread(target=stop.wait).start()
+try:
+    base, phis = shap._phi_table(Model(model.base_score, trees, model.config))
+    result = float(base).hex() + " " + phis.tobytes().hex()
+except ContractError as err:
+    result = str(err)
+stop.set()
+try:
+    os.waitpid(-1, os.WNOHANG)
+    left = "child-left"
+except ChildProcessError:
+    left = "no-child"
+print(len(forks), left, result)
+"""
+
+
+class TestSplitAcrossProcesses:
+    """The table built with a forked worker for the second half of the trees, bit for bit."""
+
+    @pytest.fixture(scope="class")
+    def model_path(self, tmp_path_factory):
+        # the seed-1 tenth-scale quick start's model: 100 trees, four blocks
+        path = tmp_path_factory.mktemp("split") / "model.json"
+        path.write_text(save_model(fit(*quickstart_training(1))), encoding="utf-8")
+        return path
+
+    def run_child(self, model_path, mode) -> list[str]:
+        env = dict(clean_env(), OPENBLAS_NUM_THREADS="1")  # as a pcrboost process sets it
+        proc = subprocess.run([sys.executable, "-c", SPLIT_CHILD, str(model_path), mode],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout.rstrip("\n").split(" ", 2)
+
+    def serial(self, model, monkeypatch):
+        # one usable CPU: the in-process path, whatever threads this process runs
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        monkeypatch.setattr(os, "fork", None)  # a call would fail
+        return _phi_table(model)
+
+    @pytest.mark.parametrize("mode", ["as-is", "short", "fork-fails"])
+    def test_forked_table_equals_the_serial_table(self, model_path, mode, monkeypatch):
+        model = load_model(model_path.read_text(encoding="utf-8"))
+        assert len(model.trees) > shap._BLOCK
+        base, phis = self.serial(model, monkeypatch)
+        assert self.run_child(model_path, mode) == [
+            "1", "no-child", float(base).hex() + " " + phis.tobytes().hex()]
+
+    @pytest.mark.parametrize("mode", ["few-trees", "second-thread"])
+    def test_no_fork_with_few_trees_or_a_second_thread(self, model_path, mode, monkeypatch):
+        model = load_model(model_path.read_text(encoding="utf-8"))
+        trees = model.trees[:shap._BLOCK] if mode == "few-trees" else model.trees
+        base, phis = self.serial(Model(model.base_score, trees, model.config), monkeypatch)
+        assert self.run_child(model_path, mode) == [
+            "0", "no-child", float(base).hex() + " " + phis.tobytes().hex()]
+
+    def test_zero_cover_in_the_second_half_is_the_serial_error(self, model_path, monkeypatch):
+        model = load_model(model_path.read_text(encoding="utf-8"))
+        zero = TreeNode(cover=0.0, feature=0, left=TreeNode(cover=0.0, value=1.0),
+                        right=TreeNode(cover=0.0, value=-1.0))
+        k = len(model.trees) // 2 + 1
+        bad = Model(model.base_score, model.trees[:k] + (zero,) + model.trees[k + 1:],
+                    model.config)
+        with pytest.raises(ContractError) as serial:
+            self.serial(bad, monkeypatch)
+        assert self.run_child(model_path, "zero-cover") == ["1", "no-child", str(serial.value)]
