@@ -17,16 +17,17 @@ of trees at once and added up tree by tree. It is built once per `Model`:
 
 Each tree's share of the table is independent until that ordered sum. So a
 process with one OS thread and a second usable CPU forks one worker for the
-second half of a model of more than one block of trees; the worker sends each
-tree's share back as raw float64 bytes, and the sum runs in tree order as
-before. The table's bytes are the same on either path.
+second half of a model of more than one block of trees; the worker writes each
+tree's share into a shared anonymous mapping, and the sum runs in tree order
+as before. The table's bytes are the same on either path.
 """
 
 from __future__ import annotations
 
 import math
+import mmap
 import os
-from typing import NamedTuple, NoReturn
+from typing import NamedTuple
 
 import numpy as np
 
@@ -97,29 +98,40 @@ def _phi_table(model: Model):
 def _terms(trees):
     """_tree_terms of every tree, in tree order; a forked worker computes the second half.
 
-    The worker sends its trees' values, then their tables, as raw float64
-    bytes over one pipe: no pickle, and no multiprocessing import. If it exits
-    non-zero or sends short data, this process computes that half itself, so
-    an error surfaces as it does on the serial path. The worker is always reaped.
+    The worker writes one row per tree into a shared anonymous mapping: the
+    tree's all-free value, then its raveled (256, 8) table. It exits 0 only
+    once it has written every row. If it exits non-zero, or no mapping or
+    process is to be had, this process computes that half itself, so an error
+    surfaces as it does on the serial path. The worker is always reaped.
     """
     half, rest = trees[:len(trees) // 2], trees[len(trees) // 2:]
-    worker = _fork(rest) if _may_fork(len(trees)) else None
-    if worker is None:
+    if not _may_fork(len(trees)):
         yield from _tree_terms(trees)
         return
-    pid, reader = worker
+    try:
+        shared = mmap.mmap(-1, 8 * len(rest) * (1 + len(PATTERNS) * N_FEATURES))
+        pid = os.fork()
+    except OSError:  # EAGAIN, ENOMEM
+        yield from _tree_terms(trees)
+        return
+    rows = np.frombuffer(shared, dtype=np.float64).reshape(len(rest), -1)
+    if pid == 0:  # the worker: never returns into a caller's cleanup or atexit handler
+        written = 0
+        try:
+            for row, (value, table) in zip(rows, _tree_terms(rest)):
+                row[0], row[1:] = value, table.ravel()
+                written += 1
+        finally:
+            os._exit(0 if written == len(rest) else 1)
     try:
         yield from _tree_terms(half)
-        with open(reader, "rb", closefd=False) as pipe:
-            sent = np.frombuffer(pipe.read(), dtype=np.float64)
     finally:
-        os.close(reader)  # a worker still writing gets EPIPE and exits
         status = os.waitpid(pid, 0)[1]
-    if status or sent.size != len(rest) * (1 + len(PATTERNS) * N_FEATURES):
+    if status:
         yield from _tree_terms(rest)
         return
-    values, tables = np.split(sent, [len(rest)])
-    yield from zip(values.tolist(), tables.reshape(len(rest), len(PATTERNS), N_FEATURES))
+    for row in rows:
+        yield float(row[0]), row[1:].reshape(len(PATTERNS), N_FEATURES)
 
 
 def _may_fork(n_trees: int) -> bool:
@@ -133,46 +145,6 @@ def _may_fork(n_trees: int) -> bool:
     except OSError:  # not Linux: the thread count is unknown
         return False
     return threads == 1 and len(os.sched_getaffinity(0)) > 1
-
-
-def _fork(trees):
-    """Start the worker on `trees`: (its pid, the pipe's read end), or None when no pipe or
-    process is to be had (EMFILE, EAGAIN, ENOMEM), and this process computes every tree."""
-    try:
-        reader, writer = os.pipe()
-    except OSError:
-        return None
-    try:
-        pid = os.fork()
-    except OSError:
-        os.close(reader)
-        os.close(writer)
-        return None
-    if pid == 0:
-        _work(trees, reader, writer)
-    os.close(writer)
-    return pid, reader
-
-
-def _work(trees, reader: int, writer: int) -> NoReturn:
-    """The forked worker: write _tree_terms(trees) to the pipe, then end with os._exit.
-
-    It never returns, so no caller's cleanup, atexit handler or inherited
-    stdio buffer runs in it.
-    """
-    code = 1
-    try:
-        os.close(reader)
-        values = np.empty(len(trees))
-        tables = np.empty((len(trees), len(PATTERNS), N_FEATURES))
-        for t, (value, table) in enumerate(_tree_terms(trees)):
-            values[t], tables[t] = value, table
-        with open(writer, "wb") as pipe:
-            pipe.write(values)
-            pipe.write(tables)
-        code = 0
-    finally:
-        os._exit(code)
 
 
 def _tree_terms(trees):
