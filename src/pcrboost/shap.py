@@ -7,13 +7,13 @@ features the Shapley sum is computed exactly over all 2^8 coalitions.
 
 Contributions are in raw log-odds space. A coalition's value for a pattern
 depends only on the pattern's bits inside the coalition: one of the 3^8
-partial assignments that training also runs on (`dataset.lattice_sums`).
-So each tree is walked once into a value table over that lattice, whatever
-the rows, and each feature's Shapley terms are a table on it. A coalition's
-terms at every pattern are one basic slice of that table, so the model's
-256-pattern table is a sum of slices in coalition order, taken for a block
-of trees at once and added up tree by tree. It is built once per `Model`:
-`explain` reads one row of it, `explain_dataset` returns it whole.
+partial assignments that training also runs on (`dataset.lattice_sums`). So
+each tree is walked once, in one fixed layout, into a value table over that
+lattice, whatever the rows; each feature's Shapley terms are a table on it. A
+coalition's terms at every pattern are one basic slice of that table, so the
+model's 256-pattern table is a sum of slices in coalition order, taken for a
+block of trees at once and added up tree by tree. It is built once per
+`Model`: `explain` reads one row of it, `explain_dataset` returns it whole.
 
 Each tree's share of the table is independent until that ordered sum. So a
 process with one OS thread and a second usable CPU forks one worker for the
@@ -33,7 +33,7 @@ import numpy as np
 
 from .dataset import LATTICE_STEPS, N_FEATURES, PATTERNS, Dataset, pattern_codes
 from .errors import ContractError
-from .gbm import Model, _leaves, require_finite
+from .gbm import Model, require_finite
 
 # Shapley weight for adding a feature to a coalition of size k
 _WEIGHT = np.array(
@@ -182,13 +182,9 @@ def _tree_terms(trees):
 def _tree_values(tree) -> np.ndarray:
     """The tree's (3,)*8 value table over the partial assignments (see _phi_table).
 
-    The walk's own table holds the features on the most leaves' paths on its
-    innermost axes, so each leaf's add runs over long contiguous stretches; in
-    any axis order every entry gets the same products and sums.
+    The walk puts feature f on axis f; its transpose is the lattice view (axis
+    N_FEATURES - 1 - f holds feature f), with the same products and sums.
     """
-    masks = [mask for mask, _, _ in _leaves(tree)]  # a feature's uses: the leaves below it
-    order = sorted(range(N_FEATURES), key=lambda f: sum(mask >> f & 1 for mask in masks))
-    axis = {f: i for i, f in enumerate(order)}
     V = np.zeros((3,) * N_FEATURES)
     stack = [(tree, np.ones((1,) * N_FEATURES))]
     while stack:
@@ -199,12 +195,11 @@ def _tree_values(tree) -> np.ndarray:
         if not node.cover > 0.0:
             raise ContractError("degenerate tree cover: zero cover at an internal node")
         shape = [1] * N_FEATURES
-        shape[axis[node.feature]] = 3
+        shape[node.feature] = 3
         for side, child in enumerate((node.left, node.right)):
             factor = np.array([1.0 - side, float(side), child.cover / node.cover])
             stack.append((child, w * factor.reshape(shape)))
-    # as a lattice view: axis N_FEATURES - 1 - f holds feature f
-    return V.transpose([axis[f] for f in reversed(range(N_FEATURES))])
+    return V.T
 
 
 def explain(model: Model, record) -> ShapExplanation:

@@ -12,7 +12,7 @@ import sys
 import numpy as np
 import pytest
 
-from pcrboost import cli, formatting
+from pcrboost import cli, formatting, metrics
 from pcrboost.cli import main
 from pcrboost.dataset import (
     FEATURE_NAMES,
@@ -282,6 +282,18 @@ class TestEvaluateModes:
         assert not list(tmp_path.glob("x_*"))
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "n_resamples must be in [100, " in err
+
+    def test_metric_undefined_on_every_resample_writes_nothing(self, pipeline, tmp_path,
+                                                                capsys, monkeypatch):
+        # no draws at all: every resample is left without a value
+        monkeypatch.setattr(metrics, "_MAX_DRAWS", 0)
+        capsys.readouterr()
+        assert run("evaluate", "--model", pipeline / "model.json", "--data",
+                   pipeline / "data.csv", "--out-prefix", str(tmp_path / "eval_"),
+                   "--bootstrap", "100", "--seed", "1") == 3
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "metric undefined on every resample" in err
+        assert not list(tmp_path.glob("eval_*"))
 
     def test_later_output_blocked_leaves_no_file(self, pipeline, tmp_path, capsys):
         # thresholds.csv can be written, summary.csv cannot: a directory holds its name

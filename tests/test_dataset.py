@@ -203,6 +203,11 @@ class TestDatasetRecord:
         with pytest.raises(ContractError, match="equal-length vectors"):
             Dataset(np.array([3, 4]), np.array([0, 1, 1]))
 
+    def test_never_equal_to_a_non_dataset(self):
+        ds = Dataset(np.array([3, 4]), np.array([0, 1]))
+        assert ds == Dataset(np.array([3, 4]), np.array([0, 1]))
+        assert not ds == 5 and ds != 5
+
     def test_line_table_and_csv_reader_fallback_agree(self, rng):
         ds = Dataset(rng.integers(0, 256, size=900), rng.integers(0, 2, size=900))
         buf = io.BytesIO()
