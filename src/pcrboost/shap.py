@@ -14,19 +14,11 @@ coalition's terms at every pattern are one basic slice of that table, so the
 model's 256-pattern table is a sum of slices in coalition order, taken for a
 block of trees at once and added up tree by tree. It is built once per
 `Model`: `explain` reads one row of it, `explain_dataset` returns it whole.
-
-Each tree's share of the table is independent until that ordered sum. So a
-process with one OS thread and a second usable CPU forks one worker for the
-second half of a model of more than one block of trees; the worker writes each
-tree's share into a shared anonymous mapping, and the sum runs in tree order
-as before. The table's bytes are the same on either path.
 """
 
 from __future__ import annotations
 
 import math
-import mmap
-import os
 from typing import NamedTuple
 
 import numpy as np
@@ -82,79 +74,14 @@ def _phi_table(model: Model):
     and a pattern's phi_f sums, in mask order, the terms at its assignment
     over each coalition holding f.
 
-    Each tree's all-free value and (256, 8) result are added to the base and
-    the table in tree order, wherever they were computed (see _terms).
+    Trees go in blocks of up to _BLOCK, their tables side by side on a last
+    axis, so each term table and each coalition's slab add covers the whole
+    block. Each tree's all-free value and (256, 8) result are then added to the
+    base and the table in tree order: the additions of a tree-by-tree pass.
     """
     phis = np.zeros((len(PATTERNS), N_FEATURES))
     base = float(model.base_score)
-    for value, table in _terms(model.trees):
-        base += value
-        phis += table
-    require_finite("SHAP", base, phis)
-    phis.flags.writeable = False  # shared by every reader of the model's table
-    return base, phis
-
-
-def _terms(trees):
-    """_tree_terms of every tree, in tree order; a forked worker computes the second half.
-
-    The worker writes one row per tree into a shared anonymous mapping: the
-    tree's all-free value, then its raveled (256, 8) table. It exits 0 only
-    once it has written every row. If it exits non-zero, or no mapping or
-    process is to be had, this process computes that half itself, so an error
-    surfaces as it does on the serial path. The worker is always reaped.
-    """
-    half, rest = trees[:len(trees) // 2], trees[len(trees) // 2:]
-    if not _may_fork(len(trees)):
-        yield from _tree_terms(trees)
-        return
-    try:
-        shared = mmap.mmap(-1, 8 * len(rest) * (1 + len(PATTERNS) * N_FEATURES))
-        pid = os.fork()
-    except OSError:  # EAGAIN, ENOMEM
-        yield from _tree_terms(trees)
-        return
-    rows = np.frombuffer(shared, dtype=np.float64).reshape(len(rest), -1)
-    if pid == 0:  # the worker: never returns into a caller's cleanup or atexit handler
-        written = 0
-        try:
-            for row, (value, table) in zip(rows, _tree_terms(rest)):
-                row[0], row[1:] = value, table.ravel()
-                written += 1
-        finally:
-            os._exit(0 if written == len(rest) else 1)
-    try:
-        yield from _tree_terms(half)
-    finally:
-        status = os.waitpid(pid, 0)[1]
-    if status:
-        yield from _tree_terms(rest)
-        return
-    for row in rows:
-        yield float(row[0]), row[1:].reshape(len(PATTERNS), N_FEATURES)
-
-
-def _may_fork(n_trees: int) -> bool:
-    """Split the trees across two processes: more than one block of them, a second usable
-    CPU, and this process running one OS thread (fork copies only the calling thread, and
-    Python 3.12 warns when a multi-threaded process forks)."""
-    if n_trees <= _BLOCK or not hasattr(os, "fork"):
-        return False
-    try:
-        threads = len(os.listdir("/proc/self/task"))
-    except OSError:  # not Linux: the thread count is unknown
-        return False
-    return threads == 1 and len(os.sched_getaffinity(0)) > 1
-
-
-def _tree_terms(trees):
-    """Each tree's all-free lattice value and (256, 8) phis, in tree order (see _phi_table).
-
-    Trees go in blocks of up to _BLOCK, their tables side by side on a last
-    axis, so each term table and each coalition's slab add covers the whole
-    block. Every tree gets the additions of a tree-by-tree pass in the same
-    order. A yielded table is a view that the next block overwrites.
-    """
+    trees = model.trees
     lattice = np.empty((3,) * N_FEATURES + (min(len(trees), _BLOCK),))
     term, sums = np.empty_like(lattice), np.empty((2,) * N_FEATURES + lattice.shape[-1:])
     block_phis = np.empty((len(PATTERNS), N_FEATURES, lattice.shape[-1]))
@@ -176,7 +103,11 @@ def _tree_terms(trees):
                 S += T[slab]
             block_phis[:, f, :size] = S.reshape(len(PATTERNS), size)
         for t in range(size):
-            yield float(V[(2,) * N_FEATURES + (t,)]), block_phis[:, :, t]
+            base += float(V[(2,) * N_FEATURES + (t,)])
+            phis += block_phis[:, :, t]
+    require_finite("SHAP", base, phis)
+    phis.flags.writeable = False  # shared by every reader of the model's table
+    return base, phis
 
 
 def _tree_values(tree) -> np.ndarray:

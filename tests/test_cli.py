@@ -22,13 +22,14 @@ from pcrboost.dataset import (
     pattern_codes,
     save_csv,
 )
-from pcrboost.gbm import Model, TrainConfig, TreeNode, load_model, save_model
+from pcrboost.gbm import Model, TrainConfig, TreeNode, fit, load_model, save_model
 from pcrboost.metrics import ScoredLabels, auroc
 from oracles import (
     PIPELINE,
     clean_env,
     option,
     quickstart_step,
+    quickstart_training,
     reference_beeswarm_svg,
     reference_explain_matrix,
     reference_read_table,
@@ -1355,3 +1356,33 @@ class TestProcessExit:
         assert type(run("--version")) is int
         assert run("train", "--data", tmp_path / "absent.csv", "--out-model",
                    tmp_path / "m.json", "--seed", "0") == 4
+
+
+# runs `python -m pcrboost.cli` with the arguments after argv[1], in this interpreter, with
+# SIGCHLD ignored if argv[1] is "ignored": a disposition a parent that ignores it passes on
+# through exec, under which no exited child can be waited for
+SIGCHLD_CHILD = """
+import runpy, signal, sys
+if sys.argv.pop(1) == "ignored":
+    signal.signal(signal.SIGCHLD, signal.SIG_IGN)
+runpy.run_module("pcrboost.cli", run_name="__main__")
+"""
+
+
+class TestIgnoredSigchld:
+    """explain writes the same table with SIGCHLD ignored as a normal child writes."""
+
+    def test_explain_writes_the_normal_bytes(self, tmp_path):
+        ds, config = quickstart_training(1)
+        (tmp_path / "model.json").write_text(save_model(fit(ds, config)), encoding="utf-8")
+        with open(tmp_path / "data.csv", "wb") as fh:
+            save_csv(ds, fh)
+        out = {}
+        for disposition in ("default", "ignored"):
+            proc = subprocess.run(
+                [sys.executable, "-c", SIGCHLD_CHILD, disposition, "explain", "--model",
+                 "model.json", "--data", "data.csv", "--out", f"{disposition}.csv"],
+                cwd=tmp_path, env=clean_env(), capture_output=True, text=True, timeout=120)
+            assert (proc.returncode, proc.stderr) == (0, ""), disposition
+            out[disposition] = (tmp_path / f"{disposition}.csv").read_bytes()
+        assert out["ignored"] == out["default"]

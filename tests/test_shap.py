@@ -2,10 +2,6 @@
 
 from __future__ import annotations
 
-import os
-import subprocess
-import sys
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -21,13 +17,12 @@ from pcrboost.dataset import (
     synthesize,
 )
 from pcrboost.errors import ContractError
-from pcrboost.gbm import Model, TrainConfig, TreeNode, fit, load_model, save_model
+from pcrboost.gbm import Model, TrainConfig, TreeNode, fit
 from pcrboost.shap import _phi_table, explain, explain_dataset
 from oracles import (
     BeeswarmPoint,
     assert_local_accuracy,
     beeswarm_points,
-    clean_env,
     explain_records,
     make_dataset,
     mean_abs_shap,
@@ -431,143 +426,3 @@ class TestDegenerateTrees:
         with pytest.raises(ContractError, match="degenerate tree cover"):
             shapley_brute_force(self.zero_cover_model(), np.zeros(8, dtype=np.uint8))
 
-
-# Runs shap._phi_table in a fresh interpreter with one OS thread, on the model document in
-# argv[1] cut to its first argv[3] trees (all of them if not given) and changed by the mode
-# in argv[2]. It prints how often os.fork was called, the exit codes of the reaped workers
-# ("-" if none), whether a child process is left unreaped, and the table's bytes (hex) or
-# the ContractError text. Modes: "as-is"; "short", whose worker's _tree_terms yields one
-# tree fewer; "raises", whose worker's _tree_terms raises after three trees; "fork-fails",
-# where os.fork raises EAGAIN; "map-fails", where mmap.mmap raises ENOMEM; "zero-cover",
-# whose second-half tree has a zero internal cover; "few-trees" (run on _BLOCK trees) and
-# "second-thread", where os.fork fails if called.
-SPLIT_CHILD = """
-import errno, itertools, mmap, os, sys, threading
-from pcrboost import shap
-from pcrboost.errors import ContractError
-from pcrboost.gbm import Model, TreeNode, load_model
-
-assert len(os.listdir("/proc/self/task")) == 1, "the child must start with one thread"
-model = load_model(open(sys.argv[1], encoding="utf-8").read())
-trees, mode, forks, codes = model.trees, sys.argv[2], [], []
-trees = trees[:int(sys.argv[3])] if len(sys.argv) > 3 else trees
-fork, waitpid, tree_terms, parent = os.fork, os.waitpid, shap._tree_terms, os.getpid()
-
-def counted_fork():
-    forks.append(mode)
-    if mode in ("few-trees", "second-thread"):
-        raise AssertionError("os.fork called")
-    if mode == "fork-fails":
-        raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
-    return fork()
-
-def recorded_waitpid(pid, options):
-    reaped = waitpid(pid, options)
-    codes.append(str(os.waitstatus_to_exitcode(reaped[1])))
-    return reaped
-
-def failing_map(*args):
-    raise OSError(errno.ENOMEM, "Cannot allocate memory")
-
-def worker_terms(trees):
-    terms = tree_terms(trees)
-    if os.getpid() == parent:
-        yield from terms
-    elif mode == "short":
-        yield from itertools.islice(terms, len(trees) - 1)
-    else:
-        for _ in range(3):
-            yield next(terms)
-        raise RuntimeError("the worker fails after three trees")
-
-os.fork, os.waitpid = counted_fork, recorded_waitpid
-if mode == "map-fails":
-    mmap.mmap = failing_map
-if mode in ("short", "raises"):
-    shap._tree_terms = worker_terms
-if mode == "zero-cover":
-    zero = TreeNode(cover=0.0, feature=0, left=TreeNode(cover=0.0, value=1.0),
-                    right=TreeNode(cover=0.0, value=-1.0))
-    k = len(trees) // 2 + 1
-    trees = trees[:k] + (zero,) + trees[k + 1:]
-stop = threading.Event()
-if mode == "second-thread":
-    threading.Thread(target=stop.wait).start()
-try:
-    base, phis = shap._phi_table(Model(model.base_score, trees, model.config))
-    result = float(base).hex() + " " + phis.tobytes().hex()
-except ContractError as err:
-    result = str(err)
-stop.set()
-try:
-    waitpid(-1, os.WNOHANG)
-    left = "child-left"
-except ChildProcessError:
-    left = "no-child"
-print(len(forks), ",".join(codes) or "-", left, result)
-"""
-
-
-class TestSplitAcrossProcesses:
-    """The table built with a forked worker for the second half of the trees, bit for bit."""
-
-    @pytest.fixture(scope="class")
-    def model_path(self, tmp_path_factory):
-        # the seed-1 tenth-scale quick start's model: 100 trees, four blocks
-        path = tmp_path_factory.mktemp("split") / "model.json"
-        path.write_text(save_model(fit(*quickstart_training(1))), encoding="utf-8")
-        return path
-
-    def run_child(self, model_path, mode, n_trees=None) -> list[str]:
-        env = dict(clean_env(), OPENBLAS_NUM_THREADS="1")  # as a pcrboost process sets it
-        args = [str(model_path), mode] + ([str(n_trees)] if n_trees else [])
-        proc = subprocess.run([sys.executable, "-c", SPLIT_CHILD, *args],
-                              env=env, capture_output=True, text=True, timeout=120)
-        assert proc.returncode == 0, proc.stderr
-        return proc.stdout.rstrip("\n").split(" ", 3)
-
-    def serial(self, model, monkeypatch):
-        # one usable CPU: the in-process path, whatever threads this process runs
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-        monkeypatch.setattr(os, "fork", None)  # a call would fail
-        return _phi_table(model)
-
-    # 26 and 61 trees split off block boundaries: halves of 13 and 13, 30 and 31 trees
-    @pytest.mark.parametrize("mode, n_trees, forks, codes", [
-        pytest.param("as-is", None, "1", "0", id="as-is"),
-        pytest.param("as-is", 26, "1", "0", id="as-is-26"),
-        pytest.param("as-is", 61, "1", "0", id="as-is-61"),
-        pytest.param("short", None, "1", "1", id="short"),
-        pytest.param("raises", None, "1", "1", id="raises"),
-        pytest.param("fork-fails", None, "1", "-", id="fork-fails"),
-        pytest.param("map-fails", None, "0", "-", id="map-fails"),
-    ])
-    def test_forked_table_equals_the_serial_table(self, model_path, mode, n_trees, forks,
-                                                  codes, monkeypatch):
-        model = load_model(model_path.read_text(encoding="utf-8"))
-        trees = model.trees[:n_trees]
-        assert len(trees) > shap._BLOCK
-        base, phis = self.serial(Model(model.base_score, trees, model.config), monkeypatch)
-        assert self.run_child(model_path, mode, n_trees) == [
-            forks, codes, "no-child", float(base).hex() + " " + phis.tobytes().hex()]
-
-    @pytest.mark.parametrize("mode", ["few-trees", "second-thread"])
-    def test_no_fork_with_few_trees_or_a_second_thread(self, model_path, mode, monkeypatch):
-        model = load_model(model_path.read_text(encoding="utf-8"))
-        n_trees = shap._BLOCK if mode == "few-trees" else None
-        trees = model.trees[:n_trees]
-        base, phis = self.serial(Model(model.base_score, trees, model.config), monkeypatch)
-        assert self.run_child(model_path, mode, n_trees) == [
-            "0", "-", "no-child", float(base).hex() + " " + phis.tobytes().hex()]
-
-    def test_zero_cover_in_the_second_half_is_the_serial_error(self, model_path, monkeypatch):
-        model = load_model(model_path.read_text(encoding="utf-8"))
-        zero = TreeNode(cover=0.0, feature=0, left=TreeNode(cover=0.0, value=1.0),
-                        right=TreeNode(cover=0.0, value=-1.0))
-        k = len(model.trees) // 2 + 1
-        bad = Model(model.base_score, model.trees[:k] + (zero,) + model.trees[k + 1:],
-                    model.config)
-        with pytest.raises(ContractError) as serial:
-            self.serial(bad, monkeypatch)
-        assert self.run_child(model_path, "zero-cover") == [
-            "1", "1", "no-child", str(serial.value)]
