@@ -22,8 +22,8 @@ _REAL_FMT = "%.17g"
 # of a few MB is mapped afresh by malloc and unmapped after its write, one page fault
 # per 4 KiB, where a chunk this size reuses the same heap pages
 _CHUNK_BYTES = 1 << 17
-# read_table reads a table's text this many characters at a time: the survey-scale
-# beeswarm child peaks near 62 MB, where a whole-file read took it to about 102 MB
+# read_table reads a table's text this many characters at a time: a whole-file read took
+# the survey-scale beeswarm child to about 102 MB
 _READ_CHUNK = 1 << 16
 
 

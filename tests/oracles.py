@@ -1,5 +1,6 @@
 """The suite's oracles and test-data makers. Each oracle's docstring opens with the `src/`
-function it pins. Only NumPy and pcrboost are imported: no pytest, no hypothesis."""
+function, or the NumPy method `src/` calls, that it pins. Only NumPy and pcrboost are
+imported: no pytest, no hypothesis."""
 
 from __future__ import annotations
 
@@ -876,6 +877,61 @@ def reference_bootstrap(sl, n_resamples: int, alpha: float, seed: int, max_draws
         np.quantile(curves, quantiles[1], axis=0),
     )
     return out
+
+
+class RawGenerator:
+    """`numpy.random.Generator(PCG64(seed))`'s `random`, `uniform`, `integers` and `shuffle`,
+    rebuilt from `PCG64.random_raw`, whose stream NEP 19 keeps across NumPy versions.
+
+    `integers` and `shuffle` read 32-bit draws: the low half of a raw word first, its high half
+    kept for the next 32-bit draw, also across calls, as the bit generator keeps it. `random`
+    and `uniform` read whole raw words and leave that half where it is.
+    """
+
+    def __init__(self, seed):
+        self._bits = np.random.PCG64(seed)
+        self._high = None
+
+    def _uint32(self) -> int:
+        if self._high is not None:
+            half, self._high = self._high, None
+            return half
+        raw = int(self._bits.random_raw())
+        self._high = raw >> 32
+        return raw & 0xFFFFFFFF
+
+    def random(self, size) -> np.ndarray:
+        """`Generator.random`: the top 53 bits of each raw word, times 2^-53."""
+        raw = self._bits.random_raw(math.prod(np.atleast_1d(size)))
+        return ((raw >> np.uint64(11)) * 2.0 ** -53).reshape(size)
+
+    def uniform(self, low: float, high: float, size) -> np.ndarray:
+        """`Generator.uniform`: low + (high - low) * random."""
+        return low + (high - low) * self.random(size)
+
+    def integers(self, low: int, high: int, size: int) -> np.ndarray:
+        """`Generator.integers(low, high, size)` for 2 <= high - low < 2^32: Lemire's
+        multiply-shift, redrawn while the product's low word is below 2^32 mod (high - low)."""
+        n = high - low
+        assert 2 <= n < 1 << 32
+        threshold = (1 << 32) % n
+        out = []
+        for _ in range(size):
+            product = self._uint32() * n
+            while product & 0xFFFFFFFF < threshold:
+                product = self._uint32() * n
+            out.append(low + (product >> 32))
+        return np.array(out, dtype=np.int64)
+
+    def shuffle(self, x: np.ndarray) -> None:
+        """`Generator.shuffle` of a 1-d array, in place: Fisher-Yates from the end, slot i
+        swapped with a 32-bit draw masked to i's bit length, redrawn while above i."""
+        for i in range(len(x) - 1, 0, -1):
+            mask = (1 << i.bit_length()) - 1
+            j = self._uint32() & mask
+            while j > i:
+                j = self._uint32() & mask
+            x[i], x[j] = x[j], x[i]
 
 
 def assert_local_accuracy(model: Model, explanation, record, tol: float = 1e-9) -> None:

@@ -274,9 +274,10 @@ class TestEvaluateModes:
                    "--bootstrap", "0", "--alpha", alpha) == 3
         assert not list(tmp_path.glob("x_*"))
 
-    @pytest.mark.parametrize("count", ["100000000000000000000", str(sys.maxsize)])
-    def test_resample_count_numpy_cannot_size(self, pipeline, tmp_path, capsys, count):
-        # refused before any allocation, so this test allocates nothing
+    @pytest.mark.parametrize("count", ["100000000000000000000", str(sys.maxsize), "99", "-1"])
+    def test_resample_count_out_of_range(self, pipeline, tmp_path, capsys, count):
+        # refused before any allocation, so this test allocates nothing: below 100 (0 disables
+        # the intervals) as well as beyond what NumPy can size
         assert run("evaluate", "--model", pipeline / "model.json",
                    "--data", pipeline / "data.csv", "--out-prefix", str(tmp_path / "x_"),
                    "--bootstrap", count, "--seed", "1", "--roc-band") == 3

@@ -1,13 +1,18 @@
-"""The README's examples run as written: the library example, and the quick start's flags."""
+"""The README's examples run as written: the library example, and the quick start's flags.
+CI reads the quick start through `oracles` outside pytest, so `oracles` imports neither pytest
+nor hypothesis."""
 
 from __future__ import annotations
 
+import os
 import re
+import subprocess
+import sys
 
 import pytest
 
 from pcrboost.cli import build_parser
-from oracles import README, quickstart_commands, tenth_scale_quickstart
+from oracles import README, clean_env, quickstart_commands, tenth_scale_quickstart
 
 
 def test_library_use_example_runs(capsys):
@@ -30,3 +35,11 @@ def test_quick_start_commands_parse(scale):
         except SystemExit:
             pytest.fail(f"README quick start: `pcrboost {' '.join(argv)}` does not parse")
         assert args.command == argv[0]
+
+
+def test_oracles_import_neither_pytest_nor_hypothesis():
+    env = clean_env()
+    env["PYTHONPATH"] += os.pathsep + os.path.dirname(os.path.abspath(__file__))
+    code = "import sys, oracles; print(sorted({'pytest', 'hypothesis'} & set(sys.modules)))"
+    child = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert (child.returncode, child.stdout, child.stderr) == (0, "[]\n", "")
