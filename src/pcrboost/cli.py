@@ -225,16 +225,19 @@ class _Staging:
 
     Calling it claims a temporary name for each of `paths`, records it and
     returns the names, which the caller writes; `moves` is the run's one list
-    of outputs, in staging order. `commit` hard-links every existing path
+    of outputs, in staging order. `makedirs` creates an output directory and
+    records each directory it made. `commit` hard-links every existing path
     aside, then moves every staged file onto its path. `discard` puts the
-    old files back and removes the temporaries and every path the commit
-    created, so a failed run leaves its outputs as they were.
+    old files back and removes the temporaries, every path the commit
+    created and, deepest first, each directory `makedirs` made that is still
+    empty, so a failed run leaves its outputs as they were.
     """
 
     def __init__(self):
         self.moves: list[tuple[str, str]] = []  # (temporary, path)
         self.created: list[str] = []
         self.kept: list[tuple[str, str]] = []  # (link to an existing path's file, path)
+        self.dirs: list[str] = []  # made by makedirs, parents first
 
     def __call__(self, *paths: str) -> list[str]:
         tmps = [f"{path}.{os.getpid()}.tmp" for path in paths]
@@ -242,6 +245,15 @@ class _Staging:
             open(tmp, "x").close()  # claimed first, so no one else's file is replaced or removed
             self.moves.append((tmp, path))
         return tmps
+
+    def makedirs(self, path: str) -> None:
+        """os.makedirs(path, exist_ok=True), recording each directory it makes."""
+        parent = os.path.dirname(path.rstrip(os.sep))
+        if parent and not os.path.exists(parent):
+            self.makedirs(parent)
+        if not os.path.isdir(path):
+            os.mkdir(path)
+            self.dirs.append(path)
 
     def commit(self) -> None:
         for tmp, path in self.moves:
@@ -264,6 +276,9 @@ class _Staging:
         for name in [tmp for tmp, _ in self.moves] + self.created + [old for old, _ in self.kept]:
             with contextlib.suppress(OSError):
                 os.remove(name)
+        for name in reversed(self.dirs):  # rmdir leaves a directory that gained a file
+            with contextlib.suppress(OSError):
+                os.rmdir(name)
 
 
 def _run(args, parser, started: float) -> None:
@@ -403,7 +418,7 @@ def cmd_simulate_bias(args, parser, stage):
         row = [feature, reporter_rate(ds, feature)]
         row += [reporter_rate(out, feature) for _, out in variants]
         rows.append(tuple(row))
-    os.makedirs(args.out_dir, exist_ok=True)
+    stage.makedirs(args.out_dir)
     names = [f"biased_{token}.csv" for token, _ in variants] + ["reporter_rates.csv"]
     *biased, rates = stage(*[os.path.join(args.out_dir, name) for name in names])
     for tmp, (_, out) in zip(biased, variants):

@@ -1,6 +1,8 @@
-"""The suite's oracles and test-data makers. Each oracle's docstring opens with the `src/`
-function, or the NumPy method `src/` calls, that it pins. Only NumPy and pcrboost are
-imported: no pytest, no hypothesis."""
+"""The suite's oracles and test-data makers. An oracle is a plain, slower implementation that
+must match bit for bit or byte for byte, unless its test gives a tolerance. Each oracle's
+docstring opens with the `src/` function, or the NumPy method `src/` calls, that it pins
+(`test_docs` checks that the name exists). Only NumPy and pcrboost are imported: no pytest,
+no hypothesis."""
 
 from __future__ import annotations
 
@@ -462,8 +464,8 @@ def explain_records(model: Model, ds: Dataset):
 
 
 def mean_abs_shap(model: Model, ds: Dataset) -> list[RankedFeature]:
-    """The beeswarm's ranking (`cli._beeswarm_strips`) of each feature's mean |phi| over ds:
-    descending, schema-index ties."""
+    """`cli._beeswarm_strips`' ranking of the features by mean |phi| over ds: descending,
+    schema-index ties."""
     _, phis = explain_records(model, ds)
     means = _mean_abs(phis)
     ranked = sorted(means, key=lambda name: (-means[name], FEATURE_NAMES.index(name)))
@@ -965,7 +967,8 @@ _TENTH = ("--n-pos", "--n-neg", "--bootstrap")
 def quickstart_commands() -> list[list[str]]:
     """README `## Quick start`: its `sh` block's `pcrboost` commands, as `cli.main` argv lists.
 
-    Comment lines are dropped and `\\` continuations joined before a line counts.
+    Comment lines are dropped and `\\` continuations joined before a line counts, and each
+    line is split as the shell splits it.
     """
     section = README.read_text(encoding="utf-8").split("\n## Quick start\n", 1)[1]
     block = re.search(r"```sh\n(.*?)```", section, re.DOTALL).group(1)

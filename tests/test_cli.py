@@ -1118,9 +1118,9 @@ class TestBlasThreads:
 
 
 class TestSingleOutputStaging:
-    """train, synth, predict and explain write under a temporary name, moved into place once
-    written: a write that fails part-way (a full disk) leaves no partial output and no temporary,
-    and an output that existed keeps its bytes."""
+    """train, synth, predict, explain and simulate-bias write under a temporary name, moved into
+    place once written: a write that fails part-way (a full disk) leaves no partial output, no
+    temporary and no directory the run made, and an output that existed keeps its bytes."""
 
     @staticmethod
     def disk_full():
@@ -1129,7 +1129,7 @@ class TestSingleOutputStaging:
     def break_writer(self, command, monkeypatch):
         """Make the command's writer write part of its output, then fail; returns the calls."""
         calls = []
-        if command == "synth":
+        if command in ("synth", "simulate-bias"):
             def save_csv_part(ds, fh):
                 calls.append(fh.name)
                 fh.write(b"sex_male,age_60_plus\n")
@@ -1162,12 +1162,14 @@ class TestSingleOutputStaging:
         return calls
 
     @pytest.mark.parametrize("existing", [False, True])
-    @pytest.mark.parametrize("command", ["synth", "train", "predict", "explain"])
+    @pytest.mark.parametrize("command", ["synth", "train", "predict", "explain", "simulate-bias"])
     def test_failed_write_leaves_no_partial_file(self, pipeline, tmp_path, capsys, monkeypatch,
                                                  command, existing):
         out_dir = tmp_path / "out"
         out_dir.mkdir()
         out = out_dir / "output"
+        if command == "simulate-bias":  # a nested --out-dir, fresh unless the output exists
+            out = out_dir / "fresh" / "bias" / "reporter_rates.csv"
         argv = {
             "synth": [*SYNTH, "--out", out],
             "train": ["train", "--data", pipeline / "data.csv", "--out-model", out,
@@ -1176,15 +1178,19 @@ class TestSingleOutputStaging:
                         "--data", pipeline / "data.csv", "--out", out],
             "explain": ["explain", "--model", pipeline / "model.json",
                         "--data", pipeline / "data.csv", "--out", out],
+            "simulate-bias": ["simulate-bias", "--data", pipeline / "data.csv",
+                              "--out-dir", out.parent, "--seed", "1"],
         }[command]
         if existing:
+            out.parent.mkdir(parents=True, exist_ok=True)
             out.write_bytes(b"old bytes\n")
+        before = sorted(out_dir.rglob("*"))
         calls = self.break_writer(command, monkeypatch)
         capsys.readouterr()
         assert run(*argv) == 4
         assert len(calls) == 1 and calls[0] != str(out)  # written under a temporary name
         assert capsys.readouterr().err.startswith("pcrboost: I/O error: [Errno 28]")
-        assert [p.name for p in out_dir.iterdir()] == (["output"] if existing else [])
+        assert sorted(out_dir.rglob("*")) == before
         if existing:
             assert out.read_bytes() == b"old bytes\n"
 

@@ -1,16 +1,20 @@
 """The README's examples run as written: the library example, and the quick start's flags.
 CI reads the quick start through `oracles` outside pytest, so `oracles` imports neither pytest
-nor hypothesis."""
+nor hypothesis. Each oracle's docstring names a target that exists."""
 
 from __future__ import annotations
 
+import importlib
+import inspect
 import os
 import re
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
+import oracles
 from pcrboost.cli import build_parser
 from oracles import README, clean_env, quickstart_commands, tenth_scale_quickstart
 
@@ -43,3 +47,24 @@ def test_oracles_import_neither_pytest_nor_hypothesis():
     code = "import sys, oracles; print(sorted({'pytest', 'hypothesis'} & set(sys.modules)))"
     child = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert (child.returncode, child.stdout, child.stderr) == (0, "[]\n", "")
+
+
+def test_oracle_docstrings_name_real_targets():
+    # an oracle's docstring opens with the backticked name it pins: a rename in src/ fails here
+    targets = {}
+    for name, obj in vars(oracles).items():
+        if name.startswith("_") or not (inspect.isfunction(obj) or inspect.isclass(obj)):
+            continue
+        match = re.match(r"`([^`(']+)", inspect.getdoc(obj) or "")
+        if obj.__module__ == "oracles" and match and "." in match.group(1):
+            targets[name] = match.group(1)
+    assert targets
+    missing = []
+    for name, target in sorted(targets.items()):
+        module, *attrs = target.split(".")
+        obj = np if module == "numpy" else importlib.import_module(f"pcrboost.{module}")
+        for attr in attrs:
+            obj = getattr(obj, attr, None)
+        if obj is None:
+            missing.append(f"{name}: `{target}`")
+    assert not missing, f"oracle docstrings name targets that do not exist: {missing}"

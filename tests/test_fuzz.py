@@ -1,5 +1,24 @@
 """Property tests of the input readers: any bytes either parse or raise PcrboostError.
 
+Arbitrary and CSV- or JSON-shaped inputs go to `load_csv`, `load_model`, the CLI's config
+reader, `formatting.read_table` and `plot`. Shaped inputs must also give an oracle's output,
+or its error class and message:
+- SHAP-CSV-shaped text: `plot --kind beeswarm` gives `reference_beeswarm_svg`'s bytes, also on
+  text shaped for the streamed reader: LF-separated lines with a quote, CR or NUL only in the
+  last line, a byte-order mark, repeated header names, a needed column first, blank lines,
+  lines with no comma, short and long rows and no final LF, plus a file larger than one chunk
+  whose only quote is on its last line.
+- threshold- and band-CSV-shaped text: `plot --kind roc` (with and without `--band`) and
+  `plot --kind pr` give `reference_curve_svg`'s bytes.
+- dataset-CSV-shaped text: `load_csv` gives `reference_load_csv`'s `Dataset`, on permuted
+  headers; canonical lines mixed with CRLF, quoted cells, blank, short and long rows and bad
+  cells; and bodies as `save_csv` writes them with one character replaced (a `2`, a space or
+  a `;`), with CRLF line ends, no final LF, a trailing blank line, a byte-order mark or no
+  line at all.
+- `read_table` returns the header, rows, row ids and error of one `csv.reader` pass, at read
+  chunks of 1 to 64 characters and small field limits, so that a chunk boundary splits lines,
+  CRLF pairs and quoted cells.
+
 The examples are derandomized by the profile registered in conftest, so a
 run replays the same inputs every time.
 """
