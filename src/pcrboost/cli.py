@@ -160,7 +160,7 @@ def build_parser():
 
 def _read_config(path: str) -> dict[str, str]:
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:  # a leading BOM is skipped
             text = fh.read()
     except OSError as exc:
         raise DataFormatError(f"cannot read config file: {exc}") from None

@@ -942,24 +942,6 @@ def assert_local_accuracy(model: Model, explanation, record, tol: float = 1e-9) 
     assert abs(total - model.predict_raw(record)) <= tol
 
 
-# the quick start at a small scale, one CLI child per step
-PIPELINE = (
-    ("synth", "--n-pos", "300", "--n-neg", "1200", "--seed", "9", "--out", "data.csv"),
-    ("train", "--data", "data.csv", "--out-model", "model.json", "--seed", "0",
-     "--num-rounds", "30"),
-    ("predict", "--model", "model.json", "--data", "data.csv", "--out", "scores.csv"),
-    ("explain", "--model", "model.json", "--data", "data.csv", "--out", "shap.csv"),
-    ("evaluate", "--model", "model.json", "--data", "data.csv", "--out-prefix",
-     "eval_", "--bootstrap", "200", "--seed", "5", "--roc-band"),
-    ("simulate-bias", "--data", "data.csv", "--out-dir", "bias", "--seed", "3"),
-    ("plot", "--kind", "roc", "--in", "eval_thresholds.csv", "--band",
-     "eval_roc_band.csv", "--out", "roc.svg"),
-    ("plot", "--kind", "pr", "--in", "eval_thresholds.csv", "--out", "pr.svg"),
-    ("plot", "--kind", "beeswarm", "--in", "shap.csv", "--seed", "7",
-     "--out", "beeswarm.svg"),
-)
-
-
 README = Path(__file__).resolve().parent.parent / "README.md"
 _TENTH = ("--n-pos", "--n-neg", "--bootstrap")
 

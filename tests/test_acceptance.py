@@ -2,7 +2,8 @@
 
 Criterion 5 trains at the bundled survey's published train/test scale
 (51,831 train / 47,401 test records at survey prevalence); later criteria
-reuse that run via the module fixture.
+reuse that run via the module fixture. Criterion 9 runs the README quick start
+at a tenth of its scale, one CLI child per command.
 """
 
 from __future__ import annotations
@@ -36,7 +37,6 @@ from pcrboost.metrics import (
 )
 from pcrboost.shap import explain
 from oracles import (
-    PIPELINE,
     explain_records,
     mean_abs_shap,
     pair_count_auroc,
@@ -45,6 +45,7 @@ from oracles import (
     roc_curve,
     shapley_brute_force,
     staged_raw,
+    tenth_scale_quickstart,
 )
 
 TRAIN_N, TRAIN_POS = 51831, 4769
@@ -205,7 +206,7 @@ def run_pipeline(workdir: Path, threads: int) -> dict[str, bytes]:
     for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
                 "NUMEXPR_NUM_THREADS"):
         env[var] = str(threads)
-    for step in PIPELINE:
+    for step in tenth_scale_quickstart(1):
         proc = subprocess.run(
             [sys.executable, "-m", "pcrboost.cli", *step],
             cwd=workdir, env=env, capture_output=True, text=True,
@@ -229,7 +230,7 @@ def test_criterion_09_byte_identical_across_runs_and_threads(tmp_path):
         workdir.mkdir()
         runs[name] = run_pipeline(workdir, threads)
     expected = {
-        "data.csv", "model.json", "scores.csv", "shap.csv",
+        "train.csv", "test.csv", "model.json", "scores.csv", "shap.csv",
         "eval_thresholds.csv", "eval_summary.csv", "eval_roc_band.csv",
         "bias/biased_0.25.csv", "bias/biased_0.5.csv", "bias/biased_0.75.csv",
         "bias/reporter_rates.csv", "roc.svg", "pr.svg", "beeswarm.svg",

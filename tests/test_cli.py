@@ -25,7 +25,6 @@ from pcrboost.dataset import (
 from pcrboost.gbm import Model, TrainConfig, TreeNode, fit, load_model, save_model
 from pcrboost.metrics import ScoredLabels, auroc
 from oracles import (
-    PIPELINE,
     clean_env,
     option,
     quickstart_step,
@@ -351,6 +350,15 @@ class TestSynthModes:
             ds = load_csv(fh)
         assert (ds.n_positive, ds.n_negative) == (30, 70)
 
+    def test_one_class_marginals_source_is_contract_error(self, tmp_path, capsys):
+        source, out = tmp_path / "neg.csv", tmp_path / "resampled.csv"
+        assert run("synth", "--n-pos", "0", "--n-neg", "50", "--seed", "2", "--out", source) == 0
+        capsys.readouterr()
+        assert run("synth", "--n-pos", "30", "--n-neg", "70", "--seed", "5",
+                   "--marginals", source, "--out", out) == 3
+        assert "one class absent" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["neg.csv", "neg.csv.manifest.json"]
+
     def test_same_seed_same_bytes(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         assert run(*SYNTH, "--out", a) == 0
@@ -489,6 +497,15 @@ class TestConfigFiles:
                   ["parameters"] for p in (flags, configured)]
         assert params[0] == dict(params[1], out=str(flags))
 
+    @pytest.mark.parametrize("head", ["", "# sizes\n"])  # the BOM opens a key, or a comment
+    def test_leading_byte_order_mark_is_skipped(self, tmp_path, head):
+        flags, configured = tmp_path / "flags.csv", tmp_path / "configured.csv"
+        assert run(*SYNTH, "--out", flags) == 0
+        cfg = self.config(tmp_path, f"\ufeff{head}n-pos = 200\n")
+        assert run("synth", "--config", cfg, "--n-neg", 800, "--seed", 3,
+                   "--out", configured) == 0
+        assert configured.read_bytes() == flags.read_bytes()
+
     def test_explicit_out_beats_the_configs(self, tmp_path):
         cfg = self.config(tmp_path, f"out = {tmp_path / 'configured.csv'}\n")
         assert run(*SYNTH, "--config", cfg, "--out", tmp_path / "flag.csv") == 0
@@ -570,7 +587,8 @@ class TestPerPatternWriters:
 
         reference_write_scores(tmp_path / "ref_scores.csv", model.predict_proba(ds.X))
         distinct, inverse = np.unique(pattern_codes(ds.X), return_inverse=True)
-        # one row sums pairwise; like `explain`, the oracle takes a lone pattern twice
+        # `reference_explain_matrix` sums a single row pairwise, unlike two or more rows,
+        # so a lone pattern goes in twice
         patterns = PATTERNS[distinct] if len(distinct) > 1 else PATTERNS[[distinct[0]] * 2]
         base, phis = reference_explain_matrix(model, patterns)
         reference_write_shap(tmp_path / "ref_shap.csv", ds, base, phis[inverse])
@@ -625,15 +643,6 @@ class TestBeeswarmBytes:
         out = tmp_path / "beeswarm.svg"
         assert run("plot", "--kind", "beeswarm", "--in", shap, "--seed", seed, "--out", out) == 0
         assert out.read_bytes() == reference_beeswarm_svg(shap, seed).encode("utf-8")
-
-    def test_criterion_9_pipeline(self, tmp_path, monkeypatch):
-        monkeypatch.chdir(tmp_path)
-        for step in PIPELINE:
-            if step[0] in ("synth", "train", "explain"):
-                assert run(*step) == 0, step
-        (plot,) = [step for step in PIPELINE if "beeswarm" in step]
-        seed = int(plot[plot.index("--seed") + 1])
-        self.assert_matches_oracle(tmp_path / plot[plot.index("--in") + 1], seed, tmp_path)
 
     def test_quickstart_scale(self, pipeline, tmp_path, monkeypatch):
         # the seed-1 tenth-scale quick start's test set (37,912 SHAP rows) and beeswarm seed
